@@ -5,9 +5,11 @@ ephemeral ports, then trains a tiny policy with reward evaluation sharded
 across them over TCP.  While the trainer is busy inferring, the
 policy-driven prefetcher speculatively evaluates the most likely next
 actions on idle workers, so most async reward waits resolve as store hits.
-The printed fleet table shows the dispatch split, the robustness counters
-(nothing is lost here — see ``tests/test_fleet.py`` for the
-kill-a-worker-mid-batch runs) and the speculative-prefetch ledger.
+The printed table is the one evaluation-service report
+(``format_service_stats_table``); because the service is fleet-backed it
+adds the robustness counters (nothing is lost here — see
+``tests/test_fleet.py`` for the kill-a-worker-mid-batch runs) and the
+speculative-prefetch ledger to the dispatch split.
 
     python examples/fleet_eval.py
     python examples/fleet_eval.py --workers 3 --steps 320

@@ -272,6 +272,46 @@ class RewardCache:
             task=task,
         )
 
+    def site_key(
+        self,
+        pipeline: "CompileAndMeasure",
+        task: "OptimizationTask",
+        kernel: "LoopKernel",
+        site_index: int,
+        action: Tuple[int, ...],
+    ) -> RewardKey:
+        """The key of one (``task.cache_key``-canonical) action of ``task``
+        at one site, as measured by ``pipeline``."""
+        return self.key_for(
+            kernel,
+            pipeline.machine,
+            site_index,
+            default_symbol_value=pipeline.default_symbol_value,
+            action=action,
+            task=task.name,
+        )
+
+    def application_key(
+        self,
+        pipeline: "CompileAndMeasure",
+        task: "OptimizationTask",
+        kernel: "LoopKernel",
+        decisions,
+    ) -> RewardKey:
+        """The key of one whole-kernel application of ``task``.
+
+        The action part flattens the whole ``{site: action}`` map, sorted
+        by site, as ``site, *action`` runs — the one place that store
+        format is spelled out.
+        """
+        flattened: List[int] = []
+        for site_index in sorted(decisions):
+            flattened.append(int(site_index))
+            flattened.extend(int(value) for value in decisions[site_index])
+        return self.site_key(
+            pipeline, task, kernel, WHOLE_FUNCTION_APPLICATION, tuple(flattened)
+        )
+
     # -- lookups ------------------------------------------------------------
 
     def get(self, key: RewardKey) -> Optional[CachedMeasurement]:
@@ -302,6 +342,17 @@ class RewardCache:
         these entries back to the parent.
         """
         return list(self._entries.items())
+
+    def merge(self, entries) -> None:
+        """Adopt ``(key, measurement)`` entries measured elsewhere.
+
+        peek() not get(): merging shipped entries is plumbing, not a
+        lookup, and skipping already-present keys keeps a disk-backed
+        store from appending duplicate records.
+        """
+        for key, measurement in entries:
+            if self.peek(key) is None:
+                self.put(key, measurement)
 
     def clear(self) -> None:
         self._entries.clear()
@@ -359,16 +410,9 @@ class RewardCache:
     ) -> Tuple[CachedMeasurement, bool]:
         """Cached single-site evaluation of one task action."""
         action = task.cache_key(action)
-        key = self.key_for(
-            kernel,
-            pipeline.machine,
-            site_index,
-            default_symbol_value=pipeline.default_symbol_value,
-            action=action,
-            task=task.name,
-        )
         return self._measure_cached(
-            key, lambda: task.evaluate(pipeline, kernel, site_index, action)
+            self.site_key(pipeline, task, kernel, site_index, action),
+            lambda: task.evaluate(pipeline, kernel, site_index, action),
         )
 
     def measure_application(
@@ -386,18 +430,7 @@ class RewardCache:
         action tuple, so a repeat run applying identical decisions to an
         unchanged kernel is a lookup, not a simulation.
         """
-        flattened: List[int] = []
-        for site_index in sorted(decisions):
-            flattened.append(int(site_index))
-            flattened.extend(int(value) for value in decisions[site_index])
-        key = self.key_for(
-            kernel,
-            pipeline.machine,
-            WHOLE_FUNCTION_APPLICATION,
-            default_symbol_value=pipeline.default_symbol_value,
-            action=tuple(flattened),
-            task=task.name,
-        )
+        key = self.application_key(pipeline, task, kernel, decisions)
         return self._measure_cached(key, compute)
 
     def measure_baseline(
@@ -513,14 +546,7 @@ class EvaluationBatcher:
         self, kernel: "LoopKernel", site_index: int, action: Tuple[int, ...]
     ) -> int:
         action = self.task.cache_key(action)
-        key = self.cache.key_for(
-            kernel,
-            self.pipeline.machine,
-            site_index,
-            default_symbol_value=self.pipeline.default_symbol_value,
-            action=action,
-            task=self.task.name,
-        )
+        key = self.cache.site_key(self.pipeline, self.task, kernel, site_index, action)
         self._pending.append(_PendingRequest(key, kernel, int(site_index), action))
         return len(self._pending) - 1
 

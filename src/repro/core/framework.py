@@ -370,45 +370,34 @@ class NeuroVectorizer:
         stats = self.reward_cache.stats
         if stats.lookups == 0 and stats.batch_deduplicated == 0:
             return format_no_evaluations_table(title=title)
-        service_stats = getattr(self.evaluation_service, "stats", None)
+        service = self.evaluation_service
         return format_cache_stats_table(
             stats,
             title=title,
             simulator_memo=self.pipeline.simulator_memo_stats(),
             frontend=frontend_cache().stats.as_dict(),
-            # A fleet service's stats carry the speculative-prefetch
+            # A fleet-backed service's stats carry the speculative-prefetch
             # ledger; split those hits out from demand-earned ones.
             fleet=(
-                service_stats
-                if hasattr(service_stats, "prefetch_issued")
+                service.stats
+                if service is not None and service.stats.remote
                 else None
             ),
         )
 
-    def service_stats_report(self, title: str = "evaluation service"):
+    def service_stats_report(self, title: Optional[str] = None):
         """Per-worker dispatch statistics of the evaluation service.
 
         Returns ``None`` when no service is attached; includes persistent
-        store statistics when the cache is disk-backed.  A fleet-backed
-        service renders the fleet table (robustness + prefetch counters)
-        instead of the local-service one.
+        store statistics when the cache is disk-backed, and the robustness
+        + prefetch counters when the service is fleet-backed.
         """
-        from repro.evaluation.report import (
-            format_fleet_stats_table,
-            format_service_stats_table,
-        )
+        from repro.evaluation.report import format_service_stats_table
 
         if self.evaluation_service is None:
             return None
         store = getattr(self.reward_cache, "store", None)
-        formatter = (
-            format_fleet_stats_table
-            if hasattr(self.evaluation_service.stats, "prefetch_issued")
-            else format_service_stats_table
-        )
-        if formatter is format_fleet_stats_table and title == "evaluation service":
-            title = "fleet evaluation"
-        return formatter(
+        return format_service_stats_table(
             self.evaluation_service.stats,
             store_stats=store.stats if store is not None else None,
             preloaded=getattr(self.reward_cache, "preloaded", 0),
@@ -917,8 +906,8 @@ class NeuroVectorizer:
             from repro.fleet import FleetEvaluationService
 
             # Shard reward evaluation across remote fleet workers; when
-            # none of the addresses answer this degrades to a local
-            # EvaluationService with ``config.workers`` processes.
+            # none of the addresses answer the service degrades to a local
+            # pool of ``config.workers`` processes.
             evaluation_service = FleetEvaluationService.connect(
                 pipeline,
                 reward_cache,

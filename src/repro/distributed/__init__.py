@@ -4,8 +4,10 @@ The scaling layer over :mod:`repro.cache`:
 
 * :class:`PersistentRewardStore` / :class:`DiskBackedRewardCache` — reuse
   measurements **across runs** via an append-only on-disk store,
-* :class:`EvaluationService` — shard batched reward queries across worker
-  processes (serial in-process fallback at ``workers=0``),
+* :class:`EvaluationService` — the one batched reward-query service:
+  dedup, dispatch and drain written once over a transport backend (none:
+  serial in-process; a worker-process pool; the :mod:`repro.fleet` TCP
+  coordinator),
 * :class:`AsyncEvaluator` — future-based submission so training overlaps
   simulation with policy inference.
 """

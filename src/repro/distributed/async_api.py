@@ -84,16 +84,15 @@ class AsyncEvaluator:
     def __init__(self, env: VectorizationEnv, policy=None):
         self.env = env
         self.service = getattr(env, "evaluation_service", None)
-        # With a fleet-backed service that speculates (prefetch_top_k > 0)
-        # and a policy to rank actions with, warm the cache with the
-        # policy's likely next actions after every submission — the fleet
-        # evaluates them while the trainer is busy inferring/updating.
+        # With a service that speculates (prefetch_top_k > 0) and a policy
+        # to rank actions with, warm the cache with the policy's likely
+        # next actions after every submission — the workers evaluate them
+        # while the trainer is busy inferring/updating.
         self.prefetcher = None
         if (
             policy is not None
             and self.service is not None
-            and int(getattr(self.service, "prefetch_top_k", 0) or 0) > 0
-            and hasattr(self.service, "prefetch")
+            and self.service.prefetch_top_k > 0
         ):
             from repro.fleet.prefetch import SpeculativePrefetcher
 

@@ -1,12 +1,16 @@
-"""Sharded, future-based reward evaluation over a worker-process pool.
+"""One future-based reward-evaluation service over pluggable transports.
 
 :class:`EvaluationService` is the single entry point every reward consumer
-(environment, agents, the PPO trainer) routes batched queries through:
+(environment, agents, the PPO trainer, comparisons, the compile service)
+routes batched queries through, and the only implementation of
+``evaluate / submit / prefetch / settle / measure_applications``:
 
-* ``workers == 0`` — the serial in-process fallback: requests go through a
-  plain :class:`EvaluationBatcher`, byte-identical to the PR-1 path.
-* ``workers >= 1`` — unique cache misses are dispatched to a pool of
-  worker processes, **sharded by kernel content hash** so each kernel's
+* ``workers == 0`` — the serial in-process path: requests go through a
+  plain :class:`~repro.cache.reward_cache.EvaluationBatcher`,
+  byte-identical to the PR-1 path.
+* ``workers >= 1`` — unique cache misses are dispatched through a backend
+  (:mod:`repro.distributed.backends`: a local process pool, or the fleet's
+  TCP coordinator), **sharded by kernel content hash** so each kernel's
   simulator/IR memos live on exactly one worker and stay hot.
 
 ``submit`` returns an :class:`EvaluationFuture` immediately; results are
@@ -15,25 +19,35 @@ with policy inference (see :mod:`repro.distributed.async_api`).  Requests
 are deduplicated against the cache, against each other, *and against
 queries still in flight from earlier futures* — a key is never evaluated
 twice no matter how batches interleave.
+
+Everything past the transport is here once: a backend that reports a
+worker ``lost`` has that worker's orphans retried on the survivors with
+exponential backoff (or evaluated inline when nobody survives), so results
+stay byte-identical to serial under failures; a backend that never loses
+workers simply never triggers it.  Speculative :meth:`prefetch` rides the
+same machinery — likely-next keys go out at low priority with no waiters,
+and demand arriving later either finds the answer cached (a prefetch
+**hit**), joins the in-flight request (**joined**), or never comes
+(**wasted**).
 """
 
 from __future__ import annotations
 
-import queue as queue_module
-from dataclasses import dataclass, field
+import time
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.reward_cache import (
     WHOLE_FUNCTION_APPLICATION,
     BatchOutcome,
-    CachedMeasurement,
-    EvaluationBatcher,
     RewardCache,
     RewardKey,
+    evaluate_requests,
     normalize_requests,
 )
+from repro.distributed.backends import EvaluationBackend, ProcessPoolBackend
 from repro.distributed.config import EvaluationServiceConfig
-from repro.distributed.worker import WorkRequest, kernel_payload, worker_main
+from repro.distributed.worker import PRIORITY_DEMAND, PRIORITY_PREFETCH, run_job
 
 if TYPE_CHECKING:
     from repro.core.pipeline import CompileAndMeasure
@@ -47,30 +61,85 @@ EvaluationRequest = Tuple
 
 @dataclass
 class ServiceStats:
-    """Dispatch accounting for one :class:`EvaluationService`."""
+    """Dispatch, robustness, and prefetch counters of one
+    :class:`EvaluationService`, whatever its backend.
 
+    ``remote`` is set by a fleet-backed service; reports use it to add the
+    robustness/prefetch rows.  The per-worker maps are keyed by worker
+    name (a pool process's name, a fleet worker's announced name).
+
+    Prefetch accounting distinguishes three fates for a speculative request:
+
+    * **hit** — a later demand request found the answer already in the cache;
+    * **joined** — demand arrived while the speculation was still in flight
+      and attached to it instead of dispatching its own work;
+    * **wasted** — the speculation completed (or was dropped on worker loss)
+      without any demand ever wanting it.
+    """
+
+    remote: bool = False
     dispatched: int = 0
     completed: int = 0
     errors: int = 0
     serial_batches: int = 0
     serial_requests: int = 0
-    per_worker_dispatched: Dict[int, int] = field(default_factory=dict)
-    per_worker_completed: Dict[int, int] = field(default_factory=dict)
+    per_worker_dispatched: Dict[str, int] = field(default_factory=dict)
+    per_worker_completed: Dict[str, int] = field(default_factory=dict)
+    demand_dispatched: int = 0
+    retries: int = 0
+    reshards: int = 0
+    workers_lost: int = 0
+    inline_evaluations: int = 0
+    prefetch_issued: int = 0
+    prefetch_hits: int = 0
+    prefetch_joined: int = 0
 
-    def as_dict(self) -> Dict[str, float]:
+    @property
+    def prefetch_wasted(self) -> int:
+        return max(0, self.prefetch_issued - self.prefetch_hits - self.prefetch_joined)
+
+    @property
+    def waits_converted(self) -> float:
+        """Fraction of would-be async waits answered by speculation.
+
+        Of every demand lookup that was not already a plain cache hit, how
+        many were covered by prefetch (resolved from the store, or joined
+        to an in-flight speculative evaluation) instead of paying a fresh
+        dispatch-and-wait?
+        """
+        covered = self.prefetch_hits + self.prefetch_joined
+        total = covered + self.demand_dispatched
+        if total == 0:
+            return 0.0
+        return covered / total
+
+    def record_dispatch(self, worker: str, prefetch: bool = False) -> None:
+        self.dispatched += 1
+        if not prefetch:
+            self.demand_dispatched += 1
+        self.per_worker_dispatched[worker] = (
+            self.per_worker_dispatched.get(worker, 0) + 1
+        )
+
+    def record_completion(self, worker: str) -> None:
+        self.completed += 1
+        self.per_worker_completed[worker] = (
+            self.per_worker_completed.get(worker, 0) + 1
+        )
+
+    def as_dict(self) -> dict:
+        """Every counter, both per-worker maps, and the derived rates."""
         return {
-            "dispatched": float(self.dispatched),
-            "completed": float(self.completed),
-            "errors": float(self.errors),
-            "serial_batches": float(self.serial_batches),
-            "serial_requests": float(self.serial_requests),
+            **asdict(self),
+            "prefetch_wasted": self.prefetch_wasted,
+            "waits_converted": self.waits_converted,
         }
 
 
 class EvaluationFuture:
     """Outcomes of one submitted batch, filled as workers answer.
 
-    ``result()`` blocks (draining the service's result queue) until every
+    ``result()`` blocks (draining the service's backend) until every
     slot is filled, then returns :class:`BatchOutcome` objects in request
     order — the same contract as ``EvaluationBatcher.flush``.
     """
@@ -88,7 +157,8 @@ class EvaluationFuture:
         return self._remaining == 0
 
     def result(self) -> List[BatchOutcome]:
-        self._service._drain_until(self)
+        while not self.done():
+            self._service._drain_one()
         if self._errors:
             raise RuntimeError(
                 f"{len(self._errors)} evaluation request(s) failed in workers; "
@@ -108,13 +178,43 @@ class EvaluationFuture:
         self._errors.append(message)
 
 
+@dataclass(eq=False)
+class _Job:
+    """One in-flight request: everything needed to ship, re-shard, or run
+    it inline.  ``waiters`` are the future slots a site job's answer fills
+    (empty for un-joined speculation and for apply jobs)."""
+
+    key: RewardKey
+    kernel: "LoopKernel"
+    site_index: int
+    action: Tuple[int, ...]
+    task: "OptimizationTask"
+    kind: str = "site"
+    decisions: Optional[Dict[int, Tuple[int, ...]]] = None
+    priority: int = PRIORITY_DEMAND
+    prefetch: bool = False
+    worker: Optional[str] = None
+    attempts: int = 1
+    waiters: List[Tuple[EvaluationFuture, int]] = field(default_factory=list)
+
+
 class EvaluationService:
-    """Batched reward evaluation, sharded across worker processes.
+    """Batched reward evaluation, sharded across a backend's workers.
 
     The service owns neither the pipeline nor the cache — both may be (and
     usually are) shared with the rest of the run, so workers' results are
     visible to every in-process consumer the moment they land.
     """
+
+    #: Re-dispatches a lost worker's orphan gets before it fails, and the
+    #: base of the exponential backoff between them (seconds).
+    max_retries = 3
+    retry_backoff = 0.05
+    #: Actions speculated per upcoming sample by
+    #: :class:`repro.fleet.prefetch.SpeculativePrefetcher` (0 = never
+    #: speculate) and how many upcoming samples it looks at.
+    prefetch_top_k = 0
+    prefetch_horizon: Optional[int] = None
 
     def __init__(
         self,
@@ -127,26 +227,29 @@ class EvaluationService:
             raise ValueError("workers must be >= 0")
         self.pipeline = pipeline
         self.cache = RewardCache() if cache is None else cache
-        self.workers = int(workers)
         self.result_timeout = result_timeout
         self.stats = ServiceStats()
-        self._processes: List = []
-        self._inboxes: List = []
-        self._outbox = None
-        self._shipped: List[set] = []
-        # Per worker: task name -> id() of the instance last shipped there.
-        self._shipped_tasks: List[Dict[str, int]] = []
+        self._closed = False
         self._next_request_id = 0
-        self._pending: Dict[int, RewardKey] = {}
-        self._waiters: Dict[RewardKey, List[Tuple[EvaluationFuture, int]]] = {}
-        # Whole-kernel application fan-out (measure_applications): in-flight
-        # jobs by request id, jobs already fanned out this service lifetime
-        # (so repeat comparisons don't re-dispatch), and collected failures.
-        self._pending_apply: Dict[int, RewardKey] = {}
+        self._pending: Dict[int, _Job] = {}
+        # Site jobs in flight by key: what in-batch/in-flight duplicates
+        # and demand catching up with speculation attach to.
+        self._inflight: Dict[RewardKey, _Job] = {}
+        # Speculation that landed before any demand wanted it.
+        self._prefetched_keys: set = set()
+        # Whole-kernel applications already fanned out this service
+        # lifetime (so repeat comparisons don't re-dispatch), and the
+        # failures of the measure_applications call in progress.
         self._applied: set = set()
         self._apply_errors: List[Tuple[RewardKey, str]] = []
-        if self.workers > 0:
-            self._start_workers()
+        self._backend: Optional[EvaluationBackend] = None
+        self._start_pool(workers)
+
+    def _start_pool(self, workers: int) -> None:
+        if workers > 0:
+            self._backend = ProcessPoolBackend(
+                self.pipeline.machine, self.pipeline.default_symbol_value, workers
+            )
 
     @classmethod
     def from_config(
@@ -176,34 +279,11 @@ class EvaluationService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def _start_workers(self) -> None:
-        import multiprocessing
-
-        # fork is cheapest and always available on the Linux targets; fall
-        # back to the platform default (spawn) elsewhere — the worker entry
-        # point and payloads are written to survive either.
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        self._outbox = context.Queue()
-        for worker_id in range(self.workers):
-            inbox = context.Queue()
-            process = context.Process(
-                target=worker_main,
-                args=(
-                    worker_id,
-                    self.pipeline.machine,
-                    self.pipeline.default_symbol_value,
-                    inbox,
-                    self._outbox,
-                ),
-                daemon=True,
-                name=f"reward-eval-worker-{worker_id}",
-            )
-            process.start()
-            self._processes.append(process)
-            self._inboxes.append(inbox)
-            self._shipped.append(set())
-            self._shipped_tasks.append({})
+    @property
+    def workers(self) -> int:
+        """Live workers.  Zero means every consumer (async overlap,
+        comparison fan-out, prefetch) sees a serial service."""
+        return 0 if self._backend is None else self._backend.workers
 
     def close(self) -> None:
         """Stop all workers.  Safe to call more than once.
@@ -211,27 +291,15 @@ class EvaluationService:
         Call only after every outstanding future has been resolved; pending
         requests are abandoned, not re-run.
         """
-        if not self._processes:
-            return
-        for inbox in self._inboxes:
-            try:
-                inbox.put(None)
-            except (OSError, ValueError):
-                pass
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
-        for inbox in self._inboxes:
-            inbox.cancel_join_thread()
-            inbox.close()
-        if self._outbox is not None:
-            self._outbox.cancel_join_thread()
-            self._outbox.close()
-        self._processes = []
-        self._inboxes = []
-        self._outbox = None
+        if self._backend is not None:
+            self._backend.close()
+            self._closed = True
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(
+                "evaluation service is closed; create a new one to submit"
+            )
 
     def __enter__(self) -> "EvaluationService":
         return self
@@ -255,6 +323,18 @@ class EvaluationService:
         """Synchronous evaluation: ``submit(...)`` then wait."""
         return self.submit(requests, task=task).result()
 
+    def _site_queries(self, requests, task: Optional["OptimizationTask"]):
+        """Per request, the leading :class:`_Job` fields ``(key, kernel,
+        site_index, action, task)`` — a job is only built for a real miss."""
+        if task is None:
+            from repro.tasks import resolve_task
+
+            task = resolve_task(None)
+        for kernel, site_index, action in normalize_requests(requests):
+            action = task.cache_key(action)
+            key = self.cache.site_key(self.pipeline, task, kernel, site_index, action)
+            yield key, kernel, int(site_index), action, task
+
     def submit(
         self,
         requests: Sequence[EvaluationRequest],
@@ -268,95 +348,86 @@ class EvaluationService:
         misses; serially (``workers == 0``) the batch is evaluated before
         returning and the future is already done.
         """
-        if self.workers > 0 and not self._processes:
-            raise RuntimeError(
-                "evaluation service is closed; create a new one to submit"
-            )
-        if task is None:
-            from repro.tasks import resolve_task
-
-            task = resolve_task(None)
+        self._check_open()
         future = EvaluationFuture(self, len(requests))
         if self.workers == 0:
-            batcher = EvaluationBatcher(self.pipeline, self.cache, task=task)
-            for kernel, site_index, action in normalize_requests(requests):
-                batcher.add_action(kernel, site_index, action)
             self.stats.serial_batches += 1
             self.stats.serial_requests += len(requests)
-            for slot, outcome in enumerate(batcher.flush()):
+            outcomes = evaluate_requests(self.pipeline, self.cache, requests, task=task)
+            for slot, outcome in enumerate(outcomes):
                 future._fill(slot, outcome)
             return future
-        for slot, (kernel, site_index, action) in enumerate(
-            normalize_requests(requests)
-        ):
-            action = task.cache_key(action)
-            key = self.cache.key_for(
-                kernel,
-                self.pipeline.machine,
-                site_index,
-                default_symbol_value=self.pipeline.default_symbol_value,
-                action=action,
-                task=task.name,
-            )
+        for slot, query in enumerate(self._site_queries(requests, task)):
+            key = query[0]
             cached = self.cache.get(key)
             if cached is not None:
+                if key in self._prefetched_keys:
+                    # This demand lookup would have been a dispatch-and-wait
+                    # without speculation: a prefetch hit.
+                    self._prefetched_keys.discard(key)
+                    self.stats.prefetch_hits += 1
                 future._fill(slot, BatchOutcome(cached, True))
                 continue
-            waiters = self._waiters.get(key)
-            if waiters is not None:
+            inflight = self._inflight.get(key)
+            if inflight is not None:
                 # Already in flight (earlier in this batch or a previous
                 # still-unresolved future): the get() above counted a miss,
                 # correct it to a dedup — exactly the batcher's accounting.
                 self.cache.stats.misses -= 1
                 self.cache.stats.batch_deduplicated += 1
-                waiters.append((future, slot))
+                if inflight.prefetch:
+                    # Demand caught up with in-flight speculation.
+                    inflight.prefetch = False
+                    self.stats.prefetch_joined += 1
+                inflight.waiters.append((future, slot))
                 continue
-            self._waiters[key] = [(future, slot)]
-            self._dispatch(key, kernel, int(site_index), action, task)
+            job = self._inflight[key] = _Job(*query, waiters=[(future, slot)])
+            if self._dispatch(job) is None:
+                # Every worker vanished mid-batch: evaluate inline.
+                self._evaluate_inline(job)
         return future
 
-    def _dispatch(
+    def prefetch(
         self,
-        key: RewardKey,
-        kernel: "LoopKernel",
-        site_index: int,
-        action: Tuple[int, ...],
-        task: "OptimizationTask",
-    ) -> None:
-        shard = int(key.kernel_hash[:8], 16) % self.workers
-        payload = None
-        if key.kernel_hash not in self._shipped[shard]:
-            payload = kernel_payload(kernel)
-            self._shipped[shard].add(key.kernel_hash)
-        # Ship the task object once per (worker, task name, instance):
-        # workers then hold the exact instance this process uses, so tasks
-        # registered only here (or configured differently from the registry
-        # default) still evaluate correctly in the shards.  Re-shipped when
-        # a *different* instance reuses the name, so a reconfigured task
-        # never evaluates under a stale predecessor.  (In-place mutation of
-        # a shipped task between submits is not detectable — don't.)
-        task_payload = None
-        if self._shipped_tasks[shard].get(task.name) != id(task):
-            task_payload = task
-            self._shipped_tasks[shard][task.name] = id(task)
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        self._pending[request_id] = key
-        self.stats.dispatched += 1
-        self.stats.per_worker_dispatched[shard] = (
-            self.stats.per_worker_dispatched.get(shard, 0) + 1
-        )
-        self._inboxes[shard].put(
-            WorkRequest(
-                request_id,
-                key.kernel_hash,
-                payload,
-                site_index,
-                action,
-                task.name,
-                task_payload,
+        requests: Sequence[EvaluationRequest],
+        task: Optional["OptimizationTask"] = None,
+    ) -> int:
+        """Speculatively evaluate likely-next requests at low priority.
+
+        Skips anything already cached or in flight, and goes in flight with
+        no waiters so later demand joins instead of re-dispatching.
+        Returns the number of speculations actually issued (always 0
+        without workers).
+        """
+        if self.workers == 0 or not requests:
+            return 0
+        issued = 0
+        for query in self._site_queries(requests, task):
+            key = query[0]
+            # peek(): speculation must not skew the demand hit/miss stats.
+            if self.cache.peek(key) is not None or key in self._inflight:
+                continue
+            job = self._inflight[key] = _Job(
+                *query, prefetch=True, priority=PRIORITY_PREFETCH
             )
-        )
+            if self._dispatch(job) is None:
+                del self._inflight[key]
+                break
+            self.stats.prefetch_issued += 1
+            issued += 1
+        return issued
+
+    def settle(self) -> None:
+        """Drain every outstanding result, including pure speculation.
+
+        After this, demand lookups for completed prefetches are plain
+        cache hits.  Demand futures normally drain lazily via
+        ``result()``; ``settle()`` is for quiesce points (end of a batch,
+        before reading stats, shutting down an example) where leftover
+        speculative work should land in the cache rather than be lost.
+        """
+        while self._pending:
+            self._drain_one()
 
     # -- whole-kernel application fan-out -----------------------------------
 
@@ -380,66 +451,36 @@ class EvaluationService:
         which jobs actually cost a simulation this call.
         Raises if any worker failed; failed jobs become retryable again.
         """
+        self._check_open()
         if self.workers == 0 or not jobs:
             return [False] * len(jobs or []) if detail else 0
-        if not self._processes:
-            raise RuntimeError(
-                "evaluation service is closed; create a new one to submit"
-            )
         flags: List[bool] = []
         outstanding: set = set()
         for kernel, decisions in jobs:
-            flattened: List[int] = []
-            for site_index in sorted(decisions):
-                flattened.append(int(site_index))
-                flattened.extend(int(value) for value in decisions[site_index])
-            key = self.cache.key_for(
-                kernel,
-                self.pipeline.machine,
-                WHOLE_FUNCTION_APPLICATION,
-                default_symbol_value=self.pipeline.default_symbol_value,
-                action=tuple(flattened),
-                task=task.name,
-            )
+            key = self.cache.application_key(self.pipeline, task, kernel, decisions)
             if key in self._applied:
                 flags.append(False)
                 continue
             self._applied.add(key)
-            shard = int(key.kernel_hash[:8], 16) % self.workers
-            payload = None
-            if key.kernel_hash not in self._shipped[shard]:
-                payload = kernel_payload(kernel)
-                self._shipped[shard].add(key.kernel_hash)
-            task_payload = None
-            if self._shipped_tasks[shard].get(task.name) != id(task):
-                task_payload = task
-                self._shipped_tasks[shard][task.name] = id(task)
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            self._pending_apply[request_id] = key
-            outstanding.add(request_id)
-            self.stats.dispatched += 1
-            self.stats.per_worker_dispatched[shard] = (
-                self.stats.per_worker_dispatched.get(shard, 0) + 1
+            job = _Job(
+                key,
+                kernel,
+                WHOLE_FUNCTION_APPLICATION,
+                key.action,
+                task,
+                kind="apply",
+                decisions={
+                    int(site): tuple(int(v) for v in action)
+                    for site, action in decisions.items()
+                },
             )
-            self._inboxes[shard].put(
-                WorkRequest(
-                    request_id,
-                    key.kernel_hash,
-                    payload,
-                    WHOLE_FUNCTION_APPLICATION,
-                    tuple(flattened),
-                    task.name,
-                    task_payload,
-                    kind="apply",
-                    decisions={
-                        int(site): tuple(int(v) for v in action)
-                        for site, action in decisions.items()
-                    },
-                )
-            )
-            flags.append(True)
-        while any(rid in self._pending_apply for rid in outstanding):
+            request_id = self._dispatch(job)
+            flags.append(request_id is not None)
+            if request_id is None:
+                self._evaluate_inline(job)
+            else:
+                outstanding.add(request_id)
+        while any(request_id in self._pending for request_id in outstanding):
             self._drain_one()
         if self._apply_errors:
             errors, self._apply_errors = self._apply_errors, []
@@ -451,62 +492,120 @@ class EvaluationService:
             )
         return flags if detail else sum(flags)
 
-    # -- result collection -------------------------------------------------
+    # -- dispatch ----------------------------------------------------------
 
-    def _drain_until(self, future: EvaluationFuture) -> None:
-        while not future.done():
-            self._drain_one()
+    def _dispatch(self, job: _Job) -> Optional[int]:
+        """Ship ``job`` to its shard and track it under a fresh request id;
+        ``None`` (nothing tracked) only when zero live workers remain."""
+        request_id = self._next_request_id
+        job.worker = self._backend.send(request_id, job)
+        if job.worker is None:
+            return None
+        self._next_request_id += 1
+        self._pending[request_id] = job
+        self.stats.record_dispatch(job.worker, prefetch=job.prefetch)
+        return request_id
+
+    # -- result collection -------------------------------------------------
 
     def _drain_one(self) -> None:
         # ``result_timeout`` is a liveness-check interval, not a deadline: a
-        # slow simulation on a healthy worker just waits another round; only
-        # an actually-dead worker (whose results would never come) is fatal.
-        while True:
-            try:
-                result = self._outbox.get(timeout=self.result_timeout)
-                break
-            except queue_module.Empty:
-                dead = [
-                    process.name
-                    for process in self._processes
-                    if not process.is_alive()
-                ]
-                if dead:
-                    raise RuntimeError(
-                        f"evaluation worker(s) died: {dead} "
-                        f"({len(self._pending)} request(s) outstanding)"
-                    )
-        if result.request_id in self._pending_apply:
-            key = self._pending_apply.pop(result.request_id)
-            self.stats.completed += 1
-            self.stats.per_worker_completed[result.worker_id] = (
-                self.stats.per_worker_completed.get(result.worker_id, 0) + 1
-            )
-            if result.error is not None:
-                self.stats.errors += 1
-                self._apply_errors.append((key, result.error))
+        # slow simulation on a healthy worker just waits another round; the
+        # backend turns an actually-dead worker into an error or a "lost".
+        event = None
+        while event is None:
+            event = self._backend.poll(self.result_timeout)
+            if event is None and not self._pending:
                 return
-            for entry_key, measurement in result.entries or []:
-                # peek() not get(): merging shipped entries is plumbing,
-                # not a lookup, and skipping already-present keys keeps a
-                # disk-backed store from appending duplicate records.
-                if self.cache.peek(entry_key) is None:
-                    self.cache.put(entry_key, measurement)
+        kind, worker, result = event
+        if kind == "lost":
+            self._handle_lost(worker)
             return
-        key = self._pending.pop(result.request_id)
-        waiters = self._waiters.pop(key, [])
-        self.stats.completed += 1
-        self.stats.per_worker_completed[result.worker_id] = (
-            self.stats.per_worker_completed.get(result.worker_id, 0) + 1
-        )
-        if result.error is not None:
+        job = self._pending.pop(result.request_id, None)
+        if job is None:
+            # A duplicate answer after a retry raced the original — the
+            # values are deterministic, so first-wins is safe.
+            return
+        self.stats.record_completion(worker)
+        self._finish(job, result.value, result.error)
+
+    def _finish(self, job: _Job, value, error: Optional[str] = None) -> None:
+        """Land one job's answer (from a worker, the inline fallback, or a
+        give-up): merge it into the cache and fill whoever waited."""
+        if error is not None:
             self.stats.errors += 1
-            for waiting_future, slot in waiters:
-                waiting_future._fail(slot, result.error)
+        if job.kind == "apply":
+            if error is not None:
+                self._apply_errors.append((job.key, error))
+            else:
+                self.cache.merge(value)
             return
-        measurement = CachedMeasurement(
-            cycles=result.cycles, compile_seconds=result.compile_seconds
-        )
-        self.cache.put(key, measurement)
-        for position, (waiting_future, slot) in enumerate(waiters):
-            waiting_future._fill(slot, BatchOutcome(measurement, position > 0))
+        del self._inflight[job.key]
+        if error is not None:
+            for waiting_future, slot in job.waiters:
+                waiting_future._fail(slot, error)
+            return
+        self.cache.put(job.key, value)
+        for position, (waiting_future, slot) in enumerate(job.waiters):
+            waiting_future._fill(slot, BatchOutcome(value, position > 0))
+        if job.prefetch and not job.waiters:
+            # Speculation landed before any demand wanted it: later demand
+            # finds it in the cache and counts as a prefetch hit.
+            self._prefetched_keys.add(job.key)
+
+    def _evaluate_inline(self, job: _Job) -> None:
+        """Last-resort local evaluation — the exact worker code path run on
+        the service's own pipeline, so results stay byte-identical."""
+        self.stats.inline_evaluations += 1
+        self._finish(job, run_job(self.pipeline, job.task, job.kernel, job))
+
+    # -- loss recovery ------------------------------------------------------
+
+    def _handle_lost(self, name: str) -> None:
+        """Re-shard one dead worker's orphans onto the survivors.
+
+        Demanded work (anything with waiters, plus whole-kernel
+        applications) is retried with exponential backoff up to
+        ``max_retries`` re-dispatches; pure speculation is simply dropped.
+        With zero survivors, demanded work runs inline on the service's
+        own pipeline — identical code path, identical bytes.
+        """
+        self.stats.workers_lost += 1
+        retryable: List[Tuple[int, _Job]] = []
+        for request_id, job in sorted(self._pending.items()):
+            if job.worker != name:
+                continue
+            if job.kind != "apply" and not job.waiters:
+                # Un-joined speculation: drop it (implicitly counted wasted).
+                del self._pending[request_id]
+                del self._inflight[job.key]
+                continue
+            job.attempts += 1
+            if job.attempts > self.max_retries + 1:
+                del self._pending[request_id]
+                self._finish(
+                    job,
+                    None,
+                    f"worker(s) lost; gave up on {job.kind} request after "
+                    f"{self.max_retries} retries (key {job.key})",
+                )
+                continue
+            retryable.append((request_id, job))
+        if not retryable:
+            return
+        if self.workers > 0 and self.retry_backoff > 0:
+            # One grouped backoff per loss event, growing with the worst
+            # retry count in the group.
+            worst = max(job.attempts for _request_id, job in retryable)
+            time.sleep(self.retry_backoff * (2 ** (worst - 2)))
+        for request_id, job in retryable:
+            job.worker = self._backend.send(request_id, job)
+            if job.worker is None:
+                del self._pending[request_id]
+                self._evaluate_inline(job)
+                continue
+            self.stats.retries += 1
+            self.stats.reshards += 1
+            self.stats.per_worker_dispatched[job.worker] = (
+                self.stats.per_worker_dispatched.get(job.worker, 0) + 1
+            )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from repro.datasets.kernels import LoopKernel
 
@@ -48,6 +48,12 @@ def kernel_from_payload(payload: dict) -> LoopKernel:
         bindings=dict(payload.get("bindings", {})),
         description=payload.get("description", ""),
     )
+
+
+#: Demand traffic: a training step or comparison waiting on this answer.
+PRIORITY_DEMAND = 0
+#: Speculative prefetch: evaluated only while no demand work is queued.
+PRIORITY_PREFETCH = 1
 
 
 @dataclass
@@ -82,17 +88,89 @@ class WorkRequest:
 
 @dataclass
 class WorkResult:
-    """A worker's answer; ``error`` carries a formatted traceback on failure."""
+    """A worker's answer; ``error`` carries a formatted traceback on failure.
+
+    ``worker_id`` identifies the answering worker to its backend (a pool
+    index, a fleet worker's name).  ``value`` is what :func:`run_job` returned: the site's
+    ``CachedMeasurement``, or for ``kind == "apply"`` the
+    ``(RewardKey, CachedMeasurement)`` entries the application generated,
+    for the parent to merge into the shared cache.
+    """
 
     request_id: int
-    worker_id: int
-    cycles: float = 0.0
-    compile_seconds: float = 0.0
+    worker_id: Union[int, str]
+    value: object = None
     error: Optional[str] = None
-    #: ``kind == "apply"`` answers: the ``(RewardKey, CachedMeasurement)``
-    #: entries the application generated, for the parent to merge into the
-    #: shared cache.
-    entries: Optional[list] = None
+
+
+class ShippedPayloads:
+    """What one worker already holds, so content ships once per worker.
+
+    Kernels are tracked by content hash.  Task objects are tracked per
+    (task name, instance): workers then hold the exact instance the
+    submitting process uses, so tasks registered only there (or configured
+    differently from the registry default) still evaluate correctly in the
+    shards, and a *different* instance reusing a name is re-shipped so a
+    reconfigured task never evaluates under a stale predecessor.  (In-place
+    mutation of a shipped task between submits is not detectable — don't.)
+    """
+
+    def __init__(self) -> None:
+        self._kernels: set = set()
+        self._tasks: Dict[str, int] = {}
+
+    def claim(self, job) -> Tuple[Optional[dict], Optional[object]]:
+        """The ``(kernel payload, task object)`` ``job`` still needs shipped
+        to this worker (``None`` for what it already holds), marked sent."""
+        payload = task = None
+        if job.key.kernel_hash not in self._kernels:
+            self._kernels.add(job.key.kernel_hash)
+            payload = kernel_payload(job.kernel)
+        if self._tasks.get(job.task.name) != id(job.task):
+            self._tasks[job.task.name] = id(job.task)
+            task = job.task
+        return payload, task
+
+
+def shard_index(kernel_hash: str, shards: int) -> int:
+    """The shard owning a kernel: all of one kernel's queries land on one
+    worker, whose simulator/IR memos for it therefore stay hot."""
+    return int(kernel_hash[:8], 16) % shards
+
+
+def resolve_worker_task(tasks: Dict[str, object], name: str):
+    """The task a worker runs for ``name``: the instance shipped to it, else
+    the in-tree registry's (remembered in ``tasks``)."""
+    task = tasks.get(name)
+    if task is None:
+        from repro.tasks import get_task
+
+        task = tasks[name] = get_task(name)
+    return task
+
+
+def run_job(pipeline, task, kernel, job):
+    """Run one ``site`` or ``apply`` job — the exact code path the serial
+    batcher runs, so every backend's answers are byte-identical to serial.
+
+    ``job`` is anything with ``kind``/``site_index``/``action``/
+    ``decisions`` (a :class:`WorkRequest` in workers, the service's own
+    in-flight record for its inline fallback).  A site job returns its
+    ``CachedMeasurement``.  An apply job runs the cached baseline +
+    ``task.apply`` against a fresh local cache and returns that cache's
+    entries — precisely this application's measurements, nothing more.
+    """
+    from repro.cache.reward_cache import CachedMeasurement, RewardCache
+
+    if job.kind == "apply":
+        local = RewardCache()
+        local.measure_baseline(pipeline, kernel)
+        task.apply(pipeline, kernel, dict(job.decisions or {}), reward_cache=local)
+        return local.items()
+    result = task.evaluate(pipeline, kernel, job.site_index, tuple(job.action))
+    return CachedMeasurement(
+        cycles=result.cycles, compile_seconds=result.compile_seconds
+    )
 
 
 def worker_main(
@@ -104,14 +182,11 @@ def worker_main(
 ) -> None:
     """Process entry point: evaluate requests until a ``None`` sentinel.
 
-    Importing the pipeline and task registry here (not at module import)
-    keeps the service importable even where the spawn start method
-    re-imports this module before the package's heavier dependencies are
-    needed.
+    Importing the pipeline here (not at module import) keeps the service
+    importable even where the spawn start method re-imports this module
+    before the package's heavier dependencies are needed.
     """
-    from repro.cache.reward_cache import RewardCache
     from repro.core.pipeline import CompileAndMeasure
-    from repro.tasks import get_task
 
     pipeline = CompileAndMeasure(
         machine=machine, default_symbol_value=default_symbol_value
@@ -125,50 +200,18 @@ def worker_main(
         try:
             if request.payload is not None:
                 kernels[request.kernel_hash] = kernel_from_payload(request.payload)
-            kernel = kernels[request.kernel_hash]
             if request.task_payload is not None:
                 tasks[request.task] = request.task_payload
-            task = tasks.get(request.task)
-            if task is None:
-                task = tasks[request.task] = get_task(request.task)
-            if getattr(request, "kind", "site") == "apply":
-                # A whole-kernel application: run exactly the serial path
-                # (cached baseline + ``task.apply``) against a fresh local
-                # cache, then ship every entry it produced back to the
-                # parent — the per-request cache means the entry list is
-                # precisely this application's measurements, nothing more.
-                local = RewardCache()
-                local.measure_baseline(pipeline, kernel)
-                task.apply(
-                    pipeline,
-                    kernel,
-                    dict(request.decisions or {}),
-                    reward_cache=local,
-                )
-                outbox.put(
-                    WorkResult(
-                        request_id=request.request_id,
-                        worker_id=worker_id,
-                        entries=local.items(),
-                    )
-                )
-                continue
-            result = task.evaluate(
-                pipeline, kernel, request.site_index, tuple(request.action)
+            value = run_job(
+                pipeline,
+                resolve_worker_task(tasks, request.task),
+                kernels[request.kernel_hash],
+                request,
             )
-            outbox.put(
-                WorkResult(
-                    request_id=request.request_id,
-                    worker_id=worker_id,
-                    cycles=result.cycles,
-                    compile_seconds=result.compile_seconds,
-                )
-            )
+            outbox.put(WorkResult(request.request_id, worker_id, value))
         except Exception:
             outbox.put(
                 WorkResult(
-                    request_id=request.request_id,
-                    worker_id=worker_id,
-                    error=traceback.format_exc(),
+                    request.request_id, worker_id, error=traceback.format_exc()
                 )
             )

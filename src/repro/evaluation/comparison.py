@@ -388,12 +388,11 @@ class ComparisonRunner:
 
         # Phase 2: fan the applications out across the service's worker
         # shards; their measurements land in the shared cache (including a
-        # disk-backed store), making phase 3 lookup-only.  Any service with
-        # ``workers``/``measure_applications`` fits — the in-process
-        # EvaluationService and the multi-host FleetEvaluationService both
-        # qualify, so a comparison can span machines without code changes.
+        # disk-backed store), making phase 3 lookup-only.  The service's
+        # backend decides where — a local pool or the multi-host fleet —
+        # so a comparison can span machines without code changes.
         service = self.evaluation_service
-        if service is not None and getattr(service, "workers", 0) > 0:
+        if service is not None and service.workers > 0:
             if service.cache is not self.reward_cache:
                 raise ValueError(
                     "evaluation service uses a different RewardCache than "

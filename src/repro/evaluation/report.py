@@ -76,10 +76,10 @@ def format_cache_stats_table(
     ``simulator_memo`` (a :meth:`CompileAndMeasure.simulator_memo_stats`
     dict) and ``frontend`` (a :class:`FrontendCacheStats` dict) append the
     hot-path memo counters to the same table so cache-pressure regressions
-    in any layer are visible from one report.  ``fleet`` (a
-    :class:`repro.fleet.FleetStats`) splits the hits into speculative vs
-    demand-earned ones, so warm-start analysis can tell a genuinely warm
-    store from one the prefetcher filled moments earlier.
+    in any layer are visible from one report.  ``fleet`` (a fleet-backed
+    service's :class:`repro.distributed.ServiceStats`) splits the hits
+    into speculative vs demand-earned ones, so warm-start analysis can tell
+    a genuinely warm store from one the prefetcher filled moments earlier.
     """
     table = Table(headers=["metric", "value"], title=title)
     table.add_row(["lookups", stats.lookups])
@@ -206,64 +206,35 @@ def format_service_stats_table(
     stats,
     store_stats=None,
     preloaded: int = 0,
-    title: str = "evaluation service",
+    title: Optional[str] = None,
 ) -> Table:
     """Render :class:`repro.distributed.ServiceStats` with one row per worker
     plus, when a persistent store backs the cache, its load/append counters.
 
+    A fleet-backed service's stats (``stats.remote``) add the robustness
+    counters (workers lost, retries, re-shards, inline fallbacks) and the
+    speculative-prefetch ledger with the derived waits-converted rate.
     ``preloaded`` is the number of measurements the cache warm-started from
     disk (i.e. compiles this whole run never had to do)."""
+    if title is None:
+        title = "fleet evaluation" if stats.remote else "evaluation service"
     table = Table(headers=["metric", "value"], title=title)
     table.add_row(["dispatched to workers", stats.dispatched])
     table.add_row(["completed by workers", stats.completed])
     table.add_row(["worker errors", stats.errors])
     table.add_row(["serial batches", stats.serial_batches])
     table.add_row(["serial requests", stats.serial_requests])
-    for worker_id in sorted(stats.per_worker_completed):
-        table.add_row(
-            [f"worker {worker_id} completed", stats.per_worker_completed[worker_id]]
-        )
-    if store_stats is not None:
-        table.add_row(["store: preloaded entries", preloaded])
-        table.add_row(["store: records loaded", store_stats.records_loaded])
-        table.add_row(["store: records appended", store_stats.appended])
-        table.add_row(["store: segments loaded", store_stats.segments_loaded])
-        table.add_row(["store: segments skipped", store_stats.segments_skipped])
-        table.add_row(["store: corrupt records", store_stats.corrupt_records])
-    return table
-
-
-def format_fleet_stats_table(
-    stats,
-    store_stats=None,
-    preloaded: int = 0,
-    title: str = "fleet evaluation",
-) -> Table:
-    """Render :class:`repro.fleet.FleetStats` as a text table.
-
-    The fleet analogue of :func:`format_service_stats_table`: dispatch and
-    completion totals with one per-worker throughput row each, the
-    robustness counters (workers lost, retries, re-shards, inline
-    fallbacks), and the speculative-prefetch ledger with the derived
-    waits-converted rate.  ``store_stats``/``preloaded`` append the shared
-    persistent store's counters exactly as the local-service table does.
-    """
-    table = Table(headers=["metric", "value"], title=title)
-    table.add_row(["dispatched to fleet", stats.dispatched])
-    table.add_row(["demand dispatches", stats.demand_dispatched])
-    table.add_row(["completed by fleet", stats.completed])
-    table.add_row(["worker errors", stats.errors])
-    table.add_row(["serial batches", stats.serial_batches])
-    table.add_row(["serial requests", stats.serial_requests])
-    table.add_row(["workers lost", stats.workers_lost])
-    table.add_row(["retries", stats.retries])
-    table.add_row(["re-shards", stats.reshards])
-    table.add_row(["inline evaluations", stats.inline_evaluations])
-    table.add_row(["prefetch issued", stats.prefetch_issued])
-    table.add_row(["prefetch hits", stats.prefetch_hits])
-    table.add_row(["prefetch joined in flight", stats.prefetch_joined])
-    table.add_row(["prefetch wasted", stats.prefetch_wasted])
-    table.add_row(["async waits converted", stats.waits_converted])
+    if stats.remote:
+        table.add_row(["demand dispatches", stats.demand_dispatched])
+        table.add_row(["workers lost", stats.workers_lost])
+        table.add_row(["retries", stats.retries])
+        table.add_row(["re-shards", stats.reshards])
+        table.add_row(["inline evaluations", stats.inline_evaluations])
+        table.add_row(["prefetch issued", stats.prefetch_issued])
+        table.add_row(["prefetch hits", stats.prefetch_hits])
+        table.add_row(["prefetch joined in flight", stats.prefetch_joined])
+        table.add_row(["prefetch wasted", stats.prefetch_wasted])
+        table.add_row(["async waits converted", stats.waits_converted])
     for worker in sorted(stats.per_worker_completed):
         table.add_row(
             [f"worker {worker} completed", stats.per_worker_completed[worker]]

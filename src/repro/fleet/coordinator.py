@@ -1,32 +1,20 @@
-"""Fleet coordination: remote-worker connections and the evaluation facade.
-
-Two layers:
+"""Fleet coordination: the remote-worker backend and its service.
 
 * :class:`FleetCoordinator` owns the TCP connections — dialing workers (or
   accepting their dial-in registrations via :meth:`listen`), the hello/
   welcome handshake, per-worker reader threads, one heartbeat thread, and
-  loss detection.  It turns everything that happens on the wire into two
-  kinds of events on an inbox queue — ``("result", worker, message)`` and
-  ``("lost", worker, None)`` — so all recovery logic runs single-threaded
-  in the consumer.
+  loss detection.  It is the fleet *backend* of
+  :class:`~repro.distributed.service.EvaluationService`
+  (see :mod:`repro.distributed.backends`): :meth:`send` ships a job to the
+  live worker owning its kernel's shard, and everything that happens on
+  the wire becomes one of two events from :meth:`poll` — a ``result`` or a
+  worker ``lost`` — so all recovery logic runs single-threaded in the
+  service.
 
-* :class:`FleetEvaluationService` is the drop-in reward service over a
-  coordinator.  It speaks the exact :class:`EvaluationService` contract —
-  ``submit``/``evaluate`` returning :class:`EvaluationFuture`,
-  ``measure_applications``, ``workers``/``cache``/``stats`` attributes —
-  so every duck-typed consumer (``AsyncEvaluator``, ``evaluate_requests``,
-  ``ComparisonRunner``) runs against the fleet unchanged.  Dedup against
-  the cache, in-batch, and in-flight is byte-for-byte the local service's
-  logic, so fleet results are byte-identical to serial regardless of
-  sharding — and, because lost workers' orphaned keys are re-sharded onto
-  survivors (bounded retries, exponential backoff) or evaluated inline
-  when nobody survives, regardless of failures too.
-
-Speculative prefetch rides the same machinery: :meth:`prefetch` dispatches
-likely-next keys at low priority with an *empty* waiter list.  Demand that
-arrives later either finds the answer in the cache (a prefetch **hit**) or
-joins the in-flight request (**joined**); speculation nobody ever wanted
-is **wasted**.  :class:`~repro.fleet.stats.FleetStats` tracks all three.
+* :class:`FleetEvaluationService` is that one service constructed over a
+  coordinator: dedup, dispatch, loss recovery (retry, re-shard, inline
+  fallback) and speculative prefetch are the shared core's, so fleet
+  results are byte-identical to serial regardless of sharding or failures.
 """
 
 from __future__ import annotations
@@ -35,22 +23,12 @@ import queue as queue_module
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.reward_cache import (
-    WHOLE_FUNCTION_APPLICATION,
-    BatchOutcome,
-    CachedMeasurement,
-    EvaluationBatcher,
-    RewardCache,
-    RewardKey,
-    normalize_requests,
-)
-from repro.distributed.service import EvaluationFuture, EvaluationService
-from repro.distributed.worker import kernel_payload
+from repro.cache.reward_cache import CachedMeasurement, RewardCache
+from repro.distributed.service import EvaluationService
+from repro.distributed.worker import ShippedPayloads, WorkResult, shard_index
 from repro.fleet.protocol import (
-    PRIORITY_PREFETCH,
     FleetError,
     FleetProtocolError,
     bye_message,
@@ -63,7 +41,6 @@ from repro.fleet.protocol import (
     task_message,
     work_message,
 )
-from repro.fleet.stats import FleetStats
 
 
 class _RemoteWorker:
@@ -75,8 +52,7 @@ class _RemoteWorker:
         self.send_lock = threading.Lock()
         self.last_seen = time.monotonic()
         self.alive = True
-        self.shipped_kernels: set = set()
-        self.shipped_tasks: Dict[str, int] = {}
+        self.shipped = ShippedPayloads()
 
 
 class FleetCoordinator:
@@ -279,23 +255,72 @@ class FleetCoordinator:
         with self._lock:
             return [worker for worker in self._workers.values() if worker.alive]
 
-    def worker(self, name: str) -> _RemoteWorker:
-        with self._lock:
-            return self._workers[name]
+    # -- the evaluation backend ----------------------------------------------
 
-    def send_many(self, name: str, payloads: Sequence[dict]) -> None:
-        """Send messages to one worker in order; raises ``OSError`` on a
-        dead connection (callers re-shard)."""
-        worker = self.worker(name)
-        if not worker.alive:
-            raise OSError(f"fleet worker {name!r} is lost")
-        with worker.send_lock:
-            for payload in payloads:
-                worker.connection.sendall(encode_message(payload))
+    @property
+    def workers(self) -> int:
+        return len(self.live_workers())
+
+    def send(self, request_id: int, job) -> Optional[str]:
+        """Ship one job to its shard over the sorted live set; a worker
+        whose connection fails mid-send is marked lost and the shard
+        re-picked.  ``None`` only when zero live workers remain."""
+        while True:
+            live = sorted(self.live_worker_records(), key=lambda w: w.name)
+            if not live:
+                return None
+            worker = live[shard_index(job.key.kernel_hash, len(live))]
+            messages = []
+            payload, task = worker.shipped.claim(job)
+            if payload is not None:
+                messages.append(kernel_message(job.key.kernel_hash, payload))
+            if task is not None:
+                messages.append(task_message(task.name, task))
+            messages.append(
+                work_message(
+                    request_id,
+                    job.kind,
+                    job.key.kernel_hash,
+                    job.site_index,
+                    job.action,
+                    job.task.name,
+                    decisions=job.decisions,
+                    priority=job.priority,
+                )
+            )
+            try:
+                with worker.send_lock:
+                    for message in messages:
+                        worker.connection.sendall(encode_message(message))
+                return worker.name
+            except OSError:
+                self.mark_lost(worker.name)
+
+    def poll(self, timeout: float):
+        """The next ``("result", worker, WorkResult)`` or ``("lost",
+        worker, None)`` event; dead workers surface through the heartbeat,
+        so an idle interval only re-checks the timeouts."""
+        try:
+            event, name, message = self.inbox.get(timeout=timeout)
+        except queue_module.Empty:
+            self.check_timeouts()
+            return None
+        if event == "lost":
+            return event, name, None
+        if message.get("entries") is not None:
+            value = decode_entries(message["entries"])
+        else:
+            value = CachedMeasurement(
+                cycles=float(message["cycles"]),
+                compile_seconds=float(message["compile_seconds"]),
+            )
+        return event, name, WorkResult(
+            int(message["id"]), name, value, error=message.get("error")
+        )
 
     # -- lifecycle ---------------------------------------------------------
 
-    def stop(self) -> None:
+    def close(self) -> None:
         self._stopping.set()
         if self._accept_thread is not None:
             self._accept_thread.join()
@@ -323,33 +348,15 @@ class FleetCoordinator:
         self._threads = []
 
 
-@dataclass
-class _PendingRecord:
-    """One in-flight fleet request: everything needed to re-shard it."""
+class FleetEvaluationService(EvaluationService):
+    """The :class:`EvaluationService` sharded across remote fleet workers.
 
-    key: RewardKey
-    kernel: object
-    site_index: int
-    action: Tuple[int, ...]
-    task: object
-    kind: str = "site"
-    decisions: Optional[dict] = None
-    worker: Optional[str] = None
-    prefetch: bool = False
-    attempts: int = 1
-    priority: int = field(default=0)
-
-
-class FleetEvaluationService:
-    """Reward evaluation sharded across remote fleet workers.
-
-    The :class:`EvaluationService` contract over a
-    :class:`FleetCoordinator`: ``submit`` dispatches unique cache misses
-    to live workers (sharded by kernel content hash over the sorted live
-    set), futures resolve as results stream back, and worker loss
-    re-shards orphaned demand onto survivors — or evaluates it inline on
-    the coordinator's own pipeline when no workers survive, so a run
-    always completes with byte-identical results.
+    ``submit`` dispatches unique cache misses to live workers (sharded by
+    kernel content hash over the sorted live set), futures resolve as
+    results stream back, and worker loss re-shards orphaned demand onto
+    survivors — or evaluates it inline on the coordinator's own pipeline
+    when no workers survive, so a run always completes with byte-identical
+    results.
     """
 
     def __init__(
@@ -367,14 +374,11 @@ class FleetEvaluationService:
         prefetch_top_k: int = 8,
         prefetch_horizon: Optional[int] = None,
     ):
-        self.pipeline = pipeline
-        self.cache = RewardCache() if cache is None else cache
-        self.result_timeout = result_timeout
+        super().__init__(pipeline, cache, result_timeout=result_timeout)
         self.max_retries = int(max_retries)
         self.retry_backoff = retry_backoff
         self.prefetch_top_k = int(prefetch_top_k)
         self.prefetch_horizon = prefetch_horizon
-        self.stats = FleetStats()
         if coordinator is None:
             coordinator = FleetCoordinator(
                 pipeline.machine,
@@ -385,13 +389,8 @@ class FleetEvaluationService:
             )
             coordinator.dial(addresses)
         self.coordinator = coordinator
-        self._next_request_id = 0
-        self._pending: Dict[int, _PendingRecord] = {}
-        self._inflight: Dict[RewardKey, int] = {}
-        self._waiters: Dict[RewardKey, List[Tuple[EvaluationFuture, int]]] = {}
-        self._prefetched_keys: set = set()
-        self._applied: set = set()
-        self._apply_errors: List[Tuple[RewardKey, str]] = []
+        self._backend = coordinator
+        self.stats.remote = True
 
     @classmethod
     def connect(
@@ -401,443 +400,19 @@ class FleetEvaluationService:
         addresses: Sequence[str] = (),
         fallback_workers: int = 0,
         **knobs,
-    ):
+    ) -> "FleetEvaluationService":
         """Build a fleet service, or degrade gracefully when nobody answers.
 
-        When zero remote workers are reachable this returns a plain local
-        :class:`EvaluationService` (with ``fallback_workers`` processes),
-        so callers configure one code path and still run anywhere.
+        When zero remote workers are reachable the service swaps its
+        backend for a local pool of ``fallback_workers`` processes (none:
+        the serial in-process path) and stops speculating, so callers
+        configure one code path and still run anywhere.
         """
         service = cls(pipeline, cache, addresses=addresses, **knobs)
-        if service.workers > 0:
-            return service
-        service.close()
-        return EvaluationService(
-            pipeline,
-            service.cache,
-            workers=fallback_workers,
-            result_timeout=knobs.get("result_timeout", 120.0),
-        )
-
-    # -- EvaluationService surface -----------------------------------------
-
-    @property
-    def workers(self) -> int:
-        """Live remote workers.  Zero means every duck-typed consumer
-        (async overlap, comparison fan-out) sees a serial service —
-        graceful degradation falls out of the shared contract."""
-        return len(self.coordinator.live_workers())
-
-    def close(self) -> None:
-        self.coordinator.stop()
-
-    def __enter__(self) -> "FleetEvaluationService":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
-
-    def evaluate(self, requests, task=None) -> List[BatchOutcome]:
-        return self.submit(requests, task=task).result()
-
-    def submit(self, requests, task=None) -> EvaluationFuture:
-        """Dedup a batch against cache, batch, and in-flight work, then
-        dispatch the unique misses — the local service's exact logic, so
-        fleet evaluation stays byte-identical to serial."""
-        if task is None:
-            from repro.tasks import resolve_task
-
-            task = resolve_task(None)
-        future = EvaluationFuture(self, len(requests))
-        if self.workers == 0:
-            batcher = EvaluationBatcher(self.pipeline, self.cache, task=task)
-            for kernel, site_index, action in normalize_requests(requests):
-                batcher.add_action(kernel, site_index, action)
-            self.stats.serial_batches += 1
-            self.stats.serial_requests += len(requests)
-            for slot, outcome in enumerate(batcher.flush()):
-                future._fill(slot, outcome)
-            return future
-        for slot, (kernel, site_index, action) in enumerate(
-            normalize_requests(requests)
-        ):
-            action = task.cache_key(action)
-            key = self.cache.key_for(
-                kernel,
-                self.pipeline.machine,
-                site_index,
-                default_symbol_value=self.pipeline.default_symbol_value,
-                action=action,
-                task=task.name,
-            )
-            cached = self.cache.get(key)
-            if cached is not None:
-                if key in self._prefetched_keys:
-                    # This demand lookup would have been a dispatch-and-wait
-                    # without speculation: a prefetch hit.
-                    self._prefetched_keys.discard(key)
-                    self.stats.prefetch_hits += 1
-                future._fill(slot, BatchOutcome(cached, True))
-                continue
-            waiters = self._waiters.get(key)
-            if waiters is not None:
-                # Already in flight: correct the miss the get() above just
-                # counted into a dedup — the batcher's exact accounting.
-                self.cache.stats.misses -= 1
-                self.cache.stats.batch_deduplicated += 1
-                record = self._pending.get(self._inflight.get(key, -1))
-                if record is not None and record.prefetch:
-                    # Demand caught up with in-flight speculation.
-                    record.prefetch = False
-                    self.stats.prefetch_joined += 1
-                waiters.append((future, slot))
-                continue
-            self._waiters[key] = [(future, slot)]
-            record = _PendingRecord(
-                key=key,
-                kernel=kernel,
-                site_index=int(site_index),
-                action=action,
-                task=task,
-            )
-            if not self._dispatch(record):
-                # Every worker vanished mid-batch: evaluate inline.
-                request_id = self._register(record)
-                self._evaluate_inline(request_id, record)
-        return future
-
-    def prefetch(self, requests, task=None) -> int:
-        """Speculatively evaluate likely-next requests at low priority.
-
-        Skips anything already cached or in flight, and registers an empty
-        waiter list so later demand joins instead of re-dispatching.
-        Returns the number of speculations actually issued.
-        """
-        if self.workers == 0 or not requests:
-            return 0
-        if task is None:
-            from repro.tasks import resolve_task
-
-            task = resolve_task(None)
-        issued = 0
-        for kernel, site_index, action in normalize_requests(requests):
-            action = task.cache_key(action)
-            key = self.cache.key_for(
-                kernel,
-                self.pipeline.machine,
-                site_index,
-                default_symbol_value=self.pipeline.default_symbol_value,
-                action=action,
-                task=task.name,
-            )
-            # peek(): speculation must not skew the demand hit/miss stats.
-            if self.cache.peek(key) is not None or key in self._waiters:
-                continue
-            record = _PendingRecord(
-                key=key,
-                kernel=kernel,
-                site_index=int(site_index),
-                action=action,
-                task=task,
-                prefetch=True,
-                priority=PRIORITY_PREFETCH,
-            )
-            self._waiters[key] = []
-            if not self._dispatch(record):
-                del self._waiters[key]
-                break
-            self.stats.prefetch_issued += 1
-            issued += 1
-        return issued
-
-    def settle(self) -> None:
-        """Drain every outstanding result, including pure speculation.
-
-        After this, demand lookups for completed prefetches are plain
-        cache hits.  Demand futures normally drain lazily via
-        ``result()``; ``settle()`` is for quiesce points (end of a batch,
-        before reading stats, shutting down an example) where leftover
-        speculative work should land in the cache rather than be lost.
-        """
-        while self._pending:
-            self._drain_one()
-
-    # -- dispatch ----------------------------------------------------------
-
-    def _register(self, record: _PendingRecord) -> int:
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        self._pending[request_id] = record
-        self._inflight[record.key] = request_id
-        return request_id
-
-    def _dispatch(self, record: _PendingRecord) -> bool:
-        request_id = self._register(record)
-        if not self._send_record(request_id, record):
-            del self._pending[request_id]
-            del self._inflight[record.key]
-            return False
-        self.stats.record_dispatch(record.worker, prefetch=record.prefetch)
-        return True
-
-    def _send_record(self, request_id: int, record: _PendingRecord) -> bool:
-        """Ship one record to its shard; re-pick on send failure.  False
-        only when zero live workers remain."""
-        while True:
-            live = self.coordinator.live_workers()
-            if not live:
-                record.worker = None
-                return False
-            shard = live[int(record.key.kernel_hash[:8], 16) % len(live)]
-            worker = self.coordinator.worker(shard)
-            messages = []
-            if record.key.kernel_hash not in worker.shipped_kernels:
-                worker.shipped_kernels.add(record.key.kernel_hash)
-                messages.append(
-                    kernel_message(record.key.kernel_hash, kernel_payload(record.kernel))
-                )
-            if worker.shipped_tasks.get(record.task.name) != id(record.task):
-                worker.shipped_tasks[record.task.name] = id(record.task)
-                messages.append(task_message(record.task.name, record.task))
-            messages.append(
-                work_message(
-                    request_id,
-                    record.kind,
-                    record.key.kernel_hash,
-                    record.site_index,
-                    record.action,
-                    record.task.name,
-                    decisions=record.decisions,
-                    priority=record.priority,
-                )
-            )
-            record.worker = shard
-            try:
-                self.coordinator.send_many(shard, messages)
-                return True
-            except OSError:
-                record.worker = None
-                self.coordinator.mark_lost(shard)
-
-    # -- whole-kernel application fan-out ----------------------------------
-
-    def measure_applications(self, task, jobs, detail: bool = False):
-        """Fan whole-kernel applications across the fleet — the
-        :meth:`EvaluationService.measure_applications` contract, including
-        the per-lifetime dedup.  With ``detail=True`` returns a per-job
-        list of booleans (``True`` when that job was dispatched remotely)
-        instead of the dispatch count."""
-        flags: List[bool] = []
-        if self.workers == 0 or not jobs:
-            return [False] * len(jobs or []) if detail else 0
-        outstanding: set = set()
-        for kernel, decisions in jobs:
-            flattened: List[int] = []
-            for site_index in sorted(decisions):
-                flattened.append(int(site_index))
-                flattened.extend(int(value) for value in decisions[site_index])
-            key = self.cache.key_for(
-                kernel,
-                self.pipeline.machine,
-                WHOLE_FUNCTION_APPLICATION,
-                default_symbol_value=self.pipeline.default_symbol_value,
-                action=tuple(flattened),
-                task=task.name,
-            )
-            if key in self._applied:
-                flags.append(False)
-                continue
-            self._applied.add(key)
-            record = _PendingRecord(
-                key=key,
-                kernel=kernel,
-                site_index=WHOLE_FUNCTION_APPLICATION,
-                action=tuple(flattened),
-                task=task,
-                kind="apply",
-                decisions={
-                    int(site): tuple(int(v) for v in action)
-                    for site, action in decisions.items()
-                },
-            )
-            request_id = self._register(record)
-            if self._send_record(request_id, record):
-                self.stats.record_dispatch(record.worker)
-                outstanding.add(request_id)
-                flags.append(True)
-            else:
-                self._evaluate_inline(request_id, record)
-                flags.append(False)
-        while any(rid in self._pending for rid in outstanding):
-            self._drain_one()
-        if self._apply_errors:
-            errors, self._apply_errors = self._apply_errors, []
-            for key, _message in errors:
-                self._applied.discard(key)
-            raise RuntimeError(
-                f"{len(errors)} application job(s) failed in the fleet; "
-                f"first failure:\n{errors[0][1]}"
-            )
-        return flags if detail else sum(flags)
-
-    # -- result collection --------------------------------------------------
-
-    def _drain_until(self, future: EvaluationFuture) -> None:
-        while not future.done():
-            self._drain_one()
-
-    def _drain_one(self) -> None:
-        # The timeout is a liveness-check interval, not a deadline: slow
-        # simulations on healthy workers just wait another round, and dead
-        # workers surface as ("lost", ...) events from the heartbeat.
-        while True:
-            try:
-                event, name, message = self.coordinator.inbox.get(
-                    timeout=self.result_timeout
-                )
-                break
-            except queue_module.Empty:
-                self.coordinator.check_timeouts()
-                if not self._pending:
-                    return
-        if event == "lost":
-            self._handle_lost(name)
-            return
-        request_id = int(message["id"])
-        record = self._pending.pop(request_id, None)
-        if record is None:
-            # A duplicate answer after a retry raced the original — the
-            # values are deterministic, so first-wins is safe.
-            return
-        self._inflight.pop(record.key, None)
-        self.stats.record_completion(name)
-        if record.kind == "apply":
-            if message.get("error") is not None:
-                self.stats.errors += 1
-                self._apply_errors.append((record.key, message["error"]))
-                return
-            for entry_key, measurement in decode_entries(message.get("entries")):
-                # peek() not get(): merging shipped entries is plumbing, and
-                # skipping present keys keeps disk stores duplicate-free.
-                if self.cache.peek(entry_key) is None:
-                    self.cache.put(entry_key, measurement)
-            return
-        waiters = self._waiters.pop(record.key, [])
-        if message.get("error") is not None:
-            self.stats.errors += 1
-            for waiting_future, slot in waiters:
-                waiting_future._fail(slot, message["error"])
-            return
-        measurement = CachedMeasurement(
-            cycles=float(message["cycles"]),
-            compile_seconds=float(message["compile_seconds"]),
-        )
-        self.cache.put(record.key, measurement)
-        for position, (waiting_future, slot) in enumerate(waiters):
-            waiting_future._fill(slot, BatchOutcome(measurement, position > 0))
-        if record.prefetch and not waiters:
-            # Speculation landed before any demand wanted it: later demand
-            # finds it in the cache and counts as a prefetch hit.
-            self._prefetched_keys.add(record.key)
-
-    # -- loss recovery ------------------------------------------------------
-
-    def _handle_lost(self, name: str) -> None:
-        """Re-shard one dead worker's orphans onto the survivors.
-
-        Demanded work (anything with waiters, plus whole-kernel
-        applications) is retried with exponential backoff up to
-        ``max_retries`` re-dispatches; pure speculation is simply dropped.
-        With zero survivors, demanded work runs inline on the
-        coordinator's own pipeline — identical code path, identical bytes.
-        """
-        self.stats.workers_lost += 1
-        orphans = [
-            (request_id, record)
-            for request_id, record in sorted(self._pending.items())
-            if record.worker == name
-        ]
-        if not orphans:
-            return
-        demanded: List[Tuple[int, _PendingRecord]] = []
-        for request_id, record in orphans:
-            if record.kind == "apply" or self._waiters.get(record.key):
-                demanded.append((request_id, record))
-                continue
-            # Un-joined speculation: drop it (implicitly counted wasted).
-            del self._pending[request_id]
-            self._inflight.pop(record.key, None)
-            self._waiters.pop(record.key, None)
-        retryable: List[Tuple[int, _PendingRecord]] = []
-        for request_id, record in demanded:
-            record.attempts += 1
-            if record.attempts > self.max_retries + 1:
-                self._fail_record(request_id, record)
-                continue
-            retryable.append((request_id, record))
-        if not retryable:
-            return
-        if not self.coordinator.live_workers():
-            for request_id, record in retryable:
-                self._evaluate_inline(request_id, record)
-            return
-        # One grouped backoff per loss event, growing with the worst
-        # retry count in the group.
-        worst = max(record.attempts for _rid, record in retryable)
-        if self.retry_backoff > 0:
-            time.sleep(self.retry_backoff * (2 ** (worst - 2)))
-        for request_id, record in retryable:
-            if self._send_record(request_id, record):
-                self.stats.retries += 1
-                self.stats.reshards += 1
-                self.stats.per_worker_dispatched[record.worker] = (
-                    self.stats.per_worker_dispatched.get(record.worker, 0) + 1
-                )
-            else:
-                self._evaluate_inline(request_id, record)
-
-    def _fail_record(self, request_id: int, record: _PendingRecord) -> None:
-        self.stats.errors += 1
-        del self._pending[request_id]
-        self._inflight.pop(record.key, None)
-        message = (
-            f"fleet worker(s) lost; gave up on {record.kind} request after "
-            f"{self.max_retries} retries (key {record.key})"
-        )
-        if record.kind == "apply":
-            self._apply_errors.append((record.key, message))
-            return
-        for waiting_future, slot in self._waiters.pop(record.key, []):
-            waiting_future._fail(slot, message)
-
-    def _evaluate_inline(self, request_id: int, record: _PendingRecord) -> None:
-        """Last-resort local evaluation — the exact worker code path run on
-        the coordinator's own pipeline, so results stay byte-identical."""
-        self._pending.pop(request_id, None)
-        self._inflight.pop(record.key, None)
-        self.stats.inline_evaluations += 1
-        if record.kind == "apply":
-            local = RewardCache()
-            local.measure_baseline(self.pipeline, record.kernel)
-            record.task.apply(
-                self.pipeline,
-                record.kernel,
-                dict(record.decisions or {}),
-                reward_cache=local,
-            )
-            for entry_key, measurement in local.items():
-                if self.cache.peek(entry_key) is None:
-                    self.cache.put(entry_key, measurement)
-            return
-        measured = record.task.evaluate(
-            self.pipeline, record.kernel, record.site_index, record.action
-        )
-        measurement = CachedMeasurement(
-            cycles=measured.cycles, compile_seconds=measured.compile_seconds
-        )
-        self.cache.put(record.key, measurement)
-        waiters = self._waiters.pop(record.key, [])
-        for position, (waiting_future, slot) in enumerate(waiters):
-            waiting_future._fill(slot, BatchOutcome(measurement, position > 0))
-        if record.prefetch and not waiters:
-            self._prefetched_keys.add(record.key)
+        if service.workers == 0:
+            service.coordinator.close()
+            service._backend = service.coordinator = None
+            service.stats.remote = False
+            service.prefetch_top_k = 0
+            service._start_pool(fallback_workers)
+        return service

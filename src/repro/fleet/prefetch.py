@@ -40,22 +40,17 @@ class SpeculativePrefetcher:
         self.env = env
         self.policy = policy
         self.service = service
-        if top_k is None:
-            top_k = int(getattr(service, "prefetch_top_k", 0) or 0)
-        self.top_k = int(top_k)
+        self.top_k = int(service.prefetch_top_k if top_k is None else top_k)
         if horizon is None:
-            horizon = getattr(service, "prefetch_horizon", None)
+            horizon = service.prefetch_horizon
         self.horizon = int(horizon) if horizon else 16
 
     def prefetch(self) -> int:
         """Issue one round of speculation; returns how many were issued."""
-        if self.top_k <= 0:
+        if self.top_k <= 0 or self.service.workers == 0:
             return 0
-        if getattr(self.service, "workers", 0) == 0:
-            return 0
-        prefetch = getattr(self.service, "prefetch", None)
         peek = getattr(self.env, "peek_upcoming", None)
-        if prefetch is None or peek is None:
+        if peek is None:
             return 0
         if getattr(self.policy, "trunk", None) is None or not hasattr(
             self.policy, "heads_for"

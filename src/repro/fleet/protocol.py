@@ -36,6 +36,7 @@ import pickle
 from typing import List, Tuple
 
 from repro.cache.reward_cache import CachedMeasurement, RewardKey
+from repro.distributed.worker import PRIORITY_DEMAND, WorkRequest
 
 #: Bump when the message vocabulary changes incompatibly.
 PROTOCOL_VERSION = 1
@@ -140,11 +141,6 @@ def decode_entries(raw) -> List[Tuple[RewardKey, CachedMeasurement]]:
 # Message constructors
 # ---------------------------------------------------------------------------
 
-#: Demand traffic: a training step or comparison waiting on this answer.
-PRIORITY_DEMAND = 0
-#: Speculative prefetch: evaluated only while no demand work is queued.
-PRIORITY_PREFETCH = 1
-
 
 def hello_message(machine, default_symbol_value: int) -> dict:
     return {
@@ -199,6 +195,25 @@ def work_message(
         ),
         "priority": int(priority),
     }
+
+
+def decode_work(message: dict) -> WorkRequest:
+    """The job a ``work`` message describes, as the :class:`WorkRequest`
+    :func:`repro.distributed.worker.run_job` runs (kernel and task payloads
+    travel separately, as ``kernel``/``task`` messages)."""
+    return WorkRequest(
+        int(message.get("id", 0)),
+        message["hash"],
+        None,
+        int(message["site"]),
+        tuple(int(value) for value in message["action"]),
+        message["task"],
+        kind=message.get("kind", "site"),
+        decisions={
+            int(site): tuple(int(value) for value in chosen)
+            for site, chosen in (message.get("decisions") or {}).items()
+        },
+    )
 
 
 def result_message(

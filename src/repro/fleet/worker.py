@@ -35,13 +35,18 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cache.reward_cache import CachedMeasurement, RewardCache
-from repro.distributed.worker import kernel_from_payload
+from repro.cache.reward_cache import RewardCache
+from repro.distributed.worker import (
+    kernel_from_payload,
+    resolve_worker_task,
+    run_job,
+)
 from repro.fleet.protocol import (
     FleetError,
     FleetProtocolError,
     b64_to_pickle,
     decode_message,
+    decode_work,
     encode_entries,
     encode_message,
     pong_message,
@@ -361,53 +366,25 @@ class FleetWorker:
             if session.pipeline is None:
                 raise FleetError("work before hello: no pipeline configured")
             pipeline = session.pipeline
-            kernel = session.kernels[message["hash"]]
-            task_name = message["task"]
-            task = session.tasks.get(task_name)
-            if task is None:
-                from repro.tasks import get_task
-
-                task = session.tasks[task_name] = get_task(task_name)
-            if message.get("kind") == "apply":
-                # Exactly the serial whole-kernel path: cached baseline +
-                # ``task.apply`` against a fresh per-request cache, whose
-                # entries (precisely this application's measurements) ship
-                # back and also warm the worker-local cache.
-                local = RewardCache()
-                local.measure_baseline(pipeline, kernel)
-                decisions = {
-                    int(site): tuple(int(value) for value in chosen)
-                    for site, chosen in (message.get("decisions") or {}).items()
-                }
-                task.apply(pipeline, kernel, decisions, reward_cache=local)
-                entries = local.items()
+            job = decode_work(message)
+            kernel = session.kernels[job.kernel_hash]
+            task = resolve_worker_task(session.tasks, job.task)
+            if job.kind == "apply":
+                # The application's entries ship back and also warm the
+                # worker-local cache.
+                entries = run_job(pipeline, task, kernel, job)
                 with self._cache_lock:
-                    for key, measurement in entries:
-                        if self.cache.peek(key) is None:
-                            self.cache.put(key, measurement)
+                    self.cache.merge(entries)
                 return result_message(request_id, entries=encode_entries(entries))
-            action = tuple(int(value) for value in message["action"])
-            key = self.cache.key_for(
-                kernel,
-                pipeline.machine,
-                int(message["site"]),
-                default_symbol_value=pipeline.default_symbol_value,
-                action=action,
-                task=task_name,
+            key = self.cache.site_key(
+                pipeline, task, kernel, job.site_index, job.action
             )
             with self._cache_lock:
                 cached = self.cache.peek(key)
             if cached is None:
-                measured = task.evaluate(
-                    pipeline, kernel, int(message["site"]), action
-                )
-                cached = CachedMeasurement(
-                    cycles=measured.cycles,
-                    compile_seconds=measured.compile_seconds,
-                )
+                cached = run_job(pipeline, task, kernel, job)
                 with self._cache_lock:
-                    if self.cache.peek(key) is None:
-                        self.cache.put(key, cached)
+                    self.cache.merge([(key, cached)])
             return result_message(
                 request_id,
                 cycles=cached.cycles,

@@ -498,17 +498,6 @@ class PPOTrainer:
             (names[code], indices[shuffled_codes == code]) for code in ordered
         ]
 
-    @staticmethod
-    def _task_groups(indices, task_names: Optional[Sequence[str]]):
-        """Partition shuffled indices by task id, preserving shuffle order."""
-        if task_names is None or len(set(task_names)) <= 1:
-            only = task_names[0] if task_names else None
-            return [(only, indices)]
-        groups: "OrderedDict[str, List[int]]" = OrderedDict()
-        for index in indices:
-            groups.setdefault(task_names[index], []).append(int(index))
-        return [(task, np.asarray(members)) for task, members in groups.items()]
-
     def _update_minibatch(
         self, observations, actions, old_log_probs, advantages, returns, task=None
     ) -> Dict[str, float]:

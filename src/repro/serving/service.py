@@ -30,11 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.reward_cache import (
-    WHOLE_FUNCTION_APPLICATION,
-    RewardCache,
-    resolve_cache,
-)
+from repro.cache.reward_cache import RewardCache, resolve_cache
 from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
@@ -438,17 +434,12 @@ class CompileService:
         non-fatal: the serial measure pass re-runs anything unfinished.
         """
         service = self.evaluation_service
-        if service is None or getattr(service, "workers", 0) == 0:
+        if service is None or service.workers == 0:
             return
         by_task: "OrderedDict[str, List[dict]]" = OrderedDict()
         for job in jobs:
-            key = self._reward_cache.key_for(
-                job["kernel"],
-                self._pipeline.machine,
-                WHOLE_FUNCTION_APPLICATION,
-                default_symbol_value=self._pipeline.default_symbol_value,
-                action=self._flattened_decisions(job["decisions"]),
-                task=job["task"].name,
+            key = self._reward_cache.application_key(
+                self._pipeline, job["task"], job["kernel"], job["decisions"]
             )
             if self._reward_cache.peek(key) is not None:
                 continue
@@ -464,14 +455,6 @@ class CompileService:
                 continue
             for job, fanned in zip(group, flags):
                 job["fanned"] = bool(fanned)
-
-    @staticmethod
-    def _flattened_decisions(decisions) -> Tuple[int, ...]:
-        flattened: List[int] = []
-        for site_index in sorted(decisions):
-            flattened.append(int(site_index))
-            flattened.extend(int(value) for value in decisions[site_index])
-        return tuple(flattened)
 
     # -- response fan-out -----------------------------------------------------
 

@@ -304,25 +304,6 @@ class TestEvaluationService:
             assert all(outcome.was_cached for outcome in outcomes)
             assert service.stats.dispatched == dispatched
 
-    def test_in_flight_deduplication_across_futures(self):
-        requests = grid_requests(add_kernel())
-        with EvaluationService(CompileAndMeasure(), workers=1) as service:
-            first = service.submit(requests)
-            second = service.submit(requests)  # identical, still in flight
-            assert service.stats.dispatched == len(requests)
-            assert outcome_tuples(first.result()) == outcome_tuples(second.result())
-            assert all(outcome.was_cached for outcome in second.result())
-
-    def test_worker_failure_surfaces_as_error(self):
-        broken = LoopKernel(
-            name="broken", source="int f() { return 0; }", function_name="missing"
-        )
-        with EvaluationService(CompileAndMeasure(), workers=1) as service:
-            future = service.submit([(broken, 0, 4, 1)])
-            with pytest.raises(RuntimeError, match="failed in workers"):
-                future.result()
-            assert service.stats.errors == 1
-
     def test_from_config_builds_disk_backed_cache(self, tmp_path):
         config = EvaluationServiceConfig(workers=0, cache_dir=str(tmp_path))
         service = EvaluationService.from_config(CompileAndMeasure(), config)

@@ -20,7 +20,7 @@ from repro.core.pipeline import CompileAndMeasure
 from repro.distributed import DiskBackedRewardCache, EvaluationService
 from repro.evaluation.report import (
     format_cache_stats_table,
-    format_fleet_stats_table,
+    format_service_stats_table,
 )
 from repro.fleet import (
     FleetEvaluationService,
@@ -114,18 +114,6 @@ class TestFleetSharding:
             assert all(outcome.was_cached for outcome in outcomes)
             assert service.stats.dispatched == dispatched
 
-    def test_worker_error_surfaces_as_runtime_error(self):
-        from repro.datasets.kernels import LoopKernel
-
-        broken = LoopKernel(
-            name="broken", source="int f() { return 0; }", function_name="missing"
-        )
-        with start_workers(1) as workers, fleet_service(workers) as service:
-            future = service.submit([(broken, 0, 4, 1)])
-            with pytest.raises(RuntimeError):
-                future.result()
-            assert service.stats.errors == 1
-
     def test_shared_store_dir_persists_fleet_measurements(self, tmp_path):
         requests = grid_requests(add_kernel())
         with start_workers(1, store_dir=str(tmp_path)) as workers:
@@ -207,6 +195,25 @@ class TestFleetFaults:
             )
         finally:
             service.close()
+
+    def test_connect_swaps_in_the_fallback_pool_backend(self):
+        with FleetEvaluationService.connect(
+            CompileAndMeasure(),
+            RewardCache(),
+            addresses=["127.0.0.1:9"],
+            fallback_workers=1,
+            connect_timeout=0.2,
+        ) as service:
+            # Same class, local transport: no fleet rows, no speculation.
+            assert isinstance(service, FleetEvaluationService)
+            assert service.workers == 1
+            assert not service.stats.remote
+            assert service.prefetch_top_k == 0
+            requests = grid_requests(add_kernel())
+            assert outcome_tuples(service.evaluate(requests)) == serial_outcomes(
+                requests
+            )
+            assert service.stats.completed == len(requests)
 
 
 # ---------------------------------------------------------------------------
@@ -315,16 +322,6 @@ class TestMeasureApplications:
             ]
         assert applied == expected
 
-    def test_local_service_detail_flags(self):
-        task = get_task("vectorization")
-        jobs = [(add_kernel(), {0: (2, 1)}), (scale_kernel(), {0: (2, 1)})]
-        with EvaluationService(CompileAndMeasure(), workers=1) as service:
-            assert service.measure_applications(task, jobs, detail=True) == [
-                True,
-                True,
-            ]
-            assert service.measure_applications(task, jobs) == 0  # deduped
-
 
 # ---------------------------------------------------------------------------
 # Rollout peeking (the prefetcher's lookahead)
@@ -374,12 +371,12 @@ class TestPeekUpcoming:
 
 class TestFleetReports:
     def test_fleet_stats_table_renders_robustness_counters(self):
-        stats = FleetStats()
+        stats = FleetStats(remote=True)
         stats.record_dispatch("w0")
         stats.record_completion("w0")
         stats.prefetch_issued = 4
         stats.prefetch_hits = 3
-        rendered = format_fleet_stats_table(stats).render()
+        rendered = format_service_stats_table(stats).render()
         assert "re-shards" in rendered
         assert "async waits converted" in rendered
         assert "worker w0 completed" in rendered
