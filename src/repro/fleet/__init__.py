@@ -1,8 +1,8 @@
 """Fleet evaluation: multi-host sharded reward measurement.
 
 The fleet extends :class:`repro.distributed.EvaluationService`'s sharding
-across machines: :class:`FleetWorker` daemons serve measurements over a
-newline-delimited-JSON TCP protocol, a :class:`FleetCoordinator` manages
+across machines: :class:`FleetWorker` daemons serve measurements over the
+shared transport :mod:`repro.wire`, a :class:`FleetCoordinator` manages
 connections/heartbeats/loss detection as that service's fleet backend,
 and :class:`FleetEvaluationService` is the one service constructed over
 it — byte-identical to serial, robust to worker death (retry, re-shard,

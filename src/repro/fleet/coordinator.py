@@ -1,9 +1,10 @@
 """Fleet coordination: the remote-worker backend and its service.
 
-* :class:`FleetCoordinator` owns the TCP connections — dialing workers (or
-  accepting their dial-in registrations via :meth:`listen`), the hello/
-  welcome handshake, per-worker reader threads, one heartbeat thread, and
-  loss detection.  It is the fleet *backend* of
+* :class:`FleetCoordinator` owns the worker connections (each a
+  :class:`repro.wire.Connection`) — dialing workers (or accepting their
+  dial-in registrations via :meth:`listen`), the hello/welcome handshake,
+  what each inbound message means, one heartbeat thread, and loss
+  detection.  It is the fleet *backend* of
   :class:`~repro.distributed.service.EvaluationService`
   (see :mod:`repro.distributed.backends`): :meth:`send` ships a job to the
   live worker owning its kernel's shard, and everything that happens on
@@ -20,7 +21,6 @@
 from __future__ import annotations
 
 import queue as queue_module
-import socket
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -33,23 +33,21 @@ from repro.fleet.protocol import (
     FleetProtocolError,
     bye_message,
     decode_entries,
-    decode_message,
-    encode_message,
     hello_message,
     kernel_message,
     ping_message,
     task_message,
     work_message,
 )
+from repro.wire import Connection, Listener
 
 
 class _RemoteWorker:
-    """One connected fleet worker: socket, liveness, shipped payloads."""
+    """One connected fleet worker: connection, liveness, shipped payloads."""
 
-    def __init__(self, name: str, connection: socket.socket):
+    def __init__(self, name: str, connection: Connection):
         self.name = name
         self.connection = connection
-        self.send_lock = threading.Lock()
         self.last_seen = time.monotonic()
         self.alive = True
         self.shipped = ShippedPayloads()
@@ -75,11 +73,9 @@ class FleetCoordinator:
         self.inbox: "queue_module.Queue" = queue_module.Queue()
         self._workers: Dict[str, _RemoteWorker] = {}
         self._lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
         self._stopping = threading.Event()
         self._heartbeat_thread: Optional[threading.Thread] = None
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
+        self._listener: Optional[Listener] = None
         self._ping_sequence = 0
 
     # -- connection management ---------------------------------------------
@@ -93,91 +89,77 @@ class FleetCoordinator:
         for address in addresses:
             host, _, port_text = str(address).rpartition(":")
             try:
-                connection = socket.create_connection(
-                    (host or "127.0.0.1", int(port_text)),
-                    timeout=self.connect_timeout,
+                connection = Connection.dial(
+                    host or "127.0.0.1", int(port_text), self.connect_timeout
                 )
             except (OSError, ValueError):
                 continue
-            try:
-                name = self._handshake(connection)
-            except (OSError, FleetError):
-                connection.close()
-                continue
-            connected.append(name)
+            name = self._handshake(connection)
+            if name is not None:
+                connected.append(name)
         self._ensure_heartbeat()
         return connected
 
     def listen(self, host: str = "127.0.0.1", port: int = 0) -> Tuple[str, int]:
         """Accept dial-in worker registrations; returns the bound address."""
         if self._listener is None:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, port))
-            listener.listen(32)
-            listener.settimeout(0.2)
-            self._listener = listener
-            self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="fleet-coordinator-accept",
-                daemon=True,
+            self._listener = Listener(
+                host,
+                port,
+                lambda connection: self._handshake(connection, expect_register=True),
+                name="fleet-coordinator-accept",
             )
-            self._accept_thread.start()
             self._ensure_heartbeat()
-        return self._listener.getsockname()[:2]
-
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                connection, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            try:
-                self._handshake(connection, expect_register=True)
-            except (OSError, FleetError):
-                connection.close()
+        return self._listener.address
 
     def _handshake(
-        self, connection: socket.socket, expect_register: bool = False
-    ) -> str:
-        """hello → welcome (dial-out) or register → hello → welcome (dial-in)."""
-        connection.settimeout(self.connect_timeout)
-        stream = connection.makefile("rb")
-        if expect_register:
-            message = self._read_handshake(stream, "register")
-        connection.sendall(
-            encode_message(hello_message(self.machine, self.default_symbol_value))
+        self, connection: Connection, expect_register: bool = False
+    ) -> Optional[str]:
+        """hello → welcome (dial-out) or register → hello → welcome (dial-in).
+
+        Returns the worker's name, or ``None`` (connection closed) when the
+        peer hangs up, times out, speaks out of turn or reuses a name.
+        """
+        try:
+            connection.settimeout(self.connect_timeout)
+            if expect_register:
+                self._expect(connection, "register")
+            connection.send(hello_message(self.machine, self.default_symbol_value))
+            name = str(self._expect(connection, "welcome")["worker"])
+            connection.settimeout(None)
+            worker = _RemoteWorker(name, connection)
+            with self._lock:
+                if name in self._workers:
+                    raise FleetError(f"duplicate fleet worker name: {name!r}")
+                self._workers[name] = worker
+        except (OSError, KeyError, FleetError, FleetProtocolError):
+            connection.close()
+            return None
+
+        def on_message(message: dict) -> None:
+            # Anything inbound proves the worker is alive.
+            worker.last_seen = time.monotonic()
+            if message.get("type") == "result":
+                self.inbox.put(("result", name, message))
+
+        connection.start_reader(
+            on_message,
+            on_close=lambda: self.mark_lost(name),
+            name=f"fleet-read-{name}",
         )
-        message = self._read_handshake(stream, "welcome")
-        name = str(message["worker"])
-        connection.settimeout(None)
-        worker = _RemoteWorker(name, connection)
-        with self._lock:
-            if name in self._workers:
-                raise FleetError(f"duplicate fleet worker name: {name!r}")
-            self._workers[name] = worker
-        reader = threading.Thread(
-            target=self._read_loop, args=(worker, stream),
-            name=f"fleet-read-{name}", daemon=True,
-        )
-        self._threads.append(reader)
-        reader.start()
         return name
 
     @staticmethod
-    def _read_handshake(stream, expected: str) -> dict:
-        for line in stream:
-            if not line.strip():
-                continue
-            message = decode_message(line)
-            if message.get("type") != expected:
-                raise FleetProtocolError(
-                    f"expected {expected!r} during fleet handshake, "
-                    f"got {message.get('type')!r}"
-                )
-            return message
-        raise FleetError(f"fleet connection closed before {expected!r}")
+    def _expect(connection: Connection, expected: str) -> dict:
+        message = connection.receive()
+        if message is None:
+            raise FleetError(f"fleet connection closed before {expected!r}")
+        if message.get("type") != expected:
+            raise FleetProtocolError(
+                f"expected {expected!r} during fleet handshake, "
+                f"got {message.get('type')!r}"
+            )
+        return message
 
     def _ensure_heartbeat(self) -> None:
         if self._heartbeat_thread is not None:
@@ -187,26 +169,7 @@ class FleetCoordinator:
         )
         self._heartbeat_thread.start()
 
-    # -- wire I/O ----------------------------------------------------------
-
-    def _read_loop(self, worker: _RemoteWorker, stream) -> None:
-        try:
-            for line in stream:
-                if not line.strip():
-                    continue
-                try:
-                    message = decode_message(line)
-                except FleetProtocolError:
-                    continue
-                # Anything inbound proves the worker is alive.
-                worker.last_seen = time.monotonic()
-                if message.get("type") == "result":
-                    self.inbox.put(("result", worker.name, message))
-        except (OSError, ValueError):
-            pass
-        finally:
-            stream.close()
-            self.mark_lost(worker.name)
+    # -- liveness ----------------------------------------------------------
 
     def _heartbeat_loop(self) -> None:
         while not self._stopping.is_set():
@@ -215,10 +178,7 @@ class FleetCoordinator:
             self._ping_sequence += 1
             for worker in self.live_worker_records():
                 try:
-                    with worker.send_lock:
-                        worker.connection.sendall(
-                            encode_message(ping_message(self._ping_sequence))
-                        )
+                    worker.connection.send(ping_message(self._ping_sequence))
                 except OSError:
                     self.mark_lost(worker.name)
 
@@ -236,10 +196,6 @@ class FleetCoordinator:
             if worker is None or not worker.alive:
                 return
             worker.alive = False
-        try:
-            worker.connection.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
         worker.connection.close()
         self.inbox.put(("lost", name, None))
 
@@ -289,9 +245,7 @@ class FleetCoordinator:
                 )
             )
             try:
-                with worker.send_lock:
-                    for message in messages:
-                        worker.connection.sendall(encode_message(message))
+                worker.connection.send(*messages)
                 return worker.name
             except OSError:
                 self.mark_lost(worker.name)
@@ -322,30 +276,20 @@ class FleetCoordinator:
 
     def close(self) -> None:
         self._stopping.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
-            self._accept_thread = None
         if self._listener is not None:
-            self._listener.close()
+            self._listener.stop()
             self._listener = None
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(timeout=5.0)
             self._heartbeat_thread = None
         for worker in self.live_worker_records():
+            # An orderly goodbye is not a loss: no event for these.
+            worker.alive = False
             try:
-                with worker.send_lock:
-                    worker.connection.sendall(encode_message(bye_message()))
-            except OSError:
-                pass
-            try:
-                worker.connection.shutdown(socket.SHUT_RDWR)
+                worker.connection.send(bye_message())
             except OSError:
                 pass
             worker.connection.close()
-            worker.alive = False
-        for thread in self._threads:
-            thread.join(timeout=5.0)
-        self._threads = []
 
 
 class FleetEvaluationService(EvaluationService):

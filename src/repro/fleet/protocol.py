@@ -1,8 +1,8 @@
-"""Wire protocol of the evaluation fleet: newline-delimited JSON over TCP.
+"""Message vocabulary of the evaluation fleet.
 
-The fleet speaks the same framing idiom as the serving front end
-(:mod:`repro.serving.schema`): one JSON object per line, ``type`` selects
-the message.  The vocabulary:
+The fleet's framing is :mod:`repro.wire`'s — the transport the serving
+front end rides too: one JSON object per line.  What this module adds is
+what the messages mean; ``type`` selects the message.  The vocabulary:
 
 * ``hello`` / ``welcome`` — the handshake.  The coordinator sends ``hello``
   with the run's machine description and ``default_symbol_value`` (so every
@@ -31,12 +31,15 @@ six-element key layout of :mod:`repro.distributed.store` records.
 from __future__ import annotations
 
 import base64
-import json
 import pickle
 from typing import List, Tuple
 
 from repro.cache.reward_cache import CachedMeasurement, RewardKey
 from repro.distributed.worker import PRIORITY_DEMAND, WorkRequest
+
+# The framing pair and its error are the transport's; re-exported for
+# callers that import them next to the message constructors.
+from repro.wire import WireError, decode_message, encode_message  # noqa: F401
 
 #: Bump when the message vocabulary changes incompatibly.
 PROTOCOL_VERSION = 1
@@ -46,28 +49,8 @@ class FleetError(Exception):
     """Base class for fleet-evaluation failures."""
 
 
-class FleetProtocolError(FleetError):
-    """A malformed or unexpected fleet message."""
-
-
-# ---------------------------------------------------------------------------
-# Framing: newline-delimited JSON (the serving idiom)
-# ---------------------------------------------------------------------------
-
-
-def encode_message(payload: dict) -> bytes:
-    """One JSON object per line — the fleet's wire format."""
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def decode_message(line: bytes) -> dict:
-    try:
-        payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise FleetProtocolError(f"malformed fleet message: {error}") from error
-    if not isinstance(payload, dict):
-        raise FleetProtocolError("fleet messages must be JSON objects")
-    return payload
+#: A malformed or unexpected fleet message.
+FleetProtocolError = WireError
 
 
 # ---------------------------------------------------------------------------

@@ -17,19 +17,21 @@ directory — the fleet-wide cache: the store's append-only multi-writer
 segments mean many workers (and the coordinator itself) write the same
 directory safely, and a worker restarted against it comes back warm.
 
-Threading mirrors :class:`repro.serving.server.CompileServer`: one accept
-loop, and per connection a reader (decode + route), an evaluator draining
-a priority queue (demand before speculative prefetch), and a writer
-draining an outbox.  :class:`WorkerFaults` injects the failure modes the
-fault-tolerance tests exercise — abrupt death mid-batch, silent
-heartbeat loss, a torn connection.
+Sockets and threads are :mod:`repro.wire`'s, the transport
+:class:`repro.serving.server.CompileServer` rides too: a
+:class:`~repro.wire.Listener` accepts, and each
+:class:`~repro.wire.Connection` runs a reader thread that routes messages
+here.  Per connection the worker adds one evaluator thread draining a
+priority queue (demand before speculative prefetch); it and the reader
+write through the connection's locked ``send``.  :class:`WorkerFaults`
+injects the failure modes the fault-tolerance tests exercise — abrupt
+death mid-batch, silent heartbeat loss, a torn connection.
 """
 
 from __future__ import annotations
 
 import argparse
 import queue as _queue
-import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -43,17 +45,15 @@ from repro.distributed.worker import (
 )
 from repro.fleet.protocol import (
     FleetError,
-    FleetProtocolError,
     b64_to_pickle,
-    decode_message,
     decode_work,
     encode_entries,
-    encode_message,
     pong_message,
     register_message,
     result_message,
     welcome_message,
 )
+from repro.wire import Connection, Listener
 
 _WORKER_SEQUENCE = [0]
 _WORKER_SEQUENCE_LOCK = threading.Lock()
@@ -84,11 +84,12 @@ class WorkerFaults:
 
 
 class _Session:
-    """One coordinator connection: its pipeline, payloads, and threads."""
+    """One coordinator connection: its pipeline, payloads, work queue and
+    the evaluator thread draining it."""
 
-    def __init__(self, worker: "FleetWorker", connection: socket.socket):
-        self.worker = worker
+    def __init__(self, connection: Connection):
         self.connection = connection
+        self.evaluator: Optional[threading.Thread] = None
         self.pipeline = None
         self.kernels: Dict[str, object] = {}
         self.tasks: Dict[str, object] = {}
@@ -97,9 +98,7 @@ class _Session:
         # The stop sentinel sorts first of all so shutdown never waits
         # behind queued speculation.
         self.work: "_queue.PriorityQueue" = _queue.PriorityQueue()
-        self.outbox: "_queue.Queue" = _queue.Queue()
         self._sequence = 0
-        self.torn = False
 
     STOP = (-1, -1, None)
 
@@ -107,20 +106,6 @@ class _Session:
         self._sequence += 1
         priority = int(message.get("priority", 0))
         self.work.put((priority, self._sequence, message))
-
-    def send(self, payload: dict) -> None:
-        self.outbox.put(payload)
-
-    def tear(self) -> None:
-        """Abruptly drop this connection (no ``bye``)."""
-        if self.torn:
-            return
-        self.torn = True
-        try:
-            self.connection.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self.connection.close()
 
 
 class FleetWorker:
@@ -146,12 +131,9 @@ class FleetWorker:
         self._store_dir = store_dir
         self.cache = None
         self._cache_lock = threading.Lock()
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
+        self._listener: Optional[Listener] = None
         self._sessions: List[_Session] = []
-        self._threads: List[threading.Thread] = []
         self._lock = threading.Lock()
-        self._stopping = threading.Event()
         # Observability for the payload-dedup and fault tests.
         self.kernels_received = 0
         self.tasks_received = 0
@@ -165,7 +147,7 @@ class FleetWorker:
     def address(self) -> Tuple[str, int]:
         if self._listener is None:
             raise FleetError("fleet worker is not started")
-        return self._listener.getsockname()[:2]
+        return self._listener.address
 
     def start(self) -> "FleetWorker":
         if self._listener is not None:
@@ -177,39 +159,25 @@ class FleetWorker:
                 self.cache = DiskBackedRewardCache.open(self._store_dir)
             else:
                 self.cache = RewardCache()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(32)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._stopping.clear()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"{self.name}-accept", daemon=True
+        self._listener = Listener(
+            self._host, self._port, self._spawn_session, name=f"{self.name}-accept"
         )
-        self._accept_thread.start()
         return self
 
     def stop(self) -> None:
-        self._stopping.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
-            self._accept_thread = None
         if self._listener is not None:
-            self._listener.close()
+            self._listener.stop()
             self._listener = None
         with self._lock:
             sessions, self._sessions = self._sessions, []
-            threads, self._threads = self._threads, []
         for session in sessions:
-            session.work.put(_Session.STOP)
-            session.outbox.put(None)
-            session.tear()
+            # Closing ends the session's reader, which stops its evaluator.
+            session.connection.close()
         current = threading.current_thread()
-        for thread in threads:
+        for session in sessions:
             # die() is called from a session's own evaluator thread.
-            if thread is not current:
-                thread.join(timeout=5.0)
+            if session.evaluator is not current:
+                session.evaluator.join(timeout=5.0)
 
     def die(self) -> None:
         """Abrupt full-worker death: every socket closed, nothing sent."""
@@ -228,79 +196,44 @@ class FleetWorker:
         """Register with a *listening* coordinator instead of being dialed."""
         if self.cache is None:
             self.start()
-        connection = socket.create_connection((host, port), timeout=10.0)
+        connection = Connection.dial(host, port, timeout=10.0)
         connection.settimeout(None)
-        connection.sendall(encode_message(register_message(self.name)))
+        connection.send(register_message(self.name))
         self._spawn_session(connection)
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
-            try:
-                connection, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            connection.settimeout(None)
-            self._spawn_session(connection)
-
-    def _spawn_session(self, connection: socket.socket) -> None:
-        session = _Session(self, connection)
-        reader = threading.Thread(
-            target=self._read_loop, args=(session,),
-            name=f"{self.name}-read", daemon=True,
-        )
-        evaluator = threading.Thread(
+    def _spawn_session(self, connection: Connection) -> None:
+        session = _Session(connection)
+        session.evaluator = threading.Thread(
             target=self._evaluate_loop, args=(session,),
             name=f"{self.name}-eval", daemon=True,
         )
-        writer = threading.Thread(
-            target=self._write_loop, args=(session,),
-            name=f"{self.name}-write", daemon=True,
-        )
         with self._lock:
             self._sessions.append(session)
-            self._threads.extend((reader, evaluator, writer))
-        reader.start()
-        evaluator.start()
-        writer.start()
+        session.evaluator.start()
+        connection.start_reader(
+            on_message=lambda message: self._route(session, message),
+            on_close=lambda: session.work.put(_Session.STOP),
+            name=f"{self.name}-read",
+        )
 
     # -- message handling -----------------------------------------------------
 
-    def _read_loop(self, session: _Session) -> None:
-        stream = session.connection.makefile("rb")
-        try:
-            for line in stream:
-                if not line.strip():
-                    continue
-                try:
-                    message = decode_message(line)
-                except FleetProtocolError:
-                    continue
-                kind = message.get("type")
-                if kind == "hello":
-                    self._handle_hello(session, message)
-                elif kind == "kernel":
-                    session.kernels[message["hash"]] = kernel_from_payload(
-                        message["kernel"]
-                    )
-                    self.kernels_received += 1
-                elif kind == "task":
-                    session.tasks[message["name"]] = b64_to_pickle(message["data"])
-                    self.tasks_received += 1
-                elif kind == "work":
-                    session.enqueue_work(message)
-                elif kind == "ping":
-                    session.send(pong_message(message.get("n", 0)))
-                elif kind == "bye":
-                    break
-        except (OSError, ValueError):
-            pass
-        finally:
-            stream.close()
-            session.work.put(_Session.STOP)
-            session.outbox.put(None)
-            session.tear()
+    def _route(self, session: _Session, message: dict) -> None:
+        kind = message.get("type")
+        if kind == "hello":
+            self._handle_hello(session, message)
+        elif kind == "kernel":
+            session.kernels[message["hash"]] = kernel_from_payload(message["kernel"])
+            self.kernels_received += 1
+        elif kind == "task":
+            session.tasks[message["name"]] = b64_to_pickle(message["data"])
+            self.tasks_received += 1
+        elif kind == "work":
+            session.enqueue_work(message)
+        elif kind == "ping":
+            self._send(session, pong_message(message.get("n", 0)))
+        elif kind == "bye":
+            session.connection.close()
 
     def _handle_hello(self, session: _Session, message: dict) -> None:
         from repro.core.pipeline import CompileAndMeasure
@@ -310,35 +243,25 @@ class FleetWorker:
             machine=machine,
             default_symbol_value=int(message.get("default_symbol_value", 100)),
         )
-        session.send(welcome_message(self.name))
+        self._send(session, welcome_message(self.name))
 
-    def _write_loop(self, session: _Session) -> None:
-        try:
-            while True:
-                payload = session.outbox.get()
-                if payload is None:
-                    return
-                if self._silent:
-                    # Fault injection: the worker is "alive" but mute —
-                    # results and pongs vanish, only a heartbeat timeout
-                    # can detect it.
-                    continue
-                session.connection.sendall(encode_message(payload))
-                if payload.get("type") == "result":
-                    self.results_sent += 1
-                    self._after_result(session)
-        except OSError:
+    def _send(self, session: _Session, payload: dict) -> None:
+        if self._silent:
+            # Fault injection: the worker is "alive" but mute — results and
+            # pongs vanish, only a heartbeat timeout can detect it.
             return
-
-    def _after_result(self, session: _Session) -> None:
-        faults = self.faults
-        if (
-            faults.drop_heartbeats_after is not None
-            and self.results_sent >= faults.drop_heartbeats_after
-        ):
-            self._silent = True
-        if faults.tear_after is not None and self.results_sent >= faults.tear_after:
-            session.tear()
+        session.connection.send(payload)
+        if payload.get("type") == "result":
+            self.results_sent += 1
+            faults = self.faults
+            if (
+                faults.drop_heartbeats_after is not None
+                and self.results_sent >= faults.drop_heartbeats_after
+            ):
+                self._silent = True
+            if faults.tear_after is not None and self.results_sent >= faults.tear_after:
+                # Abruptly drop this connection alone (no ``bye``).
+                session.connection.close()
 
     # -- evaluation -----------------------------------------------------------
 
@@ -354,7 +277,7 @@ class FleetWorker:
                 return
             self.evaluations += 1
             try:
-                session.send(self._evaluate(session, message))
+                self._send(session, self._evaluate(session, message))
             except OSError:
                 return
 

@@ -6,8 +6,8 @@ optimization server (the ROADMAP's millions-of-users direction):
 * :class:`CompileService` — admission queue, micro-batching with
   in-flight deduplication, one shared-trunk ``act_batch`` forward per
   tick, and a three-tier answer path (warm store / frontend memo / cold).
-* :class:`CompileServer` / :class:`TCPClient` — a threaded
-  newline-delimited-JSON TCP front end and its pipelining client.
+* :class:`CompileServer` / :class:`TCPClient` — the TCP front end and its
+  pipelining client, over the shared transport :mod:`repro.wire`.
 * :class:`InProcessClient` — the zero-serialization client tests and
   benchmarks use.
 * :class:`ServingStats` / :class:`ServingReport` — p50/p95/p99 latency,

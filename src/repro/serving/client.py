@@ -3,27 +3,21 @@
 :class:`InProcessClient` wraps a :class:`~repro.serving.service.
 CompileService` directly — the zero-serialization path tests and benchmarks
 drive.  :class:`TCPClient` speaks the newline-delimited-JSON wire format of
-:class:`~repro.serving.server.CompileServer` over one socket, with
-pipelining: :meth:`~TCPClient.optimize_many` submits every request before
-reading any response (that concurrency is what the server's admission
-queue coalesces into micro-batches), then matches responses to requests by
-id.
+:class:`~repro.serving.server.CompileServer` over one
+:class:`repro.wire.Connection`, with pipelining:
+:meth:`~TCPClient.optimize_many` submits every request before reading any
+response (that concurrency is what the server's admission queue coalesces
+into micro-batches), then matches responses to requests by id.
 """
 
 from __future__ import annotations
 
 import itertools
-import socket
 import threading
 from typing import Dict, List, Optional, Sequence
 
-from repro.serving.schema import (
-    CompileRequest,
-    CompileResponse,
-    ServingError,
-    decode_message,
-    encode_message,
-)
+from repro.serving.schema import CompileRequest, CompileResponse, ServingError
+from repro.wire import Connection
 
 
 def _as_request(request) -> CompileRequest:
@@ -61,16 +55,17 @@ class InProcessClient:
 
 
 class TCPClient:
-    """One socket connection to a :class:`CompileServer`.
+    """One :class:`~repro.wire.Connection` to a :class:`CompileServer`.
 
     Thread-compatible (a lock serializes use); requests without an id get a
     connection-unique one so pipelined responses match up even if the
-    server completes them out of order.
+    server completes them out of order.  A round trip that fails part-way
+    (timeout, short read, malformed reply) leaves unread responses behind,
+    so it closes the connection and later calls fail fast.
     """
 
     def __init__(self, host: str, port: int, timeout: Optional[float] = 30.0):
-        self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._file = self._sock.makefile("rwb")
+        self._connection = Connection.dial(host, port, timeout)
         self._lock = threading.Lock()
         self._ids = itertools.count()
 
@@ -81,10 +76,7 @@ class TCPClient:
         return cls(host, port, timeout=timeout)
 
     def close(self) -> None:
-        try:
-            self._file.close()
-        finally:
-            self._sock.close()
+        self._connection.close()
 
     def __enter__(self) -> "TCPClient":
         return self
@@ -100,12 +92,6 @@ class TCPClient:
             request.request_id = f"c{next(self._ids)}"
         return request
 
-    def _read_response(self) -> CompileResponse:
-        line = self._file.readline()
-        if not line:
-            raise ServingError("server closed the connection")
-        return CompileResponse.from_payload(decode_message(line))
-
     def optimize(self, request) -> CompileResponse:
         return self.optimize_many([request])[0]
 
@@ -116,14 +102,21 @@ class TCPClient:
         makes coalescing and micro-batching kick in server-side.
         """
         with self._lock:
+            if self._connection.closed:
+                raise ServingError("connection is closed")
             tagged = [self._tagged(r) for r in requests]
-            for request in tagged:
-                self._file.write(encode_message(request.to_payload()))
-            self._file.flush()
             by_id: Dict[str, CompileResponse] = {}
-            for _ in tagged:
-                response = self._read_response()
-                by_id[response.request_id] = response
+            try:
+                self._connection.send(*(r.to_payload() for r in tagged))
+                for _ in tagged:
+                    payload = self._connection.receive()
+                    if payload is None:
+                        raise ServingError("server closed the connection")
+                    response = CompileResponse.from_payload(payload)
+                    by_id[response.request_id] = response
+            except BaseException:
+                self._connection.close()
+                raise
         missing = [r.request_id for r in tagged if r.request_id not in by_id]
         if missing:
             raise ServingError(f"server never answered request(s) {missing}")

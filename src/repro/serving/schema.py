@@ -16,9 +16,12 @@ the wire format, the dataclasses are the API.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
+
+# The framing pair is the transport's; re-exported for callers that import
+# it next to the payload classes.
+from repro.wire import decode_message, encode_message  # noqa: F401
 
 
 class ServingError(Exception):
@@ -185,23 +188,3 @@ class CompileResponse:
             batch_size=int(payload.get("batch_size", 1)),
             error=payload.get("error"),
         )
-
-
-# ---------------------------------------------------------------------------
-# Wire format: newline-delimited JSON
-# ---------------------------------------------------------------------------
-
-
-def encode_message(payload: dict) -> bytes:
-    """One JSON object per line — the TCP front end's wire format."""
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
-
-
-def decode_message(line: bytes) -> dict:
-    try:
-        payload = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ServingError(f"malformed serving message: {error}") from error
-    if not isinstance(payload, dict):
-        raise ServingError("serving messages must be JSON objects")
-    return payload

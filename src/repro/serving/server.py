@@ -1,13 +1,20 @@
 """Threaded TCP front end over a :class:`CompileService`.
 
-One accept thread, and per connection a reader thread (decode a
-newline-delimited-JSON request, admit it into the service) plus a writer
-thread (resolve each admitted future and write its response back, in
-submission order per connection — clients match by request id, see
-:class:`repro.serving.client.TCPClient`).  The reader/writer split is what
+The sockets are :mod:`repro.wire`'s: a :class:`~repro.wire.Listener`
+accepts, and each :class:`~repro.wire.Connection` runs the reader thread.
+What is the server's is the policy per connection: the reader admits each
+decoded request into the service, and a writer thread resolves each
+admitted future and writes its response back, in submission order per
+connection — clients match by request id, see
+:class:`repro.serving.client.TCPClient`.  The reader/writer split is what
 lets one connection pipeline many requests: everything a client writes in
 a burst is in the admission queue together, so the service coalesces and
 micro-batches it.
+
+A request the server cannot admit (bad payload, closed or full service)
+is answered on the wire with an error response carrying its id; a line
+that does not decode is answered with ``id: null``; an oversize line
+closes the connection.
 
 The server does not own the service's lifecycle beyond starting it:
 ``stop()`` closes the listener and connections; drain the service itself
@@ -17,17 +24,11 @@ with ``service.stop(drain=True)``.
 from __future__ import annotations
 
 import queue as _queue
-import socket
 import threading
 from typing import List, Optional, Tuple
 
-from repro.serving.schema import (
-    CompileRequest,
-    CompileResponse,
-    ServingError,
-    decode_message,
-    encode_message,
-)
+from repro.serving.schema import CompileRequest, CompileResponse, ServingError
+from repro.wire import Connection, Listener
 
 
 class CompileServer:
@@ -41,38 +42,26 @@ class CompileServer:
         self.service = service
         self._host = host
         self._port = port
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        self._connections: List[socket.socket] = []
-        self._threads: List[threading.Thread] = []
+        self._listener: Optional[Listener] = None
+        self._connections: List[Connection] = []
+        self._writers: List[threading.Thread] = []
         self._lock = threading.Lock()
-        self._stopping = threading.Event()
 
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — valid after :meth:`start`."""
         if self._listener is None:
             raise ServingError("server is not started")
-        return self._listener.getsockname()[:2]
+        return self._listener.address
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> "CompileServer":
-        if self._listener is not None:
-            return self
-        self.service.start()
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._port))
-        listener.listen(32)
-        # A short accept timeout keeps the loop responsive to stop().
-        listener.settimeout(0.2)
-        self._listener = listener
-        self._stopping.clear()
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="compile-server-accept", daemon=True
-        )
-        self._accept_thread.start()
+        if self._listener is None:
+            self.service.start()
+            self._listener = Listener(
+                self._host, self._port, self._serve, name="compile-server-accept"
+            )
         return self
 
     def stop(self) -> None:
@@ -82,24 +71,16 @@ class CompileServer:
         (and are written back if the connection survives until then); the
         service itself keeps running so callers control its drain.
         """
-        self._stopping.set()
-        if self._accept_thread is not None:
-            self._accept_thread.join()
-            self._accept_thread = None
         if self._listener is not None:
-            self._listener.close()
+            self._listener.stop()
             self._listener = None
         with self._lock:
             connections, self._connections = self._connections, []
-            threads, self._threads = self._threads, []
+            writers, self._writers = self._writers, []
         for connection in connections:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             connection.close()
-        for thread in threads:
-            thread.join(timeout=5.0)
+        for writer in writers:
+            writer.join(timeout=5.0)
 
     def __enter__(self) -> "CompileServer":
         return self.start()
@@ -109,58 +90,36 @@ class CompileServer:
 
     # -- connection handling --------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while not self._stopping.is_set():
+    def _serve(self, connection: Connection) -> None:
+        # Per-connection FIFO of futures/ready responses written back in
+        # submission order; ``None`` is the writer's exit sentinel.
+        outbox: "_queue.Queue" = _queue.Queue()
+
+        def admit(payload: dict) -> None:
             try:
-                connection, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            connection.settimeout(None)
-            # Per-connection FIFO of futures/ready responses written back in
-            # submission order; ``None`` is the writer's exit sentinel.
-            outbox: "_queue.Queue" = _queue.Queue()
-            reader = threading.Thread(
-                target=self._read_loop,
-                args=(connection, outbox),
-                name="compile-server-read",
-                daemon=True,
-            )
-            writer = threading.Thread(
-                target=self._write_loop,
-                args=(connection, outbox),
-                name="compile-server-write",
-                daemon=True,
-            )
-            with self._lock:
-                self._connections.append(connection)
-                self._threads.extend((reader, writer))
-            reader.start()
-            writer.start()
+                request = CompileRequest.from_payload(payload)
+                outbox.put((request.request_id, self.service.submit(request)))
+            except ServingError as error:
+                outbox.put((payload.get("id"), CompileResponse(error=str(error))))
 
-    def _read_loop(self, connection: socket.socket, outbox: "_queue.Queue") -> None:
-        stream = connection.makefile("rb")
-        try:
-            for line in stream:
-                if not line.strip():
-                    continue
-                try:
-                    request = CompileRequest.from_payload(decode_message(line))
-                    outbox.put((request.request_id, self.service.submit(request)))
-                except ServingError as error:
-                    # Malformed request / closed or full service: answer on
-                    # the wire instead of killing the connection.
-                    outbox.put(
-                        (None, CompileResponse(error=str(error)))
-                    )
-        except (OSError, ValueError):
-            pass
-        finally:
-            stream.close()
-            outbox.put(None)
+        writer = threading.Thread(
+            target=self._write_loop,
+            args=(connection, outbox),
+            name="compile-server-write",
+            daemon=True,
+        )
+        with self._lock:
+            self._connections.append(connection)
+            self._writers.append(writer)
+        writer.start()
+        connection.start_reader(
+            on_message=admit,
+            on_error=lambda error: outbox.put((None, CompileResponse(error=str(error)))),
+            on_close=lambda: outbox.put(None),
+            name="compile-server-read",
+        )
 
-    def _write_loop(self, connection: socket.socket, outbox: "_queue.Queue") -> None:
+    def _write_loop(self, connection: Connection, outbox: "_queue.Queue") -> None:
         try:
             while True:
                 entry = outbox.get()
@@ -169,7 +128,7 @@ class CompileServer:
                 request_id, pending = entry
                 if isinstance(pending, CompileResponse):
                     response = pending
-                    response.request_id = request_id or response.request_id
+                    response.request_id = request_id
                 else:
                     try:
                         response = pending.result()
@@ -177,6 +136,6 @@ class CompileServer:
                         response = CompileResponse(
                             request_id=request_id, error=str(error)
                         )
-                connection.sendall(encode_message(response.to_payload()))
+                connection.send(response.to_payload())
         except OSError:
             return

@@ -22,19 +22,8 @@ from repro.evaluation.report import (
     format_cache_stats_table,
     format_service_stats_table,
 )
-from repro.fleet import (
-    FleetEvaluationService,
-    FleetProtocolError,
-    FleetStats,
-    WorkerFaults,
-)
-from repro.fleet.protocol import (
-    decode_entries,
-    decode_message,
-    encode_entries,
-    encode_message,
-    work_message,
-)
+from repro.fleet import FleetEvaluationService, FleetStats, WorkerFaults
+from repro.fleet.protocol import decode_entries, encode_entries
 from repro.tasks import get_task
 
 
@@ -44,13 +33,7 @@ from repro.tasks import get_task
 
 
 class TestFleetProtocol:
-    def test_message_round_trip(self):
-        message = work_message(7, "site", "deadbeef" * 5, 0, (4, 2), "vectorization")
-        assert decode_message(encode_message(message)) == message
-
-    def test_malformed_line_raises_protocol_error(self):
-        with pytest.raises(FleetProtocolError):
-            decode_message(b"{not json")
+    # Framing round trip / malformed line: tests/test_wire.py, [fleet] cases.
 
     def test_entry_round_trip(self):
         key = RewardKey(
@@ -179,6 +162,44 @@ class TestFleetFaults:
             with fleet_service(workers) as service:
                 assert outcome_tuples(service.evaluate(requests)) == serial
                 assert service.stats.workers_lost == 1
+
+    def test_garbage_from_a_worker_is_skipped_and_an_oversize_line_is_a_loss(
+        self, monkeypatch
+    ):
+        """A malformed line is skipped; a line that never ends closes the
+        connection, which surfaces as exactly one ``lost`` event."""
+        from repro import wire
+        from repro.fleet import FleetCoordinator
+        from repro.fleet.protocol import result_message, welcome_message
+
+        monkeypatch.setattr(wire, "MAX_LINE_BYTES", 256 * 1024)
+
+        held = []
+
+        def rogue_worker(connection):
+            held.append(connection)  # closed only after the cap has bitten
+            assert connection.receive()["type"] == "hello"
+            connection.send(welcome_message("rogue"))
+            connection._sock.sendall(b"{not json\n")
+            connection.send(result_message(7, cycles=1.0))
+            connection._sock.sendall(b"x" * (512 * 1024))
+
+        listener = wire.Listener("127.0.0.1", 0, rogue_worker)
+        pipeline = CompileAndMeasure()
+        coordinator = FleetCoordinator(pipeline.machine, pipeline.default_symbol_value)
+        try:
+            host, port = listener.address
+            assert coordinator.dial([f"{host}:{port}"]) == ["rogue"]
+            event, name, result = coordinator.poll(timeout=10.0)
+            assert (event, name, result.request_id) == ("result", "rogue", 7)
+            assert coordinator.poll(timeout=10.0) == ("lost", "rogue", None)
+            assert coordinator.live_workers() == []
+            assert coordinator.poll(timeout=0.3) is None
+        finally:
+            coordinator.close()
+            listener.stop()
+            for connection in held:
+                connection.close()
 
     def test_connect_degrades_to_local_service_when_unreachable(self):
         service = FleetEvaluationService.connect(

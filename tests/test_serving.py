@@ -10,8 +10,9 @@ The serving guarantees pinned here:
 * requests route per task for every registered task through one service,
 * shutdown drains: every admitted request is answered before the worker
   exits (and a non-draining stop fails them fast instead of hanging),
-* the TCP front end round-trips requests by id, and the stats report
-  renders the latency/throughput/tier table.
+* the TCP front end round-trips requests by id — including requests it
+  could not admit — a client whose round trip failed fails fast afterwards,
+  and the stats report renders the latency/throughput/tier table.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro.serving import (
 )
 from repro.simulator.engine import Simulator
 from repro.tasks import get_task
+from repro.wire import Connection, Listener
 
 ALL_TASKS = ("vectorization", "polly-tiling", "unrolling")
 
@@ -298,6 +300,98 @@ class TestClientsAndStats:
             "vectorization", "unrolling",
         ]
         assert all(response.ok for response in responses)
+
+    def test_tcp_smoke_cold_burst_then_warm_store(self, trained):
+        """A mixed burst with duplicates, then the same burst again: the
+        repeat is answered entirely from the warm store."""
+        service = fresh_service(trained, max_batch_size=16)
+        burst = [
+            CompileRequest(source=source, task=task, name=f"{name}-{task}")
+            for name, source in (("red", REDUCTION_SOURCE), ("blue", STREAM_SOURCE))
+            for task in ("vectorization", "unrolling")
+            for _repeat in range(3)
+        ]
+        with CompileServer(service) as server:
+            with TCPClient.connect(server.address) as client:
+                cold = client.optimize_many(burst)
+                warm = client.optimize_many(burst)
+        assert all(r.ok for r in cold + warm), [r.error for r in cold + warm]
+        assert any(r.coalesced for r in cold), "duplicates never coalesced"
+        assert {r.tier for r in warm} == {TIER_STORE}
+        report = service.report()
+        assert report.requests == len(burst) * 2 and report.errors == 0
+        assert report.tier_counts.get(TIER_STORE, 0) >= len(burst)
+        rendered = service.stats_report().render()
+        for needle in ("requests", "p95", "store", "cold"):
+            assert needle in rendered
+
+    def test_tcp_unadmitted_requests_are_answered_by_id(self, trained):
+        """Load shedding answers each rejected request with its own typed
+        error instead of failing the whole window."""
+        service = fresh_service(trained, max_batch_size=1, max_queue_depth=1)
+        burst = [
+            CompileRequest(source=REDUCTION_SOURCE, name=f"k{n}", request_id=f"r{n}")
+            for n in range(12)
+        ]
+        with CompileServer(service) as server:
+            with TCPClient.connect(server.address) as client:
+                responses = client.optimize_many(burst)
+        assert [r.request_id for r in responses] == [f"r{n}" for n in range(12)]
+        rejected = [r for r in responses if not r.ok]
+        assert rejected and len(rejected) < len(burst)
+        assert all("admission queue is full" in r.error for r in rejected)
+        # Shed requests never reached the service, so its counters only
+        # see the admitted ones.
+        report = service.report()
+        assert report.requests == len(burst) - len(rejected)
+        assert report.errors == 0
+
+    def test_tcp_bad_lines_are_answered_not_fatal(self, trained):
+        service = fresh_service(trained)
+        with CompileServer(service) as server:
+            connection = Connection.dial(*server.address, timeout=30.0)
+            try:
+                connection.send({"id": "no-source", "task": "vectorization"})
+                connection._sock.sendall(b"{not json\n")
+                connection.send(
+                    CompileRequest(source=STREAM_SOURCE, request_id="good").to_payload()
+                )
+                answers = [connection.receive() for _ in range(3)]
+            finally:
+                connection.close()
+        assert [answer["id"] for answer in answers] == ["no-source", None, "good"]
+        assert "kernel.source" in answers[0]["error"]
+        assert "malformed" in answers[1]["error"]
+        assert answers[2]["error"] is None
+
+    @pytest.mark.parametrize("answered", [0, 1], ids=["never", "short-read"])
+    def test_tcp_client_fails_fast_after_a_failed_round_trip(self, answered):
+        """Unread responses of a failed window must not be matched against
+        the next window's ids: the client closes and says so."""
+
+        held = []
+
+        def stub(connection):
+            for _ in range(answered):
+                connection.send({"id": connection.receive()["id"], "error": "late"})
+            if answered:
+                connection.close()
+            else:
+                held.append(connection)
+
+        listener = Listener("127.0.0.1", 0, stub)
+        try:
+            client = TCPClient.connect(listener.address, timeout=0.3)
+            with pytest.raises((OSError, ServingError)) as failure:
+                client.optimize_many([REDUCTION_SOURCE, STREAM_SOURCE])
+            assert "connection is closed" not in str(failure.value)
+            with pytest.raises(ServingError, match="connection is closed"):
+                client.optimize(REDUCTION_SOURCE)
+            client.close()
+        finally:
+            listener.stop()
+            for connection in held:
+                connection.close()
 
     def test_stats_report_renders_tier_table(self, trained):
         service = fresh_service(trained, slo_ms=10_000.0)
