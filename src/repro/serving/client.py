@@ -99,12 +99,18 @@ class TCPClient:
         """Pipelined round trip: write all requests, then read all responses.
 
         The burst arrives at the server as concurrent work, which is what
-        makes coalescing and micro-batching kick in server-side.
+        makes coalescing and micro-batching kick in server-side.  Request
+        ids must be unique within the window (responses are matched by id);
+        a duplicate raises :class:`ValueError` before anything is sent.
         """
         with self._lock:
             if self._connection.closed:
                 raise ServingError("connection is closed")
             tagged = [self._tagged(r) for r in requests]
+            ids = [r.request_id for r in tagged]
+            if len(set(ids)) != len(ids):
+                duplicates = sorted({i for i in ids if ids.count(i) > 1})
+                raise ValueError(f"duplicate request id(s) in one window: {duplicates}")
             by_id: Dict[str, CompileResponse] = {}
             try:
                 self._connection.send(*(r.to_payload() for r in tagged))

@@ -9,7 +9,8 @@ connection — clients match by request id, see
 :class:`repro.serving.client.TCPClient`.  The reader/writer split is what
 lets one connection pipeline many requests: everything a client writes in
 a burst is in the admission queue together, so the service coalesces and
-micro-batches it.
+micro-batches it.  Each response is its own small write; the wire has
+Nagle off, so none of them waits for the client to ACK the one before.
 
 A request the server cannot admit (bad payload, closed or full service)
 is answered on the wire with an error response carrying its id; a line
@@ -102,22 +103,25 @@ class CompileServer:
             except ServingError as error:
                 outbox.put((payload.get("id"), CompileResponse(error=str(error))))
 
-        writer = threading.Thread(
-            target=self._write_loop,
-            args=(connection, outbox),
-            name="compile-server-write",
-            daemon=True,
-        )
+        # Reader first: if the writer thread cannot start, closing the
+        # connection (the listener does) ends the reader and nothing leaks.
         with self._lock:
             self._connections.append(connection)
-            self._writers.append(writer)
-        writer.start()
         connection.start_reader(
             on_message=admit,
             on_error=lambda error: outbox.put((None, CompileResponse(error=str(error)))),
             on_close=lambda: outbox.put(None),
             name="compile-server-read",
         )
+        writer = threading.Thread(
+            target=self._write_loop,
+            args=(connection, outbox),
+            name="compile-server-write",
+            daemon=True,
+        )
+        writer.start()
+        with self._lock:
+            self._writers.append(writer)
 
     def _write_loop(self, connection: Connection, outbox: "_queue.Queue") -> None:
         try:

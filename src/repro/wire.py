@@ -6,6 +6,12 @@ configured) and a :class:`Connection` (the one place a stream socket is
 dialed, written, read and torn down).  :mod:`repro.serving` and
 :mod:`repro.fleet` ride it and keep only their vocabulary and policy.
 
+Nagle is off (``TCP_NODELAY``) on every connection, dialed or accepted:
+the riders exchange small messages and wait for the answer, and with Nagle
+on a second small write waits for the peer's delayed ACK (~40 ms) whenever
+the peer is only reading.  Batching is therefore the sender's job: pass
+everything that is ready to one :meth:`Connection.send`.
+
 A malformed line raises :class:`WireError` and the connection stays usable
 (the server answers it, the fleet skips it); a line over
 :data:`MAX_LINE_BYTES` raises it *and* closes the connection, so a peer
@@ -15,6 +21,7 @@ that never sends a newline cannot grow the process.
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import threading
 from typing import Callable, Optional, Tuple
@@ -22,6 +29,8 @@ from typing import Callable, Optional, Tuple
 #: Longest accepted line, newline included — well above the largest real
 #: message (an ``apply`` result carrying every store entry, a kernel source).
 MAX_LINE_BYTES = 16 * 1024 * 1024
+
+_log = logging.getLogger(__name__)
 
 
 class WireError(Exception):
@@ -44,9 +53,18 @@ def decode_message(line: bytes) -> dict:
 
 
 class Connection:
-    """One stream socket speaking the wire format, dialed or accepted."""
+    """One stream socket speaking the wire format, dialed or accepted.
+
+    Adopts ``sock`` (and closes it if it cannot be set up) with Nagle off.
+    """
 
     def __init__(self, sock: socket.socket):
+        try:
+            # Nagle off, for every rider — see the module docstring.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:  # e.g. the peer already reset
+            sock.close()
+            raise
         self._sock = sock
         self._stream = sock.makefile("rb")
         self._send_lock = threading.Lock()
@@ -63,8 +81,9 @@ class Connection:
         self._sock.settimeout(timeout)
 
     def send(self, *payloads: dict) -> None:
-        """Write the messages back to back; concurrent senders never
-        interleave.  Raises :class:`OSError` on a dead connection."""
+        """Write the messages back to back as one ``sendall`` (with Nagle
+        off, that is what keeps them in one segment); concurrent senders
+        never interleave.  Raises :class:`OSError` on a dead connection."""
         data = b"".join([encode_message(payload) for payload in payloads])
         with self._send_lock:
             self._sock.sendall(data)
@@ -141,8 +160,9 @@ class Listener:
     """A bound, listening socket and its accept thread.
 
     ``on_connection`` runs on the accept thread with each accepted
-    :class:`Connection`; ``port=0`` binds an ephemeral port, read back from
-    :attr:`address`.
+    :class:`Connection`; if it raises, that connection is closed, the
+    failure is logged and the listener keeps accepting.  ``port=0`` binds
+    an ephemeral port, read back from :attr:`address`.
     """
 
     def __init__(
@@ -179,7 +199,17 @@ class Listener:
             except OSError:
                 return
             sock.settimeout(None)
-            self._on_connection(Connection(sock))
+            # One bad connection (a peer that already reset, a handler that
+            # cannot start its threads) costs that socket, not the listener.
+            try:
+                connection = Connection(sock)
+            except OSError:
+                continue
+            try:
+                self._on_connection(connection)
+            except Exception:
+                _log.exception("connection handler failed; connection dropped")
+                connection.close()
 
     def stop(self) -> None:
         """Stop accepting, join the accept thread, close the socket.

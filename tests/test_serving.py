@@ -12,10 +12,16 @@ The serving guarantees pinned here:
   exits (and a non-draining stop fails them fast instead of hanging),
 * the TCP front end round-trips requests by id — including requests it
   could not admit — a client whose round trip failed fails fast afterwards,
-  and the stats report renders the latency/throughput/tier table.
+  duplicate ids in one window are refused before anything is sent, a
+  store-warm window costs milliseconds (no Nagle/delayed-ACK stall), and
+  the stats report renders the latency/throughput/tier table.
 """
 
 from __future__ import annotations
+
+import statistics
+import threading
+import time
 
 import pytest
 
@@ -363,6 +369,73 @@ class TestClientsAndStats:
         assert "kernel.source" in answers[0]["error"]
         assert "malformed" in answers[1]["error"]
         assert answers[2]["error"] is None
+
+    def test_tcp_duplicate_ids_in_one_window_are_rejected(self, trained):
+        """Responses are matched by id, so two requests sharing one would
+        both get the second kernel's answer."""
+        service = fresh_service(trained)
+
+        def window(*ids):
+            return [
+                CompileRequest(source=REDUCTION_SOURCE, name="kA", request_id=ids[0]),
+                CompileRequest(source=STREAM_SOURCE, name="kB", request_id=ids[1]),
+            ]
+
+        with CompileServer(service) as server:
+            with TCPClient.connect(server.address) as client:
+                with pytest.raises(ValueError, match="duplicate request id"):
+                    client.optimize_many(window("x", "x"))
+                # A caller's id colliding with the one the client generates.
+                with pytest.raises(ValueError, match="duplicate request id"):
+                    client.optimize_many(window("c0", None))
+                responses = client.optimize_many(window(None, None))
+        assert [r.kernel_name for r in responses] == ["kA", "kB"]
+        assert service.report().requests == 2, "a rejected window reached the server"
+
+    def test_tcp_store_warm_window_is_not_stalled(self, trained):
+        """Eight small responses to a client that only reads: with Nagle on
+        the second one waits ~40 ms for the client's delayed ACK."""
+        service = fresh_service(trained)
+        window = [
+            CompileRequest(source=source, task=task, name=f"{task}-{n}")
+            for n in range(2)
+            for source in (REDUCTION_SOURCE, STREAM_SOURCE)
+            for task in ("vectorization", "unrolling")
+        ]
+        latencies = []
+        with CompileServer(service) as server:
+            with TCPClient.connect(server.address) as client:
+                client.optimize_many(window)
+                for _ in range(15):
+                    start = time.perf_counter()
+                    responses = client.optimize_many(window)
+                    latencies.append(time.perf_counter() - start)
+                    assert {r.tier for r in responses} == {TIER_STORE}
+        assert statistics.median(latencies) < 0.025
+
+    def test_tcp_server_outlives_a_connection_it_could_not_start(
+        self, trained, monkeypatch
+    ):
+        """Thread exhaustion while setting up one connection drops that
+        connection; the server keeps accepting and still stops cleanly."""
+        start = threading.Thread.start
+        failed = []
+
+        def exhausted_once(thread):
+            if thread.name == "compile-server-write" and not failed:
+                failed.append(thread)
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", exhausted_once)
+        service = fresh_service(trained)
+        with CompileServer(service) as server:
+            with TCPClient.connect(server.address, timeout=10.0) as dropped:
+                with pytest.raises((OSError, ServingError)):
+                    dropped.optimize(REDUCTION_SOURCE)
+            with TCPClient.connect(server.address, timeout=30.0) as client:
+                assert client.optimize(STREAM_SOURCE).ok
+        assert failed
 
     @pytest.mark.parametrize("answered", [0, 1], ids=["never", "short-read"])
     def test_tcp_client_fails_fast_after_a_failed_round_trip(self, answered):

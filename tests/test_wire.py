@@ -1,7 +1,8 @@
 """Tests for the transport alone (repro.wire), over localhost.
 
 Nothing here knows what a message means: framing, ordering, the send
-lock, the exactly-once close report, the line cap and thread lifetime.
+lock, the exactly-once close report, the line cap, thread lifetime, Nagle
+being off on both ends and a listener that outlives a bad connection.
 The serving and fleet suites cover what each protocol does on top.
 """
 
@@ -9,8 +10,10 @@ from __future__ import annotations
 
 import queue
 import socket
+import statistics
 import sys
 import threading
+import time
 
 import pytest
 
@@ -193,7 +196,54 @@ def test_receive_timeout_is_an_os_error(peer):
         peer.accepted.receive()
 
 
+def test_nagle_is_off_on_the_dialed_and_the_accepted_side(peer):
+    for connection in (peer.dialed, peer.accepted):
+        assert connection._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+
+def test_write_write_read_does_not_wait_for_a_delayed_ack(peer):
+    """Two sends then one reply: with Nagle on, the second send waits for
+    the reading peer's delayed ACK — a ~40 ms kernel timer, whatever the
+    host's speed."""
+    peer.accepted.start_reader(
+        on_message=lambda message: message["last"] and peer.accepted.send(message),
+        on_close=lambda: None,
+    )
+    round_trips = []
+    for n in range(20):
+        start = time.perf_counter()
+        peer.dialed.send({"n": n, "last": False})
+        peer.dialed.send({"n": n, "last": True})
+        assert peer.dialed.receive() == {"n": n, "last": True}
+        round_trips.append(time.perf_counter() - start)
+    assert statistics.median(round_trips) < 0.020
+
+
 # -- a listener ---------------------------------------------------------------
+
+
+def test_listener_outlives_a_connection_whose_handler_raises():
+    before = set(threading.enumerate())
+    accepted = []
+
+    def handler(connection):
+        accepted.append(connection)
+        if len(accepted) == 1:
+            raise RuntimeError("cannot start a thread")
+        connection.send({"served": True})
+
+    listener = Listener("127.0.0.1", 0, handler)
+    try:
+        first = Connection.dial(*listener.address, timeout=10.0)
+        assert first.receive() is None  # dropped: closed, not left hanging
+        second = Connection.dial(*listener.address, timeout=10.0)
+        assert second.receive() == {"served": True}
+        assert [connection.closed for connection in accepted] == [True, False]
+        for connection in (first, second, accepted[1]):
+            connection.close()
+    finally:
+        listener.stop()
+    assert set(threading.enumerate()) <= before
 
 
 def test_listener_stop_is_idempotent_and_refuses_new_dials():
