@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.frontend import ast, parse_source
+from repro.frontend.cache import frontend_cache
 from repro.frontend.printer import print_stmt
 
 
@@ -109,32 +110,22 @@ def extract_loops(
 ) -> List[ExtractedLoop]:
     """Extract innermost loops from source, optionally from one function only.
 
-    Results are memoized in the process-wide frontend cache by content hash
-    (parse results are shared with every other consumer of the same source),
-    so embedding pretraining, site discovery and evaluation runs extract
-    each distinct kernel once per process, not once per caller.
+    The loop list is kept on the source text's record in the process-wide
+    frontend cache, beside the AST it was built from (which every other
+    consumer of the same text shares, whatever ``filename`` it passes), so
+    embedding pretraining, site discovery and evaluation runs extract each
+    distinct kernel once per process, not once per caller.
     """
-    from repro.frontend.cache import frontend_cache, source_fingerprint
-
-    cache = frontend_cache()
-    key = ("loops", source_fingerprint(source), function_name, filename)
-    loops = cache.cached(
-        key, lambda: _extract_loops_uncached(source, function_name, filename)
-    )
+    record = frontend_cache().record(source, filename=filename)
+    loops = record.loops.get(function_name)
+    if loops is None:
+        loops = LoopExtractor().extract_from_unit(record.unit)
+        if function_name is not None:
+            loops = [loop for loop in loops if loop.function_name == function_name]
+            for index, loop in enumerate(loops):
+                loop.loop_index = index
+        # setdefault: racing extractions end up sharing one list.
+        loops = record.loops.setdefault(function_name, loops)
     # Hand back a fresh list so callers may filter/extend without
     # corrupting the cached entry (the ExtractedLoop objects are shared).
     return list(loops)
-
-
-def _extract_loops_uncached(
-    source: str, function_name: Optional[str], filename: str
-) -> List[ExtractedLoop]:
-    from repro.frontend.cache import frontend_cache
-
-    unit = frontend_cache().parse(source, filename=filename)
-    loops = LoopExtractor().extract_from_unit(unit)
-    if function_name is not None:
-        loops = [loop for loop in loops if loop.function_name == function_name]
-        for index, loop in enumerate(loops):
-            loop.loop_index = index
-    return loops

@@ -65,7 +65,7 @@ class CompileAndMeasure:
         self.machine = machine or MachineDescription()
         self.default_symbol_value = default_symbol_value
         self.baseline_model = BaselineCostModel(machine=self.machine)
-        self._ir_cache: Dict[Tuple[str, str], IRFunction] = {}
+        self._ir_cache: Dict[tuple, IRFunction] = {}
         # One simulator per (kernel, bindings) so its per-function memos
         # (statement costs, loop analyses, whole simulations) survive across
         # the thousands of measure calls a training run makes per kernel.
@@ -76,7 +76,8 @@ class CompileAndMeasure:
     def lower_kernel(self, kernel: LoopKernel, source: Optional[str] = None) -> IRFunction:
         """Lower a kernel (or an alternative source text for it) to IR."""
         text = source if source is not None else kernel.source
-        key = (kernel.name, text)
+        # lower_function bakes the bindings into trip counts.
+        key = (kernel.name, text, tuple(sorted(kernel.bindings.items())))
         cached = self._ir_cache.get(key)
         if cached is not None:
             return cached

@@ -35,8 +35,8 @@ class LoopKernel:
 
     def parse(self) -> ast.TranslationUnit:
         if self._ast_cache is None:
-            # Shares the process-wide frontend memo with the pipeline (same
-            # content hash and filename → the same cached AST).
+            # Shares the process-wide frontend memo with the pipeline and the
+            # loop extractor (same content hash → the same cached AST).
             from repro.frontend.cache import frontend_cache
 
             self._ast_cache = frontend_cache().parse(

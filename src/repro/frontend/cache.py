@@ -1,21 +1,21 @@
-"""Process-wide content-hash memo for frontend results (ASTs, loop lists).
+"""Process-wide content-hash memo of frontend results: one record per source text.
 
-Before this cache every :class:`~repro.core.pipeline.CompileAndMeasure`
-instance re-ran preprocess → tokenize → parse for kernels any *other*
-pipeline had already seen, because memoization lived per instance.
-Comparison runs build several pipelines (one per agent) over the same
-kernel set, so the same sources were parsed over and over.
-
-This module hoists that memoization to one process-wide store, keyed by
-content hash exactly like :mod:`repro.cache.reward_cache` keys kernels
-(sha1 of the source text, plus whatever parameters shape the result), with
-an explicit entry cap (LRU eviction) and hit/miss/eviction stats:
+Every consumer of a kernel's text — :func:`repro.core.loop_extractor.extract_loops`,
+:meth:`repro.datasets.kernels.LoopKernel.parse`,
+:meth:`repro.core.pipeline.CompileAndMeasure.lower_kernel`, across pipelines
+and agents — goes through one process-wide LRU, so a distinct text is
+preprocessed, tokenized and parsed once per process, whatever filename the
+caller labels it with.  An entry is a :class:`FrontendRecord`: the
+``TranslationUnit`` plus the loop lists derived from it, keyed by the sha1 of
+the text (the :mod:`repro.cache.reward_cache` idiom) and the ``defines`` it
+was preprocessed with.  Capacity therefore counts source texts, and evicting
+a text drops its loop lists with its AST:
 
     from repro.frontend.cache import frontend_cache
     cache = frontend_cache()
     unit = cache.parse(source_text, filename="kernel.c")
     cache.stats.as_dict()     # {"hits": ..., "misses": ..., ...}
-    cache.set_capacity(1024)  # cap the entry count (default 512)
+    cache.set_capacity(1024)  # cap the number of texts (default 512)
     cache.disable()           # pass-through mode (e.g. for benchmarking)
 
 Cached ASTs are shared read-only: the parser normalizes loop bodies during
@@ -37,8 +37,8 @@ import hashlib
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 from repro.frontend import ast
 from repro.frontend.parser import parse_source
@@ -76,13 +76,28 @@ class FrontendCacheStats:
         self.evictions = 0
 
 
-class FrontendCache:
-    """Content-hash LRU store for frontend results, shared process-wide.
+@dataclass
+class FrontendRecord:
+    """Everything the frontend has derived from one source text.
 
-    ``cached(key, compute)`` is the generic lookup-or-compute primitive;
-    :meth:`parse` is the canonical user.  Keys must start with a result-kind
-    tag (``"parse"``, ``"loops"``, ...) so different result types never
-    collide even for the same source hash.
+    ``loops`` holds the innermost-loop lists
+    :func:`repro.core.loop_extractor.extract_loops` builds from ``unit``,
+    one per ``function_name`` filter; they live and die with the AST they
+    point into.
+    """
+
+    unit: ast.TranslationUnit
+    loops: Dict[Optional[str], list] = field(default_factory=dict)
+
+
+class FrontendCache:
+    """LRU store of one :class:`FrontendRecord` per source text, process-wide.
+
+    The key is the content hash of the text plus the ``defines`` it was
+    preprocessed with.  The filename is not part of the key: it only labels
+    diagnostics (``TranslationUnit.filename`` → ``IRFunction.source_name``,
+    which nothing keys on), so a memoised unit carries the first caller's.
+    Parse failures are not stored and carry the failing caller's filename.
     """
 
     def __init__(self, capacity: int = 512, enabled: bool = True):
@@ -91,31 +106,37 @@ class FrontendCache:
         self.capacity = int(capacity)
         self.enabled = bool(enabled)
         self.stats = FrontendCacheStats()
-        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, FrontendRecord]" = OrderedDict()
         self._lock = threading.Lock()
 
-    # -- generic store ------------------------------------------------------
+    def record(
+        self,
+        source: str,
+        filename: str = "<source>",
+        defines: Optional[Dict[str, str]] = None,
+    ) -> FrontendRecord:
+        """The record of ``source``, parsing it on a miss.
 
-    def cached(self, key: tuple, compute: Callable[[], object]) -> object:
-        """Return the memoized value for ``key``, computing it on a miss."""
+        Disabled, every call parses afresh and nothing is stored.
+        """
         if not self.enabled:
-            return compute()
+            return FrontendRecord(parse_source(source, filename=filename, defines=defines))
+        key = (source_fingerprint(source), tuple(sorted((defines or {}).items())))
         with self._lock:
-            if key in self._entries:
+            record = self._entries.get(key)
+            if record is not None:
                 self.stats.hits += 1
                 self._entries.move_to_end(key)
-                return self._entries[key]
+                return record
             self.stats.misses += 1
-        value = compute()
+        unit = parse_source(source, filename=filename, defines=defines)
         with self._lock:
-            self._entries[key] = value
+            # Concurrent misses on one text all leave with the first record
+            # stored, so they share one AST and one set of loop lists.
+            record = self._entries.setdefault(key, FrontendRecord(unit))
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return value
-
-    # -- canonical users ----------------------------------------------------
+            self._evict_over_capacity()
+        return record
 
     def parse(
         self,
@@ -124,15 +145,7 @@ class FrontendCache:
         defines: Optional[Dict[str, str]] = None,
     ) -> ast.TranslationUnit:
         """Preprocess/tokenize/parse ``source``, memoized by content hash."""
-        key = (
-            "parse",
-            source_fingerprint(source),
-            filename,
-            tuple(sorted((defines or {}).items())),
-        )
-        return self.cached(
-            key, lambda: parse_source(source, filename=filename, defines=defines)
-        )
+        return self.record(source, filename=filename, defines=defines).unit
 
     # -- management ---------------------------------------------------------
 
@@ -150,9 +163,12 @@ class FrontendCache:
             raise ValueError("frontend cache capacity must be at least 1")
         with self._lock:
             self.capacity = int(capacity)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+            self._evict_over_capacity()
+
+    def _evict_over_capacity(self) -> None:
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
 
     def enable(self) -> None:
         self.enabled = True

@@ -1,7 +1,8 @@
-"""Hand-written lexer for the C subset."""
+"""Lexer for the C subset: a regex scanner over hand-written token producers."""
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional
 
 from repro.frontend.errors import LexError, SourceLocation
@@ -14,6 +15,30 @@ from repro.frontend.tokens import (
     TokenKind,
 )
 
+_DIGITS = "0123456789"
+_WHITESPACE = " \t\r\n\f\v"
+
+#: One :meth:`Lexer.tokenize` step: leading whitespace, then an identifier or
+#: keyword, a plain decimal integer, or an operator (maximal munch: the
+#: alternation keeps ``MULTI_CHAR_OPERATORS``' longest-first order).  What it
+#: declines goes to :meth:`Lexer.next_token` — the pragma marker, ``.`` (it
+#: may start a float), and any digit run a ``.``, exponent, ``x`` or suffix
+#: could extend.
+_SCAN = re.compile(
+    "[%s]*(?:(?P<word>(?!%s(?![A-Za-z0-9_]))[A-Za-z_][A-Za-z0-9_]*)"
+    "|(?P<integer>[0-9]+)(?![0-9.eExXuUlL])|(?P<operator>%s))"
+    % (
+        _WHITESPACE,
+        PRAGMA_MARKER,
+        "|".join(
+            re.escape(text)
+            for text in [text for text, _ in MULTI_CHAR_OPERATORS]
+            + [text for text in SINGLE_CHAR_OPERATORS if text != "."]
+        ),
+    )
+)
+_OPERATOR_KINDS = {**dict(MULTI_CHAR_OPERATORS), **SINGLE_CHAR_OPERATORS}
+
 
 class Lexer:
     """Converts preprocessed source text into a list of :class:`Token`.
@@ -22,6 +47,14 @@ class Lexer:
     rewritten as ``__REPRO_PRAGMA__("...");`` by the preprocessor; it turns
     those markers back into first-class ``PRAGMA`` tokens so the parser can
     attach them to the following loop.
+
+    :meth:`next_token` lexes one token a character at a time and defines the
+    token stream.  :meth:`tokenize` produces the same stream — kinds, texts,
+    values, locations, errors — taking identifiers, plain integers and
+    operators with one regex match each and everything else (floats, hex,
+    suffixes, ``.``, quotes, pragma markers, EOF, errors, and every token of
+    a source with non-ASCII characters, where ``str.isalpha`` and
+    ``[A-Za-z]`` disagree) from :meth:`next_token`.
     """
 
     def __init__(self, source: str, filename: str = "<source>"):
@@ -34,12 +67,41 @@ class Lexer:
     # -- public API ---------------------------------------------------------
 
     def tokenize(self) -> List[Token]:
+        source, filename = self.source, self.filename
+        scan = _SCAN.match if source.isascii() else _decline
         tokens: List[Token] = []
+        position, line, column = self.position, self.line, self.column
         while True:
-            token = self.next_token()
-            tokens.append(token)
-            if token.kind == TokenKind.EOF:
-                return tokens
+            match = scan(source, position)
+            if match is None:
+                self.position, self.line, self.column = position, line, column
+                token = self.next_token()
+                tokens.append(token)
+                if token.kind == TokenKind.EOF:
+                    return tokens
+                position, line, column = self.position, self.line, self.column
+                continue
+            kind = match.lastgroup
+            blank_start = position
+            start, position = match.span(kind)
+            if start != blank_start:
+                blank = source[blank_start:start]
+                newlines = blank.count("\n")
+                if newlines:
+                    line += newlines
+                    column = len(blank) - blank.rfind("\n")
+                else:
+                    column += len(blank)
+            text = source[start:position]
+            location = SourceLocation(line, column, filename)
+            column += len(text)
+            if kind == "word":
+                word = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
+                tokens.append(Token(word, text, location, text))
+            elif kind == "integer":
+                tokens.append(Token(TokenKind.INT_LITERAL, text, location, int(text, 10)))
+            else:
+                tokens.append(Token(_OPERATOR_KINDS[text], text, location))
 
     def next_token(self) -> Token:
         self._skip_whitespace()
@@ -50,7 +112,9 @@ class Lexer:
 
         if ch.isalpha() or ch == "_":
             return self._lex_identifier(location)
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
+        # Not str.isdigit(): it accepts non-ASCII digits ("²", "٣") that
+        # int() rejects or silently decodes.
+        if ch in _DIGITS or (ch == "." and self._peek_in(_DIGITS, 1)):
             return self._lex_number(location)
         if ch == "'":
             return self._lex_char(location)
@@ -85,7 +149,7 @@ class Lexer:
         return bool(ch) and ch in chars
 
     def _skip_whitespace(self) -> None:
-        while self.position < len(self.source) and self._peek() in " \t\r\n\f\v":
+        while self.position < len(self.source) and self._peek() in _WHITESPACE:
             self._advance()
 
     # -- token producers ----------------------------------------------------
@@ -139,22 +203,22 @@ class Lexer:
             text = self.source[start : self.position]
             self._skip_integer_suffix()
             return Token(TokenKind.INT_LITERAL, text, location, int(text, 16))
-        while self._peek().isdigit():
+        while self._peek_in(_DIGITS):
             self._advance()
         if self._peek() == "." and self._peek(1) != ".":
             is_float = True
             self._advance()
-            while self._peek().isdigit():
+            while self._peek_in(_DIGITS):
                 self._advance()
         if self._peek_in("eE") and (
-            self._peek(1).isdigit()
-            or (self._peek_in("+-", 1) and self._peek(2).isdigit())
+            self._peek_in(_DIGITS, 1)
+            or (self._peek_in("+-", 1) and self._peek_in(_DIGITS, 2))
         ):
             is_float = True
             self._advance()
             if self._peek_in("+-"):
                 self._advance()
-            while self._peek().isdigit():
+            while self._peek_in(_DIGITS):
                 self._advance()
         text = self.source[start : self.position]
         if is_float:
@@ -170,14 +234,16 @@ class Lexer:
 
     def _lex_char(self, location: SourceLocation) -> Token:
         self._advance()  # opening quote
-        value: int
-        if self._peek() == "\\":
+        escaped = self._peek() == "\\"
+        if escaped:
             self._advance()
-            escape = self._advance()
+        ch = self._advance()
+        if not ch:  # end of input: ord("") is a TypeError, not a diagnostic
+            raise LexError("unterminated character literal", location)
+        value = ord(ch)
+        if escaped:
             escapes = {"n": 10, "t": 9, "0": 0, "r": 13, "\\": 92, "'": 39, '"': 34}
-            value = escapes.get(escape, ord(escape))
-        else:
-            value = ord(self._advance())
+            value = escapes.get(ch, value)
         if self._peek() != "'":
             raise LexError("unterminated character literal", location)
         self._advance()
@@ -211,6 +277,11 @@ class Lexer:
             raise LexError(f"unexpected character {ch!r}", location)
         self._advance()
         return Token(kind, ch, location)
+
+
+def _decline(source: str, position: int) -> None:
+    """Stands in for ``_SCAN.match`` on a source it must not scan."""
+    return None
 
 
 def tokenize(source: str, filename: str = "<source>") -> List[Token]:

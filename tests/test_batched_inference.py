@@ -346,9 +346,9 @@ class TestFrontendCache:
         assert first is second
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
-        # A different filename (diagnostics differ) is a distinct entry.
-        cache.parse(ADD_SOURCE, filename="other.c")
-        assert cache.stats.misses == 2
+        # The filename only labels diagnostics: same text, same entry.
+        assert cache.parse(ADD_SOURCE, filename="other.c") is first
+        assert cache.stats.misses == 1 and len(cache) == 1
 
     def test_capacity_evicts_lru(self):
         cache = FrontendCache(capacity=2)

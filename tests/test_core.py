@@ -171,6 +171,23 @@ class TestCompileAndMeasure:
                          bindings={"n": 8192})
         assert pipeline.measure_baseline(big).cycles > pipeline.measure_baseline(kernel).cycles
 
+    def test_one_file_at_two_sizes_is_not_served_the_first_size(self, pipeline):
+        # Regression: the lowered-IR memo ignored bindings, so the second
+        # size of one (name, text) got the first size's trip counts.
+        def sized(n):
+            return LoopKernel(
+                name="sym",
+                source="float a[4096];\nvoid f(int n) { for (int i = 0; i < n; i++) a[i] = 1; }",
+                function_name="f",
+                bindings={"n": n},
+            )
+
+        pipeline.measure_baseline(sized(8))
+        for measure in ("measure_baseline", "measure_scalar"):
+            shared = getattr(pipeline, measure)(sized(4096))
+            fresh = getattr(CompileAndMeasure(), measure)(sized(4096))
+            assert shared.cycles == fresh.cycles
+
 
 class TestNeuroVectorizerFacade:
     @pytest.fixture(scope="class")

@@ -162,6 +162,31 @@ class TestTiers:
         assert second.tier == TIER_FRONTEND
         assert second.decisions == first.decisions
 
+    def test_one_file_at_two_sizes_gets_each_size_its_own_answer(self, trained):
+        # Regression: the pipeline's lowered-IR memo ignored bindings, so a
+        # build farm recompiling one file at a second size was served the
+        # first size's trip counts.
+        source = (
+            "float x[4096], y[4096];\n"
+            "void scale(int n, float alpha) {\n"
+            "    for (int i = 0; i < n; i++) { y[i] = alpha * x[i]; }\n"
+            "}\n"
+        )
+
+        def sized(n):
+            return CompileRequest(source=source, name="scale.c", bindings={"n": n})
+
+        with fresh_service(trained) as service:
+            shared = [service.optimize(sized(n)) for n in (8, 4096)]
+        for n, answer in zip((8, 4096), shared):
+            with fresh_service(trained) as service:
+                alone = service.optimize(sized(n))
+            assert answer.ok and alone.ok
+            assert answer.decisions == alone.decisions
+            assert (answer.baseline_cycles, answer.cycles) == (
+                alone.baseline_cycles, alone.cycles,
+            )
+
 
 class TestCoalescing:
     def test_duplicates_share_one_computation(self, trained):
