@@ -5,13 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.analysis.loopinfo import analyze_loop
 from repro.datasets.kernels import LoopKernel
 from repro.frontend.cache import frontend_cache
 from repro.ir.lowering import LoweringContext, lower_function
 from repro.ir.nodes import IRFunction
 from repro.machine.description import MachineDescription
 from repro.simulator.compile_time import estimate_compile_time
-from repro.simulator.cost import memo_stats as cost_memo_stats
 from repro.simulator.engine import FunctionCost, Simulator
 from repro.vectorizer.cost_model import BaselineCostModel
 from repro.vectorizer.planner import (
@@ -55,6 +55,13 @@ class CompileAndMeasure:
       supervised agents),
     * :meth:`measure_baseline` — let the built-in cost model decide, i.e.
       plain ``clang -O3``.
+
+    All of them (and :meth:`measure_function`, :meth:`measure_scalar`) run
+    one body, :meth:`_measure`, which analyses each innermost loop once and
+    hands that analysis to the baseline decision and to the plan.  What the
+    pipeline keeps between calls is the lowered IR (``_ir_cache``) and one
+    :class:`Simulator` per (kernel, bindings); analyses and cost-model
+    answers are not kept.
     """
 
     def __init__(
@@ -67,7 +74,7 @@ class CompileAndMeasure:
         self.baseline_model = BaselineCostModel(machine=self.machine)
         self._ir_cache: Dict[tuple, IRFunction] = {}
         # One simulator per (kernel, bindings) so its per-function memos
-        # (statement costs, loop analyses, whole simulations) survive across
+        # (statement costs, region playbooks, whole simulations) survive across
         # the thousands of measure calls a training run makes per kernel.
         self._simulator_cache: Dict[Tuple[str, Tuple[Tuple[str, int], ...]], Simulator] = {}
 
@@ -115,13 +122,9 @@ class CompileAndMeasure:
         """Aggregate memo counters over every cached per-kernel simulator.
 
         Sums the whole-function LRU's hit/miss/eviction counts and the
-        entry counts of the per-function stores (analyses, statement
-        prices, region playbooks) so cache-pressure regressions show up in
+        entry counts of the per-function stores (statement prices, region
+        playbooks) so cache-pressure regressions show up in
         :meth:`repro.core.framework.NeuroVectorizer.cache_stats_report`.
-        The iteration-cost memo counters (process-wide, from
-        :func:`repro.simulator.cost.memo_stats`) ride along under
-        ``cost_*`` keys, including how many (VF, IF) grid points the
-        one-pass sweeps prepaid.
         """
         totals: Dict[str, float] = {
             "simulators": 0,
@@ -129,7 +132,6 @@ class CompileAndMeasure:
             "misses": 0,
             "evictions": 0,
             "entries": 0,
-            "analysis_entries": 0,
             "statement_entries": 0,
             "playbook_entries": 0,
         }
@@ -141,28 +143,47 @@ class CompileAndMeasure:
                 "misses",
                 "evictions",
                 "entries",
-                "analysis_entries",
                 "statement_entries",
                 "playbook_entries",
             ):
                 totals[name] += stats[name]
         lookups = totals["hits"] + totals["misses"]
         totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
-        cost_stats = cost_memo_stats()
-        totals["cost_iteration_hits"] = cost_stats["iteration_hits"]
-        totals["cost_iteration_misses"] = cost_stats["iteration_misses"]
-        totals["cost_iteration_hit_rate"] = cost_stats["iteration_hit_rate"]
-        totals["cost_sweeps"] = cost_stats["sweeps"]
-        totals["cost_swept_configs"] = cost_stats["swept_configs"]
         return totals
 
-    def _result(
-        self, kernel: LoopKernel, ir_function: IRFunction, plan: FunctionVectorPlan
+    def _measure(
+        self,
+        kernel: LoopKernel,
+        ir_function: IRFunction,
+        factors_by_index: Optional[Dict[int, Tuple[int, int]]] = None,
+        honour_pragmas: bool = False,
     ) -> CompilationResult:
+        """The one body behind every ``measure_*`` entry point.
+
+        Each innermost loop is analysed once.  A loop listed in
+        ``factors_by_index`` (keyed by innermost-loop index) gets those
+        factors; any other loop gets the baseline cost model's choice,
+        overridden clause by clause by its pragma when ``honour_pragmas``.
+        """
+        loops = ir_function.innermost_loops()
+        explicit = factors_by_index or {}
+        analyses = {}
+        decisions: Dict[int, Tuple[int, int]] = {}
+        for index, loop in enumerate(loops):
+            analysis = analyses[loop.loop_id] = analyze_loop(ir_function, loop)
+            if index in explicit:
+                decisions[loop.loop_id] = explicit[index]
+                continue
+            decision = self.baseline_model.decide_loop(ir_function, loop, analysis)
+            requested = (decision.vf, decision.interleave)
+            if honour_pragmas:
+                requested = factors_from_pragma(loop.pragma, *requested)
+            decisions[loop.loop_id] = requested
+        plan = build_plan(ir_function, decisions, self.machine, analyses=analyses)
         cost = self._simulator(kernel).simulate(ir_function, plan)
         compile_seconds = estimate_compile_time(ir_function, plan, self.machine)
         factors = {}
-        for index, loop in enumerate(ir_function.innermost_loops()):
+        for index, loop in enumerate(loops):
             loop_plan = plan.plan_for(loop)
             if loop_plan is not None:
                 factors[index] = (loop_plan.vf, loop_plan.interleave)
@@ -189,34 +210,15 @@ class CompileAndMeasure:
         when the loop is scalar or ``vectorize(disable)``d — while the width
         stays with the cost model unless ``vectorize_width`` says otherwise).
         """
-        ir_function = self.lower_kernel(kernel, source)
-        baseline_decisions = self.baseline_model.decide_function(ir_function)
-        decisions = dict(baseline_decisions)
-        for loop in ir_function.innermost_loops():
-            pragma = loop.pragma
-            if pragma is None or pragma.is_empty:
-                continue
-            default_vf, default_if = decisions.get(loop.loop_id, (1, 1))
-            decisions[loop.loop_id] = factors_from_pragma(
-                pragma, default_vf, default_if
-            )
-        plan = build_plan(ir_function, decisions, self.machine)
-        return self._result(kernel, ir_function, plan)
+        return self._measure(
+            kernel, self.lower_kernel(kernel, source), honour_pragmas=True
+        )
 
     def measure_with_factors(
         self, kernel: LoopKernel, factors_by_index: Dict[int, Tuple[int, int]]
     ) -> CompilationResult:
         """Compile with explicit (VF, IF) requests keyed by innermost-loop index."""
-        ir_function = self.lower_kernel(kernel)
-        decisions: Dict[int, Tuple[int, int]] = {}
-        for index, loop in enumerate(ir_function.innermost_loops()):
-            if index in factors_by_index:
-                decisions[loop.loop_id] = factors_by_index[index]
-            else:
-                decision = self.baseline_model.decide_loop(ir_function, loop)
-                decisions[loop.loop_id] = (decision.vf, decision.interleave)
-        plan = build_plan(ir_function, decisions, self.machine)
-        return self._result(kernel, ir_function, plan)
+        return self._measure(kernel, self.lower_kernel(kernel), factors_by_index)
 
     def measure_function(
         self,
@@ -231,25 +233,14 @@ class CompileAndMeasure:
         (``factors_by_index is None``) or explicit per-loop factors decide
         the vectorization of the transformed code.
         """
-        decisions: Dict[int, Tuple[int, int]] = {}
-        for index, loop in enumerate(ir_function.innermost_loops()):
-            if factors_by_index is not None and index in factors_by_index:
-                decisions[loop.loop_id] = factors_by_index[index]
-            else:
-                decision = self.baseline_model.decide_loop(ir_function, loop)
-                decisions[loop.loop_id] = (decision.vf, decision.interleave)
-        plan = build_plan(ir_function, decisions, self.machine)
-        return self._result(kernel, ir_function, plan)
+        return self._measure(kernel, ir_function, factors_by_index)
 
     def measure_baseline(self, kernel: LoopKernel) -> CompilationResult:
         """Compile with the built-in cost model only (the paper's baseline)."""
-        ir_function = self.lower_kernel(kernel)
-        plan = self.baseline_model.plan_function(ir_function)
-        return self._result(kernel, ir_function, plan)
+        return self._measure(kernel, self.lower_kernel(kernel))
 
     def measure_scalar(self, kernel: LoopKernel) -> CompilationResult:
         """Compile with vectorization disabled everywhere (VF = IF = 1)."""
         ir_function = self.lower_kernel(kernel)
-        decisions = {loop.loop_id: (1, 1) for loop in ir_function.innermost_loops()}
-        plan = build_plan(ir_function, decisions, self.machine)
-        return self._result(kernel, ir_function, plan)
+        scalar = dict.fromkeys(range(len(ir_function.innermost_loops())), (1, 1))
+        return self._measure(kernel, ir_function, scalar)

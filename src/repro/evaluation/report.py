@@ -74,11 +74,13 @@ def format_cache_stats_table(
     number of pipeline evaluations the cache avoided.
 
     ``simulator_memo`` (a :meth:`CompileAndMeasure.simulator_memo_stats`
-    dict) and ``frontend`` (a :class:`FrontendCacheStats` dict) append the
-    hot-path memo counters to the same table so cache-pressure regressions
-    in any layer are visible from one report.  ``fleet`` (a fleet-backed
-    service's :class:`repro.distributed.ServiceStats`) splits the hits
-    into speculative vs demand-earned ones, so warm-start analysis can tell
+    dict: whole-function simulation memo hits/misses/evictions/entries and
+    the playbook count) and ``frontend`` (a :class:`FrontendCacheStats`
+    dict) append the hot-path memo counters to the same table so
+    cache-pressure regressions in any layer are visible from one report.
+    ``fleet`` (a fleet-backed service's
+    :class:`repro.distributed.ServiceStats`) splits the hits into
+    speculative vs demand-earned ones, so warm-start analysis can tell
     a genuinely warm store from one the prefetcher filled moments earlier.
     """
     table = Table(headers=["metric", "value"], title=title)
@@ -106,12 +108,6 @@ def format_cache_stats_table(
         table.add_row(["simulator memo hit rate", simulator_memo["hit_rate"]])
         table.add_row(["simulator memo entries", simulator_memo["entries"]])
         table.add_row(["simulator playbooks", simulator_memo["playbook_entries"]])
-        if "cost_iteration_hits" in simulator_memo:
-            table.add_row(["cost memo hits", simulator_memo["cost_iteration_hits"]])
-            table.add_row(["cost memo misses", simulator_memo["cost_iteration_misses"]])
-            table.add_row(["cost memo hit rate", simulator_memo["cost_iteration_hit_rate"]])
-            table.add_row(["cost grid sweeps", simulator_memo["cost_sweeps"]])
-            table.add_row(["cost configs prepaid", simulator_memo["cost_swept_configs"]])
     if frontend is not None:
         table.add_row(["frontend cache hits", frontend["hits"]])
         table.add_row(["frontend cache misses", frontend["misses"]])

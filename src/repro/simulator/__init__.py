@@ -18,14 +18,7 @@ the way real hardware does:
   the Polly-style tiling pass exploits.
 """
 
-from repro.simulator.cost import (
-    IterationCost,
-    LoopCost,
-    estimate_loop_cost,
-    memo_stats,
-    reset_memo_stats,
-    sweep_iteration_costs,
-)
+from repro.simulator.cost import IterationCost, LoopCost, estimate_loop_cost
 from repro.simulator.engine import FunctionCost, Simulator, simulate_function
 from repro.simulator.compile_time import estimate_compile_time
 
@@ -33,9 +26,6 @@ __all__ = [
     "IterationCost",
     "LoopCost",
     "estimate_loop_cost",
-    "memo_stats",
-    "reset_memo_stats",
-    "sweep_iteration_costs",
     "FunctionCost",
     "Simulator",
     "simulate_function",

@@ -1,34 +1,17 @@
 """Cost model for one innermost loop under a (VF, IF) choice.
 
-The per-iteration model is queried for the same loop at every candidate
-(VF, IF) pair by the brute-force oracle, the planner and grid sweeps —
-a 7x5 grid per loop, revisited across a run.  The *second* vector
-configuration to miss for the same (machine, working set, if-conversion)
-group therefore triggers a *one-pass sweep*: every still uncached grid
-point is priced in a single vectorised evaluation (numpy arrays over the
-config axis, each arithmetic step in the exact order of the scalar
-model, so every row is bit-identical to a scalar call) and parked in the
-per-analysis memo.  Subsequent queries — the rest of a brute-force grid,
-the planner's comparisons — are pure lookups.  Arming on the second
-miss rather than the first matters: the RL rollout path rewrites the
-kernel source per action, so each analysis there is queried for exactly
-one vector configuration and a first-miss sweep would price a whole
-grid nobody reads back.  (:func:`sweep_iteration_costs`, the explicit
-grid API, batches up front regardless.)
-
-``SWEEP_ENABLED`` gates the batch path; with it off every configuration
-is priced by the scalar model on demand (the historical behaviour).
-Module-level counters (:func:`memo_stats`) expose hit/miss/sweep rates
-for the cache report.
+Two pure functions of a :class:`LoopAnalysis`: the per-iteration model
+(:func:`estimate_iteration_cycles`) and the whole-loop model built on it
+(:func:`estimate_loop_cost`).  Nothing is memoised here — a measure call
+asks for each (loop, configuration) once, and whole simulations are
+memoised one level up by :class:`repro.simulator.engine.Simulator`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.analysis.loopinfo import LoopAnalysis
 from repro.machine.description import MachineDescription, OpClass
@@ -37,38 +20,14 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-level import cycle
     from repro.vectorizer.legality import VectorizationLegality
 
 
-#: Gate for the one-pass (VF, IF) sweep.  Tests flip this to compare the
-#: batch path against the scalar model bit for bit.
-SWEEP_ENABLED = True
-
-_MEMO_STATS = {
-    "working_set_hits": 0,
-    "working_set_misses": 0,
-    "iteration_hits": 0,
-    "iteration_misses": 0,
-    "evictions": 0,
-    "sweeps": 0,
-    "swept_configs": 0,
-}
-
-
 def memo_stats() -> Dict[str, float]:
-    """Counters for the per-analysis cost memo (module-wide totals).
+    """The two counters ``benchmarks/e2e/workloads.py`` still reads.
 
-    ``sweeps`` counts one-pass grid evaluations, ``swept_configs`` the
-    configurations they priced; ``iteration_hits`` therefore includes
-    every grid point a sweep prepaid.  ``evictions`` counts runaway-key
-    backstop clears (never hit in practice).
+    The (VF, IF) sweep they counted is gone, so both are always zero; the
+    function goes when the benchmark drops its two sweep metrics (ROADMAP,
+    "Benchmark upkeep").
     """
-    stats: Dict[str, float] = dict(_MEMO_STATS)
-    lookups = stats["iteration_hits"] + stats["iteration_misses"]
-    stats["iteration_hit_rate"] = stats["iteration_hits"] / lookups if lookups else 0.0
-    return stats
-
-
-def reset_memo_stats() -> None:
-    for key in _MEMO_STATS:
-        _MEMO_STATS[key] = 0
+    return {"sweeps": 0, "swept_configs": 0}
 
 
 @dataclass
@@ -115,42 +74,9 @@ def _reduction_op_class(op: str, is_float: bool) -> OpClass:
     return OpClass.FLOAT_ADD if is_float else OpClass.INT_ADD
 
 
-def _analysis_memo(analysis: LoopAnalysis) -> dict:
-    """Per-analysis memo for derived costs, stored on the analysis itself.
-
-    An analysis is immutable once built, so working sets and iteration
-    costs derived from it can be reused for the lifetime of the object —
-    exactly the lifetime a simulator's per-loop analysis cache gives it.
-    The planner's (VF, IF) sweeps re-query the same analysis hundreds of
-    times per training run; without this memo each query re-walked the
-    access-pattern list from scratch.
-    """
-    memo = analysis.__dict__.get("_cost_memo")
-    if memo is None:
-        memo = {}
-        analysis.__dict__["_cost_memo"] = memo
-    elif len(memo) > 4096:  # runaway-key backstop; never hit in practice
-        _MEMO_STATS["evictions"] += len(memo)
-        memo.clear()
-    return memo
-
-
 def estimate_working_set(analysis: LoopAnalysis, trip_count: int) -> float:
     """Bytes the loop touches over its full trip (per array, capped at the
-    declared array size when known).  Memoized per (analysis, trip count)."""
-    memo = _analysis_memo(analysis)
-    key = ("working_set", trip_count)
-    cached = memo.get(key)
-    if cached is not None:
-        _MEMO_STATS["working_set_hits"] += 1
-        return cached
-    _MEMO_STATS["working_set_misses"] += 1
-    value = _estimate_working_set_uncached(analysis, trip_count)
-    memo[key] = value
-    return value
-
-
-def _estimate_working_set_uncached(analysis: LoopAnalysis, trip_count: int) -> float:
+    declared array size when known)."""
     per_array: Dict[str, float] = {}
     for pattern in analysis.access_patterns:
         stride = pattern.stride_elements
@@ -183,56 +109,7 @@ def estimate_iteration_cycles(
     model takes the maximum of four structural bounds (compute throughput,
     memory-port throughput, recurrence latency, cache/DRAM bandwidth) and
     adds loop control overhead and any register-spill traffic.
-
-    Results are memoized per (analysis, machine, factors, working set):
-    every ``estimate_loop_cost`` call re-derives the scalar iteration and
-    brute-force sweeps revisit the same (VF, IF) points, so most queries
-    after the first are pure lookups.  The *second* vector configuration
-    to miss for the same (machine, working set, if-conversion) group
-    prices the machine's whole candidate grid in one vectorised pass
-    (see the module docstring), so the rest of a grid sweep never
-    reaches the model at all; a one-shot query (the RL rollout path)
-    stays on the scalar model.  Callers get a fresh
-    :class:`IterationCost` each time (the memoized one stays pristine).
     """
-    memo = _analysis_memo(analysis)
-    key = ("iteration", id(machine), vf, interleave, working_set_bytes, if_converted)
-    cached = memo.get(key)
-    if cached is None or cached[0] is not machine:
-        _MEMO_STATS["iteration_misses"] += 1
-        vector = vf > 1 or interleave > 1
-        group = ("sweep_armed", id(machine), working_set_bytes, if_converted)
-        if SWEEP_ENABLED and vector and memo.get(group) is machine:
-            _sweep_into_memo(
-                analysis, machine, memo, working_set_bytes, if_converted,
-                require=(vf, interleave),
-            )
-            cached = memo[key]
-        else:
-            if vector:
-                memo[group] = machine
-            result = _estimate_iteration_cycles_uncached(
-                analysis, machine, vf, interleave, working_set_bytes, if_converted
-            )
-            memo[key] = cached = (machine, result)
-    else:
-        _MEMO_STATS["iteration_hits"] += 1
-    pristine = cached[1]
-    return IterationCost(
-        cycles=pristine.cycles,
-        bound_by=pristine.bound_by,
-        components=dict(pristine.components),
-    )
-
-
-def _estimate_iteration_cycles_uncached(
-    analysis: LoopAnalysis,
-    machine: MachineDescription,
-    vf: int,
-    interleave: int,
-    working_set_bytes: float,
-    if_converted: bool = False,
-) -> IterationCost:
     mix = analysis.operation_mix
     elements = vf * interleave
     element_bits = analysis.element_bits
@@ -411,282 +288,6 @@ def _estimate_iteration_cycles_uncached(
         + machine.loop_overhead_cycles
     )
     return IterationCost(cycles=cycles, bound_by=bound_by, components=components)
-
-
-def _candidate_grid(machine: MachineDescription) -> List[Tuple[int, int]]:
-    return [
-        (vf, interleave)
-        for vf in machine.vf_candidates()
-        for interleave in machine.if_candidates()
-    ]
-
-
-def _sweep_into_memo(
-    analysis: LoopAnalysis,
-    machine: MachineDescription,
-    memo: dict,
-    working_set_bytes: float,
-    if_converted: bool,
-    require: Optional[Tuple[int, int]] = None,
-) -> None:
-    """Price every still-uncached candidate (VF, IF) in one pass.
-
-    ``require`` forces an off-grid configuration (a trip-count-clamped
-    factor, say) into the batch so the triggering query always lands.
-    Already cached grid points are left untouched (their pristine objects
-    stay pristine and their hit counters keep meaning something).
-    """
-    configs = _candidate_grid(machine)
-    if require is not None and require not in configs:
-        configs.append(require)
-    missing = [
-        (vf, interleave)
-        for vf, interleave in configs
-        if ("iteration", id(machine), vf, interleave, working_set_bytes, if_converted)
-        not in memo
-    ]
-    if not missing:
-        return
-    results = _estimate_iteration_cycles_batch(
-        analysis, machine, missing, working_set_bytes, if_converted
-    )
-    for (vf, interleave), result in zip(missing, results):
-        key = ("iteration", id(machine), vf, interleave, working_set_bytes, if_converted)
-        memo[key] = (machine, result)
-    _MEMO_STATS["sweeps"] += 1
-    _MEMO_STATS["swept_configs"] += len(missing)
-
-
-def sweep_iteration_costs(
-    analysis: LoopAnalysis,
-    machine: MachineDescription,
-    working_set_bytes: float,
-    if_converted: bool = False,
-) -> Dict[Tuple[int, int], IterationCost]:
-    """Per-iteration cost of every candidate (VF, IF) of ``machine``.
-
-    One memoized batch evaluation (primed up front — the explicit grid
-    API never waits for the second-miss arming heuristic); each returned
-    row is bit-identical to the corresponding
-    :func:`estimate_iteration_cycles` call.  Callers get fresh
-    :class:`IterationCost` objects.
-    """
-    if SWEEP_ENABLED:
-        _sweep_into_memo(
-            analysis, machine, _analysis_memo(analysis), working_set_bytes,
-            if_converted,
-        )
-    return {
-        (vf, interleave): estimate_iteration_cycles(
-            analysis, machine, vf, interleave, working_set_bytes, if_converted
-        )
-        for vf, interleave in _candidate_grid(machine)
-    }
-
-
-def _estimate_iteration_cycles_batch(
-    analysis: LoopAnalysis,
-    machine: MachineDescription,
-    configs: List[Tuple[int, int]],
-    working_set_bytes: float,
-    if_converted: bool,
-) -> List[IterationCost]:
-    """Vectorised :func:`_estimate_iteration_cycles_uncached` over configs.
-
-    Every arithmetic step mirrors the scalar model expression for
-    expression — same association order, same int/float promotion points —
-    so each lane of the batch is bit-identical to a scalar evaluation of
-    that configuration.  Only elementwise operations run over the config
-    axis (no cross-config reductions), which is what makes the equivalence
-    exact rather than approximate.
-    """
-    mix = analysis.operation_mix
-    vf = np.array([pair[0] for pair in configs], dtype=np.int64)
-    interleave = np.array([pair[1] for pair in configs], dtype=np.int64)
-    elements = vf * interleave
-    element_bits = analysis.element_bits
-    lanes = machine.lanes_for(element_bits)
-    parts = np.maximum(1, -(-vf // lanes))  # ceil division, as physical_parts
-    copies = parts * interleave
-
-    def rt(op_class: OpClass) -> float:
-        return machine.cost(op_class).recip_throughput
-
-    def lat(op_class: OpClass) -> float:
-        return machine.cost(op_class).latency
-
-    # ---- compute throughput -------------------------------------------------
-    # The per-copy price is config-independent: one scalar sum in the exact
-    # order of the scalar model, then an elementwise multiply.
-    per_copy = (
-        mix.int_add * rt(OpClass.INT_ADD)
-        + mix.int_mul * rt(OpClass.INT_MUL)
-        + mix.int_div * rt(OpClass.INT_DIV)
-        + mix.float_add * rt(OpClass.FLOAT_ADD)
-        + mix.float_mul * rt(OpClass.FLOAT_MUL)
-        + mix.float_div * rt(OpClass.FLOAT_DIV)
-        + mix.bitwise * rt(OpClass.BITWISE)
-        + mix.shift * rt(OpClass.SHIFT)
-        + mix.compare * rt(OpClass.COMPARE)
-        + mix.select * rt(OpClass.SELECT)
-        + mix.convert * rt(OpClass.CONVERT)
-        + mix.math_call * rt(OpClass.MATH_CALL)
-    )
-    compute_cycles = copies * per_copy
-    if mix.int_div or mix.float_div or mix.math_call:
-        compute_cycles = compute_cycles + (
-            (mix.int_div + mix.float_div + mix.math_call)
-            * np.maximum(0, vf - lanes)
-            * 0.5
-            * interleave
-        )
-
-    # ---- memory ports --------------------------------------------------------
-    load_cycles = np.zeros(len(configs), dtype=np.float64)
-    store_cycles = np.zeros(len(configs), dtype=np.float64)
-    bytes_moved = np.zeros(len(configs), dtype=np.float64)
-    line = machine.cache.line_bytes
-    for pattern in analysis.access_patterns:
-        access_lanes = machine.lanes_for(pattern.element_bytes * 8)
-        access_parts = np.maximum(1, -(-vf // access_lanes))
-        aligned = _is_aligned(analysis, pattern, machine)
-        misalign = 1.0 if aligned else 1.0 + machine.misalignment_penalty
-        scalarisation_factor = 1.0 + 0.2 * np.maximum(0, access_parts * interleave - 1)
-        if pattern.access.is_write:
-            if pattern.kind == "contiguous":
-                cost = access_parts * interleave * rt(OpClass.STORE) * misalign
-                moved = elements * pattern.element_bytes
-            elif pattern.kind == "invariant":
-                cost = rt(OpClass.STORE)
-                moved = pattern.element_bytes
-            elif pattern.kind == "strided":
-                cost = elements * machine.strided_cost_per_element * scalarisation_factor
-                moved = elements * min(
-                    line, abs(pattern.stride_elements or 1) * pattern.element_bytes
-                )
-            else:  # scatter
-                cost = elements * machine.scatter_cost_per_element * scalarisation_factor
-                moved = elements * min(line, 64)
-            store_cycles = store_cycles + cost
-        else:
-            if pattern.kind == "contiguous":
-                cost = access_parts * interleave * rt(OpClass.LOAD) * misalign
-                moved = elements * pattern.element_bytes
-            elif pattern.kind == "invariant":
-                cost = 0.1
-                moved = 0.0
-            elif pattern.kind == "strided":
-                cost = elements * machine.strided_cost_per_element * scalarisation_factor
-                moved = elements * min(
-                    line, abs(pattern.stride_elements or 1) * pattern.element_bytes
-                )
-            else:  # gather
-                cost = elements * machine.gather_cost_per_element * scalarisation_factor
-                moved = elements * min(line, 64)
-            load_cycles = load_cycles + cost
-        bytes_moved = bytes_moved + moved
-
-    if if_converted:
-        vector_lanes = vf > 1
-        if vector_lanes.any():
-            mask_ops = (mix.stores + max(1, analysis.predicate_count)) * copies
-            extra_store = mask_ops * rt(OpClass.SHUFFLE) * 0.5
-            extra_compute = analysis.predicate_count * copies * rt(OpClass.SELECT)
-            store_cycles[vector_lanes] = (
-                store_cycles[vector_lanes] + extra_store[vector_lanes]
-            )
-            compute_cycles = np.asarray(compute_cycles, dtype=np.float64).copy()
-            compute_cycles[vector_lanes] = (
-                compute_cycles[vector_lanes] + extra_compute[vector_lanes]
-            )
-
-    # ---- issue width ---------------------------------------------------------
-    total_uops = (
-        copies * (mix.arithmetic + mix.compare + mix.select + mix.convert)
-        + copies * mix.math_call * 4
-        + load_cycles / max(rt(OpClass.LOAD), 1e-9) * rt(OpClass.LOAD) * 2
-        + store_cycles / max(rt(OpClass.STORE), 1e-9) * rt(OpClass.STORE)
-    )
-    issue_cycles = total_uops / machine.issue_width
-
-    # ---- recurrence latency ---------------------------------------------------
-    base_latency = 0.0
-    for reduction in analysis.reductions:
-        op_class = _reduction_op_class(reduction.op, reduction.is_float)
-        base_latency = max(base_latency, lat(op_class))
-    latency_cycles = np.full(len(configs), base_latency, dtype=np.float64)
-    graph = analysis.dependence_graph
-    if graph is not None:
-        distance = graph.min_carried_distance()
-        if distance is not None and distance > 0:
-            chain_latency = lat(OpClass.LOAD) + (
-                lat(OpClass.FLOAT_ADD) if mix.float_add or mix.float_mul
-                else lat(OpClass.INT_ADD)
-            )
-            latency_cycles = np.maximum(
-                latency_cycles, chain_latency * elements / distance
-            )
-        if graph.scalar_recurrences:
-            serial_latency = (
-                lat(OpClass.FLOAT_ADD)
-                if mix.float_add or mix.float_mul or mix.float_div
-                else lat(OpClass.INT_ADD)
-            )
-            latency_cycles = np.maximum(latency_cycles, serial_latency * elements)
-
-    # ---- cache / DRAM bandwidth ----------------------------------------------
-    bandwidth = machine.cache.effective_bandwidth(working_set_bytes)
-    bandwidth_cycles = bytes_moved / max(bandwidth, 1e-9)
-    if analysis.gather_accesses:
-        bandwidth_cycles = bandwidth_cycles + (
-            analysis.gather_accesses
-            * elements
-            * 0.02
-            * machine.cache.effective_load_latency(working_set_bytes)
-        )
-
-    # ---- register pressure -----------------------------------------------------
-    distinct_arrays = len({p.access.array for p in analysis.access_patterns})
-    live_vectors = (
-        len(analysis.reductions) * parts * interleave
-        + 0.4 * distinct_arrays * parts * interleave
-        + 2
-    )
-    excess = live_vectors - machine.vector_registers
-    spill_mask = ((vf > 1) | (interleave > 1)) & (excess > 0)
-    spill_cycles = np.where(
-        spill_mask,
-        excess * (rt(OpClass.LOAD) + rt(OpClass.STORE)) * 0.75,
-        0.0,
-    )
-
-    component_rows = (
-        ("compute", np.broadcast_to(np.asarray(compute_cycles, dtype=np.float64),
-                                    (len(configs),))),
-        ("load", load_cycles),
-        ("store", store_cycles),
-        ("issue", issue_cycles),
-        ("latency", latency_cycles),
-        ("bandwidth", bandwidth_cycles),
-    )
-    stacked = np.stack([row for _, row in component_rows])
-    bound_index = np.argmax(stacked, axis=0)
-    bounded_cycles = np.max(stacked, axis=0)
-    cycles = bounded_cycles + spill_cycles + machine.loop_overhead_cycles
-
-    names = tuple(name for name, _ in component_rows)
-    results: List[IterationCost] = []
-    for index in range(len(configs)):
-        components = {name: float(row[index]) for name, row in component_rows}
-        components["spill"] = float(spill_cycles[index])
-        results.append(
-            IterationCost(
-                cycles=float(cycles[index]),
-                bound_by=names[int(bound_index[index])],
-                components=components,
-            )
-        )
-    return results
 
 
 def _is_aligned(

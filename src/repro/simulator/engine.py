@@ -6,9 +6,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
-import numpy as np
-
-from repro.analysis.loopinfo import LoopAnalysis, OperationMix, analyze_loop, _count_statement
+from repro.analysis.loopinfo import OperationMix, analyze_loop, _count_statement
 from repro.ir.evaluate import evaluate_expr, trip_count_of
 from repro.ir.nodes import Conditional, IRFunction, Loop, RegionNode, Statement
 from repro.machine.description import MachineDescription, OpClass
@@ -19,9 +17,7 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-level import cycle
 
 
 #: :class:`OperationMix` count fields paired with the op class that prices
-#: them, in the exact order the scalar pricer accumulates.  The vectorised
-#: block pricer adds the per-class products in this same order so both paths
-#: produce bit-identical cycles for every statement.
+#: them, in the order the statement pricer accumulates.
 _MIX_OP_CLASSES: Tuple[Tuple[str, OpClass], ...] = (
     ("int_add", OpClass.INT_ADD),
     ("int_mul", OpClass.INT_MUL),
@@ -81,6 +77,13 @@ class Simulator:
     parameters (the equivalent of the paper's test harness choosing concrete
     array sizes); any symbol still unknown falls back to
     ``default_symbol_value``.
+
+    A simulator memoises whole simulations (``_simulate_cache``, an LRU
+    keyed by function identity, plan factors and bindings), the folded
+    statement runs of each region body (playbooks) and per-statement
+    prices.  It keeps no loop analyses: a planned loop is priced from
+    ``plan.plan_for(loop).analysis`` and only a loop the plan does not
+    cover is analysed here.
     """
 
     #: Entry cap for the per-simulator memo of whole-function simulations.
@@ -95,7 +98,6 @@ class Simulator:
         self.machine = machine or MachineDescription()
         self.bindings = dict(bindings or {})
         self.default_symbol_value = default_symbol_value
-        self._analysis_cache: Dict[Tuple[int, int], LoopAnalysis] = {}
         # Memoised whole-function simulations keyed by (function, plan
         # factors, bindings), LRU-evicted at MAX_MEMO_ENTRIES.  The
         # FunctionCost values hold the function alive, so the id()-based
@@ -111,9 +113,8 @@ class Simulator:
         # once per region, so repeated (VF, IF, unroll) queries stop
         # re-walking (and re-pricing) the statement lists.
         self._playbook_cache: Dict[int, Tuple[object, Tuple[object, ...]]] = {}
-        self._op_costs = np.array(
-            [self.machine.cost(op).recip_throughput for _, op in _MIX_OP_CLASSES],
-            dtype=np.float64,
+        self._op_costs = tuple(
+            float(self.machine.cost(op).recip_throughput) for _, op in _MIX_OP_CLASSES
         )
 
     # -- public API ---------------------------------------------------------------
@@ -149,26 +150,16 @@ class Simulator:
 
     def memo_stats(self) -> Dict[str, float]:
         """Counters for this simulator's memos (the whole-function LRU plus
-        entry counts of the per-function analysis/statement/playbook stores)."""
+        entry counts of the per-function statement/playbook stores)."""
         return {
             "hits": self.memo.hits,
             "misses": self.memo.misses,
             "evictions": self.memo.evictions,
             "hit_rate": self.memo.hit_rate,
             "entries": len(self._simulate_cache),
-            "analysis_entries": len(self._analysis_cache),
             "statement_entries": len(self._statement_cache),
             "playbook_entries": len(self._playbook_cache),
         }
-
-    def loop_analysis(self, function: IRFunction, loop: Loop) -> LoopAnalysis:
-        key = (id(function), loop.loop_id)
-        cached = self._analysis_cache.get(key)
-        if cached is not None and cached.function is function:
-            return cached
-        analysis = analyze_loop(function, loop)
-        self._analysis_cache[key] = analysis
-        return analysis
 
     # -- region walking ---------------------------------------------------------------
 
@@ -208,10 +199,10 @@ class Simulator:
         """Reduce a region body to folded statement-run cycles plus the
         plan-dependent nodes, memoized by body identity.
 
-        Consecutive statements are priced in one vectorised pass and folded
-        into a single float, so per-plan queries only re-evaluate the Loop
-        and Conditional entries.  The body list is pinned in the cache value
-        to keep its id() from being recycled.
+        Consecutive statements are priced once and folded into a single
+        float (their in-order sum), so per-plan queries only re-evaluate
+        the Loop and Conditional entries.  The body list is pinned in the
+        cache value to keep its id() from being recycled.
         """
         key = id(nodes)
         cached = self._playbook_cache.get(key)
@@ -224,12 +215,12 @@ class Simulator:
                 run.append(node)
                 continue
             if run:
-                items.append(self._statement_block_cycles(run))
+                items.append(self._statement_run_cycles(run))
                 run = []
             if isinstance(node, (Conditional, Loop)):
                 items.append(node)
         if run:
-            items.append(self._statement_block_cycles(run))
+            items.append(self._statement_run_cycles(run))
         playbook = tuple(items)
         self._playbook_cache[key] = (nodes, playbook)
         return playbook
@@ -244,7 +235,6 @@ class Simulator:
     ) -> float:
         trip = self._runtime_trip_count(loop, bindings)
         if loop.is_innermost:
-            analysis = self.loop_analysis(function, loop)
             loop_plan = plan.plan_for(loop) if plan is not None else None
             if loop_plan is not None:
                 loop_cost = estimate_loop_cost(
@@ -256,7 +246,11 @@ class Simulator:
                     legality=loop_plan.legality,
                 )
             else:
-                loop_cost = estimate_loop_cost(analysis, self.machine, 1, 1, trip)
+                # A loop the plan does not cover runs scalar; this is the
+                # only analysis the engine does itself.
+                loop_cost = estimate_loop_cost(
+                    analyze_loop(function, loop), self.machine, 1, 1, trip
+                )
             cost.loop_costs[loop.loop_id] = loop_cost
             return loop_cost.total_cycles + 2.0
         body_cycles = self._region_cycles(loop.body, function, plan, bindings, cost)
@@ -276,37 +270,17 @@ class Simulator:
     def _statement_cycles_uncached(self, statement: Statement) -> float:
         mix = OperationMix()
         _count_statement(statement, mix)
-        costs = self._op_costs
         cycles = 0.0
-        for column, (field_name, _) in enumerate(_MIX_OP_CLASSES):
-            cycles += getattr(mix, field_name) * float(costs[column])
+        for (field_name, _), cost in zip(_MIX_OP_CLASSES, self._op_costs):
+            cycles += getattr(mix, field_name) * cost
         return max(cycles, 0.25)
 
-    def _statement_block_cycles(self, statements: List[Statement]) -> float:
-        """Cycles of a run of consecutive statements, priced in one pass.
-
-        Builds an (n_statements, n_op_classes) count matrix and reduces it
-        against the machine cost vector class by class — the same
-        accumulation order as the scalar pricer, so every per-statement
-        value is bit-identical to :meth:`_statement_cycles`.
-        """
-        if len(statements) == 1:
-            return self._statement_cycles(statements[0])
-        mixes = np.empty((len(statements), len(_MIX_OP_CLASSES)), dtype=np.float64)
-        for row, statement in enumerate(statements):
-            mix = OperationMix()
-            _count_statement(statement, mix)
-            for column, (field_name, _) in enumerate(_MIX_OP_CLASSES):
-                mixes[row, column] = getattr(mix, field_name)
-        costs = self._op_costs
-        cycles = mixes[:, 0] * costs[0]
-        for column in range(1, costs.shape[0]):
-            cycles += mixes[:, column] * costs[column]
-        np.maximum(cycles, 0.25, out=cycles)
+    def _statement_run_cycles(self, statements: List[Statement]) -> float:
+        # An explicit in-order sum: builtin sum() compensates floats on
+        # Python >= 3.12, which would make cycles depend on the interpreter.
         total = 0.0
-        for statement, value in zip(statements, cycles.tolist()):
-            self._statement_cache[id(statement)] = (statement, value)
-            total += value
+        for statement in statements:
+            total += self._statement_cycles(statement)
         return total
 
     def _runtime_trip_count(self, loop: Loop, bindings: Dict[str, float]) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Tuple
 
+from repro.analysis.loopinfo import analyze_loop
 from repro.ir.nodes import IRFunction, Loop
 from repro.machine.description import MachineDescription
 from repro.simulator.engine import Simulator
@@ -60,6 +61,7 @@ def brute_force_search(
     baseline's choice; because the simulator's per-loop costs are additive
     this finds the jointly optimal assignment while evaluating
     ``loops x |VF| x |IF|`` plans instead of the full cross product.
+    Every plan of the search shares one analysis per loop.
     """
     machine = machine or MachineDescription()
     simulator = simulator or Simulator(machine=machine, bindings=bindings)
@@ -68,7 +70,11 @@ def brute_force_search(
 
     baseline = BaselineCostModel(machine=machine)
     baseline_decisions = baseline.decide_function(function)
-    baseline_plan = build_plan(function, baseline_decisions, machine)
+    analyses = {
+        loop.loop_id: analyze_loop(function, loop)
+        for loop in function.innermost_loops()
+    }
+    baseline_plan = build_plan(function, baseline_decisions, machine, analyses=analyses)
     baseline_cycles = simulator.simulate(function, baseline_plan).total_cycles
 
     result = BruteForceResult(function=function, baseline_cycles=baseline_cycles)
@@ -82,7 +88,7 @@ def brute_force_search(
             for interleave in ifs:
                 trial = dict(best_decisions)
                 trial[loop.loop_id] = (vf, interleave)
-                plan = build_plan(function, trial, machine)
+                plan = build_plan(function, trial, machine, analyses=analyses)
                 cycles = simulator.simulate(function, plan).total_cycles
                 grid[(vf, interleave)] = cycles
                 result.evaluations += 1
@@ -93,6 +99,6 @@ def brute_force_search(
         result.best_factors[loop.loop_id] = best_pair
         result.grids[loop.loop_id] = grid
 
-    final_plan = build_plan(function, best_decisions, machine)
+    final_plan = build_plan(function, best_decisions, machine, analyses=analyses)
     result.best_cycles = simulator.simulate(function, final_plan).total_cycles
     return result

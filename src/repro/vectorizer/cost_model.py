@@ -25,7 +25,6 @@ from repro.analysis.loopinfo import LoopAnalysis, analyze_loop
 from repro.ir.nodes import IRFunction, Loop
 from repro.machine.description import MachineDescription
 from repro.vectorizer.legality import VectorizationLegality, check_legality
-from repro.vectorizer.planner import FunctionVectorPlan, build_plan
 
 
 @dataclass
@@ -157,7 +156,3 @@ class BaselineCostModel:
             decision = self.decide_loop(function, loop)
             decisions[loop.loop_id] = (decision.vf, decision.interleave)
         return decisions
-
-    def plan_function(self, function: IRFunction) -> FunctionVectorPlan:
-        """A ready-to-simulate plan using the baseline's decisions."""
-        return build_plan(function, self.decide_function(function), self.machine)

@@ -110,18 +110,24 @@ def build_plan(
     function: IRFunction,
     decisions: Dict[int, Tuple[int, int]],
     machine: Optional[MachineDescription] = None,
+    analyses: Optional[Dict[int, LoopAnalysis]] = None,
 ) -> FunctionVectorPlan:
     """Build a function-level plan from explicit per-loop (VF, IF) decisions.
 
     ``decisions`` maps ``loop_id`` to requested factors.  Innermost loops
-    without an entry default to (1, 1), i.e. scalar.
+    without an entry default to (1, 1), i.e. scalar.  ``analyses`` maps
+    ``loop_id`` to an analysis the caller already holds for that loop of
+    ``function``; the plan keeps that object, and a loop without an entry
+    is analysed here.
     """
     machine = machine or MachineDescription()
+    analyses = analyses or {}
     plan = FunctionVectorPlan(function=function, machine=machine)
     for loop in function.innermost_loops():
         requested_vf, requested_if = decisions.get(loop.loop_id, (1, 1))
         plan.plans[loop.loop_id] = make_loop_plan(
-            function, loop, requested_vf, requested_if, machine
+            function, loop, requested_vf, requested_if, machine,
+            analysis=analyses.get(loop.loop_id),
         )
     return plan
 

@@ -1,12 +1,11 @@
 """Byte-identity regression suite for the fused PPO update path.
 
-The fused kernel (:mod:`repro.rl.fused_update`), the fused composite ops
+The fused kernel (:mod:`repro.rl.fused_update`) and the fused composite ops
 (:func:`repro.nn.ops.ppo_surrogate`, :func:`repro.nn.ops.entropy_from_logits`)
-and the one-pass simulator sweep (:mod:`repro.simulator.cost`) are all
-pure re-expressions of slower reference code.  Every test here compares
+are pure re-expressions of slower reference code.  Every test here compares
 raw bytes — losses, per-parameter gradients, Adam moment state, trained
-weights, cost-model cycles — against the reference path, because "close"
-is not the contract: the contract is *identical*.
+weights — against the reference path, because "close" is not the contract:
+the contract is *identical*.
 """
 
 import numpy as np
@@ -14,10 +13,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.loopinfo import analyze_loop
-from repro.frontend import parse_source
-from repro.ir.lowering import lower_unit
-from repro.machine.description import avx2_machine, avx512_machine
 from repro.nn import Tensor, ops
 from repro.rl.fused_update import FusedUpdater, supports_fused_update
 from repro.rl.policy import make_policy
@@ -26,14 +21,6 @@ from repro.rl.spaces import (
     ContinuousJointSpace,
     ContinuousPairSpace,
     DiscreteFactorSpace,
-)
-from repro.simulator import cost as cost_mod
-from repro.simulator.cost import (
-    _candidate_grid,
-    _estimate_iteration_cycles_uncached,
-    estimate_iteration_cycles,
-    estimate_working_set,
-    sweep_iteration_costs,
 )
 
 
@@ -258,188 +245,3 @@ class TestFusedOps:
             assert fused.data.tobytes() == raw.data.tobytes()
             assert fused_input.grad.tobytes() == raw_input.grad.tobytes()
 
-
-SAXPY = (
-    "float x[4096], y[4096];\n"
-    "void f(float a) { for (int i = 0; i < 4096; i++) y[i] = a * x[i] + y[i]; }"
-)
-REDUCTION = (
-    "float a[4096], b[4096];\n"
-    "float f() { float s = 0; for (int i = 0; i < 4096; i++) "
-    "s += a[i] * b[i]; return s; }"
-)
-PREDICATED = (
-    "float a[4096], b[4096];\n"
-    "void f() { for (int i = 0; i < 4096; i++) { if (a[i] > 0) b[i] = a[i]; } }"
-)
-GATHER = (
-    "int idx[4096]; float a[4096], b[4096];\n"
-    "void f() { for (int i = 0; i < 4096; i++) b[i] = a[idx[i]]; }"
-)
-
-
-def _analysis(source):
-    functions = lower_unit(parse_source(source))
-    function = next(iter(functions.values()))
-    loop = function.innermost_loops()[0]
-    return analyze_loop(function, loop)
-
-
-class TestCostSweepByteIdentity:
-    """The one-pass (VF, IF) sweep must reproduce the scalar model exactly."""
-
-    @pytest.mark.parametrize(
-        "source", [SAXPY, REDUCTION, PREDICATED, GATHER],
-        ids=["saxpy", "reduction", "predicated", "gather"],
-    )
-    @pytest.mark.parametrize("machine_factory", [avx2_machine, avx512_machine],
-                             ids=["avx2", "avx512"])
-    @pytest.mark.parametrize("if_converted", [False, True])
-    def test_sweep_matches_scalar_model(self, source, machine_factory, if_converted):
-        machine = machine_factory()
-        reference_analysis = _analysis(source)
-        working_set = estimate_working_set(reference_analysis, 4096)
-        expected = {
-            config: _estimate_iteration_cycles_uncached(
-                reference_analysis, machine, config[0], config[1],
-                working_set, if_converted,
-            )
-            for config in _candidate_grid(machine)
-        }
-
-        swept_analysis = _analysis(source)  # cold memo: forces a sweep
-        for config, reference in expected.items():
-            swept = estimate_iteration_cycles(
-                swept_analysis, machine, config[0], config[1],
-                working_set, if_converted,
-            )
-            assert swept.cycles == reference.cycles
-            assert swept.bound_by == reference.bound_by
-            assert swept.components == reference.components
-
-    def test_sweep_disabled_matches_enabled(self):
-        machine = avx2_machine()
-        analysis_on = _analysis(SAXPY)
-        analysis_off = _analysis(SAXPY)
-        working_set = estimate_working_set(analysis_on, 4096)
-        assert working_set == estimate_working_set(analysis_off, 4096)
-        original = cost_mod.SWEEP_ENABLED
-        try:
-            cost_mod.SWEEP_ENABLED = True
-            swept = sweep_iteration_costs(analysis_on, machine, working_set)
-            cost_mod.SWEEP_ENABLED = False
-            for config, from_sweep in swept.items():
-                scalar = estimate_iteration_cycles(
-                    analysis_off, machine, config[0], config[1], working_set
-                )
-                assert from_sweep.cycles == scalar.cycles
-                assert from_sweep.components == scalar.components
-        finally:
-            cost_mod.SWEEP_ENABLED = original
-
-    def test_off_grid_configuration_is_included(self):
-        machine = avx2_machine()
-        analysis = _analysis(SAXPY)
-        working_set = estimate_working_set(analysis, 4096)
-        # Arm and fire the group sweep with two grid queries, then ask for
-        # an off-grid point: the require= path must batch it in.
-        estimate_iteration_cycles(analysis, machine, 2, 1, working_set)
-        estimate_iteration_cycles(analysis, machine, 4, 1, working_set)
-        odd = estimate_iteration_cycles(analysis, machine, 3, 5, working_set)
-        reference = _estimate_iteration_cycles_uncached(
-            _analysis(SAXPY), machine, 3, 5, working_set, False
-        )
-        assert odd.cycles == reference.cycles
-        assert odd.components == reference.components
-
-    def test_memo_stats_count_sweeps_and_hits(self):
-        cost_mod.reset_memo_stats()
-        machine = avx2_machine()
-        analysis = _analysis(SAXPY)
-        working_set = estimate_working_set(analysis, 4096)
-        grid = _candidate_grid(machine)
-        for config in grid:
-            estimate_iteration_cycles(
-                analysis, machine, config[0], config[1], working_set
-            )
-        stats = cost_mod.memo_stats()
-        assert stats["sweeps"] == 1
-        # (1, 1) went through the scalar path, the first vector miss armed
-        # the group (scalar path too), and the second vector miss swept the
-        # rest of the grid.
-        assert stats["swept_configs"] == len(grid) - 2
-        # Three misses at most ((1,1), arming vector, sweeping vector);
-        # every later grid point was a hit.
-        assert stats["iteration_misses"] <= 3
-        assert stats["iteration_hits"] >= len(grid) - 3
-        assert 0.0 < stats["iteration_hit_rate"] <= 1.0
-
-    def test_one_shot_vector_query_does_not_sweep(self):
-        # The RL rollout path rewrites source per action, so each analysis
-        # sees exactly one vector configuration; sweeping a whole grid
-        # nobody reads back would be pure overhead there.
-        cost_mod.reset_memo_stats()
-        machine = avx2_machine()
-        analysis = _analysis(SAXPY)
-        working_set = estimate_working_set(analysis, 4096)
-        estimate_iteration_cycles(analysis, machine, 4, 2, working_set)
-        stats = cost_mod.memo_stats()
-        assert stats["sweeps"] == 0
-        assert stats["swept_configs"] == 0
-
-    def test_explicit_grid_api_sweeps_immediately(self):
-        cost_mod.reset_memo_stats()
-        machine = avx2_machine()
-        analysis = _analysis(SAXPY)
-        working_set = estimate_working_set(analysis, 4096)
-        sweep_iteration_costs(analysis, machine, working_set)
-        stats = cost_mod.memo_stats()
-        assert stats["sweeps"] == 1
-        assert stats["swept_configs"] == len(_candidate_grid(machine))
-
-    def test_callers_get_fresh_objects(self):
-        machine = avx2_machine()
-        analysis = _analysis(SAXPY)
-        working_set = estimate_working_set(analysis, 4096)
-        first = estimate_iteration_cycles(analysis, machine, 4, 2, working_set)
-        first.components["compute"] = -1.0
-        second = estimate_iteration_cycles(analysis, machine, 4, 2, working_set)
-        assert second.components["compute"] != -1.0
-
-
-class TestCacheStatsWiring:
-    def test_pipeline_reports_cost_memo_counters(self):
-        from repro.core.pipeline import CompileAndMeasure
-
-        stats = CompileAndMeasure().simulator_memo_stats()
-        for key in (
-            "cost_iteration_hits",
-            "cost_iteration_misses",
-            "cost_iteration_hit_rate",
-            "cost_sweeps",
-            "cost_swept_configs",
-        ):
-            assert key in stats
-
-    def test_cache_stats_table_renders_sweep_rows(self):
-        from repro.evaluation.report import format_cache_stats_table
-
-        class Stats:
-            lookups = 2
-            hits = 1
-            misses = 1
-            batch_deduplicated = 0
-            evictions = 0
-            hit_rate = 0.5
-            compiles_avoided = 1
-
-        memo = {
-            "hits": 1, "misses": 1, "evictions": 0, "hit_rate": 0.5,
-            "entries": 1, "playbook_entries": 0,
-            "cost_iteration_hits": 34, "cost_iteration_misses": 2,
-            "cost_iteration_hit_rate": 34 / 36, "cost_sweeps": 1,
-            "cost_swept_configs": 35,
-        }
-        rendered = str(format_cache_stats_table(Stats(), simulator_memo=memo))
-        assert "cost grid sweeps" in rendered
-        assert "cost configs prepaid" in rendered

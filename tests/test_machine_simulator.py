@@ -123,6 +123,15 @@ class TestIterationCost:
         gather_cost = estimate_iteration_cycles(gathered, machine, 8, 1, ws)
         assert gather_cost.cycles > contiguous_cost.cycles
 
+    def test_callers_get_fresh_objects(self):
+        machine = avx2_machine()
+        _, _, analysis = _analysis(SAXPY)
+        working_set = estimate_working_set(analysis, 4096)
+        first = estimate_iteration_cycles(analysis, machine, 4, 2, working_set)
+        first.components["compute"] = -1.0
+        second = estimate_iteration_cycles(analysis, machine, 4, 2, working_set)
+        assert second.components["compute"] != -1.0
+
     def test_working_set_capped_by_array_size(self):
         _, _, analysis = _analysis("float a[256];\nvoid f() { for (int i = 0; i < 256; i++) a[i] = 1; }")
         assert estimate_working_set(analysis, 256) <= 256 * 4 + 1
