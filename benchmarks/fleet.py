@@ -147,7 +147,7 @@ def bench_fault_tolerance(workload: Dict[str, object]) -> Dict[str, object]:
 
     kernels = _kernels(workload)
     requests = [
-        (kernel, 0, vf, interleave)
+        (kernel, 0, (vf, interleave))
         for kernel in kernels
         for vf in (1, 2, 4, 8)
         for interleave in (1, 2)

@@ -92,8 +92,8 @@ def test_ablation_compile_time_penalty(benchmark):
     def run():
         capped = VectorizationEnv(samples, pipeline=pipeline, compile_time_limit=2.0)
         uncapped = VectorizationEnv(samples, pipeline=pipeline, compile_time_limit=1e9)
-        with_cap, _ = capped.evaluate_factors(samples[0], 64, 16)
-        without_cap, _ = uncapped.evaluate_factors(samples[0], 64, 16)
+        with_cap, _ = capped.evaluate_action(samples[0], (64, 16))
+        without_cap, _ = uncapped.evaluate_action(samples[0], (64, 16))
         return with_cap, without_cap
 
     with_cap, without_cap = benchmark.pedantic(run, iterations=1, rounds=1)

@@ -29,7 +29,7 @@ def _grid_requests(kernels):
         for loop_index in range(loop_count):
             for vf in DEFAULT_VF_VALUES:
                 for interleave in DEFAULT_IF_VALUES:
-                    requests.append((kernel, loop_index, vf, interleave))
+                    requests.append((kernel, loop_index, (vf, interleave)))
     return requests
 
 

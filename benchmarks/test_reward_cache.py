@@ -16,6 +16,7 @@ from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.polybench import polybench_suite
 from repro.evaluation.report import format_cache_stats_table
 from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
+from repro.tasks import get_task
 
 #: The cold path must be at least this many times slower than warm lookups.
 MIN_SPEEDUP = 5.0
@@ -31,14 +32,14 @@ def _grid_requests(kernels):
         for loop_index in range(loop_count):
             for vf in DEFAULT_VF_VALUES:
                 for interleave in DEFAULT_IF_VALUES:
-                    requests.append((kernel, loop_index, vf, interleave))
+                    requests.append((kernel, loop_index, (vf, interleave)))
     return requests
 
 
 def _run_pass(pipeline, cache, requests):
     batcher = EvaluationBatcher(pipeline, cache)
-    for kernel, loop_index, vf, interleave in requests:
-        batcher.add(kernel, loop_index, vf, interleave)
+    for kernel, loop_index, action in requests:
+        batcher.add_action(kernel, loop_index, action)
     start = time.perf_counter()
     outcomes = batcher.flush()
     return time.perf_counter() - start, outcomes
@@ -85,7 +86,7 @@ def test_batcher_deduplicates_repeated_requests():
     repeats = 10
     for _ in range(repeats):
         for kernel in kernels:
-            batcher.add(kernel, 0, 8, 2)
+            batcher.add_action(kernel, 0, (8, 2))
     outcomes = batcher.flush()
     assert len(outcomes) == repeats * len(kernels)
     # One compile per unique (kernel, loop, VF, IF); the rest were folded.
@@ -101,7 +102,8 @@ def test_identical_source_shares_cache_entries():
     clone.name = "clone_of_" + kernel.name
     pipeline = CompileAndMeasure()
     cache = RewardCache()
-    cache.measure(pipeline, kernel, 0, 4, 2)
-    _, was_hit = cache.measure(pipeline, clone, 0, 4, 2)
+    task = get_task("vectorization")
+    cache.measure_action(pipeline, task, kernel, 0, (4, 2))
+    _, was_hit = cache.measure_action(pipeline, task, clone, 0, (4, 2))
     # Content-keyed: a renamed kernel with byte-identical source hits.
     assert was_hit

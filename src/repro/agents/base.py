@@ -12,39 +12,14 @@ from repro.datasets.kernels import LoopKernel
 class AgentDecision:
     """An agent's chosen action for one decision site.
 
-    ``action`` is the task-defined tuple; the legacy two-argument
-    constructor ``AgentDecision(vf, interleave)`` and the ``.vf`` /
-    ``.interleave`` accessors keep working for two-dimensional tasks (they
-    alias the first and second components).
+    ``action`` is the task-defined tuple: ``(vf, interleave)`` for the
+    default vectorization task, ``(tile, fuse)`` for Polly tiling, ...
     """
 
     __slots__ = ("action",)
 
-    def __init__(
-        self,
-        vf: Optional[int] = None,
-        interleave: Optional[int] = None,
-        action: Optional[Tuple[int, ...]] = None,
-    ):
-        if action is None:
-            if vf is None or interleave is None:
-                raise TypeError(
-                    "AgentDecision needs either action=(...) or vf/interleave"
-                )
-            action = (int(vf), int(interleave))
-        elif vf is not None or interleave is not None:
-            raise TypeError("pass either action or vf/interleave, not both")
+    def __init__(self, action: Tuple[int, ...]):
         self.action: Tuple[int, ...] = tuple(int(value) for value in action)
-
-    @property
-    def vf(self) -> int:
-        """Legacy alias for the first action component."""
-        return self.action[0]
-
-    @property
-    def interleave(self) -> int:
-        """Legacy alias for the second action component."""
-        return self.action[1]
 
     def as_tuple(self) -> Tuple[int, ...]:
         return self.action

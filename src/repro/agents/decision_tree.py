@@ -180,51 +180,22 @@ class DecisionTreeAgent(VectorizationAgent):
 
     name = "decision_tree"
 
-    def __init__(
-        self,
-        vf_values: Optional[Sequence[int]] = None,
-        if_values: Optional[Sequence[int]] = None,
-        max_depth: int = 8,
-        seed: int = 0,
-        task=None,
-    ):
+    def __init__(self, max_depth: int = 8, seed: int = 0, task=None):
         from repro.rl.spaces import DiscreteFactorSpace
         from repro.tasks import resolve_task
 
         self.task = resolve_task(task)
-        menus = list(self.task.menus)
-        if vf_values is not None:
-            menus[0] = tuple(vf_values)
-        if if_values is not None:
-            menus[1] = tuple(if_values)
-        self.menus: Tuple[Tuple[int, ...], ...] = tuple(tuple(m) for m in menus)
         # The space owns the (tested, tie-break-pinned) flatten/unflatten
         # between action tuples and the tree's class labels.
-        self._space = DiscreteFactorSpace(menus=self.menus)
+        self._space = DiscreteFactorSpace(menus=self.task.menus)
         self.tree = DecisionTree(max_depth=max_depth, seed=seed)
         self._fitted = False
-
-    @property
-    def vf_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the first menu."""
-        return self.menus[0]
-
-    @property
-    def if_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the second menu."""
-        return self.menus[1]
-
-    def _label_of(self, *action) -> int:
-        return self._space.flatten_action(*action)
-
-    def _factors_of(self, label: int) -> Tuple[int, ...]:
-        return self._space.unflatten_action(label)
 
     def fit(
         self, embeddings: np.ndarray, labels: Sequence[Tuple[int, ...]]
     ) -> "DecisionTreeAgent":
         encoded = np.array(
-            [self._label_of(tuple(label)) for label in labels], dtype=np.int64
+            [self._space.flatten_action(label) for label in labels], dtype=np.int64
         )
         self.tree.n_classes = self._space.num_actions
         features = np.asarray(embeddings, dtype=np.float64)
@@ -241,4 +212,4 @@ class DecisionTreeAgent(VectorizationAgent):
         if not self._fitted:
             raise RuntimeError("DecisionTreeAgent.fit() has not been called")
         label = self.tree.predict_one(np.asarray(observation, dtype=np.float64))
-        return AgentDecision(action=self._factors_of(label))
+        return AgentDecision(action=self._space.unflatten_action(label))

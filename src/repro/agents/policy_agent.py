@@ -37,9 +37,9 @@ class PolicyAgent(VectorizationAgent):
         # policy was never trained for, or a multi-bank policy with no
         # task to route by, would otherwise only blow up on the first
         # select_factors call.
-        if self.task is not None and hasattr(policy, "heads_for"):
+        if self.task is not None:
             policy.heads_for(self.task.name)
-        elif self.task is None and len(getattr(policy, "task_names", ())) > 1:
+        elif len(policy.task_names) > 1:
             raise ValueError(
                 "a jointly-trained policy needs task=<name> (or "
                 f"for_task()) to decide with; trained heads: "
@@ -49,11 +49,6 @@ class PolicyAgent(VectorizationAgent):
     def for_task(self, task) -> "PolicyAgent":
         """This policy pinned to one of its tasks (joint-training helper)."""
         return PolicyAgent(self.policy, deterministic=self.deterministic, task=task)
-
-    def _space(self, task_name: Optional[str]):
-        if hasattr(self.policy, "space_for"):
-            return self.policy.space_for(task_name)
-        return self.policy.space
 
     def select_factors(
         self,
@@ -67,4 +62,5 @@ class PolicyAgent(VectorizationAgent):
             deterministic=self.deterministic,
             task=task_name,
         )
-        return AgentDecision(action=self._space(task_name).decode(output.action))
+        space = self.policy.space_for(task_name)
+        return AgentDecision(action=space.decode(output.action))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class RandomSearchAgent(VectorizationAgent):
 
     def __init__(
         self,
-        vf_values: Optional[Sequence[int]] = None,
-        if_values: Optional[Sequence[int]] = None,
         seed: int = 0,
         candidates: int = 1,
         pipeline: Optional[CompileAndMeasure] = None,
@@ -56,29 +54,12 @@ class RandomSearchAgent(VectorizationAgent):
         if candidates < 1:
             raise ValueError("candidates must be at least 1")
         self.task = resolve_task(task)
-        menus = list(self.task.menus)
-        # Legacy menu overrides for the two-dimensional vectorization task.
-        if vf_values is not None:
-            menus[0] = tuple(vf_values)
-        if if_values is not None:
-            menus[1] = tuple(if_values)
-        self.menus: Tuple[Tuple[int, ...], ...] = tuple(tuple(m) for m in menus)
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self.candidates = candidates
         self.pipeline = pipeline
         self.evaluation_service = evaluation_service
         self.reward_cache = resolve_cache(reward_cache, evaluation_service)
-
-    @property
-    def vf_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the first menu."""
-        return self.menus[0]
-
-    @property
-    def if_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the second menu."""
-        return self.menus[1]
 
     def _rng_for(self, kernel: Optional[LoopKernel], loop_index: int):
         """The random stream for one query — content-derived when possible."""
@@ -90,7 +71,7 @@ class RandomSearchAgent(VectorizationAgent):
         )
 
     def _draw(self, rng) -> Tuple[int, ...]:
-        return tuple(int(rng.choice(menu)) for menu in self.menus)
+        return tuple(int(rng.choice(menu)) for menu in self.task.menus)
 
     def select_factors(
         self,

@@ -18,9 +18,7 @@ Since the task redesign a key's action part is a *generic tuple* tagged
 with the owning :class:`repro.tasks.OptimizationTask` name — ``(vf, if)``
 for vectorization, ``(tile, fuse)`` for Polly tiling — so one cache (and
 one persistent store) serves every registered task without collisions.
-The legacy two-int API (``measure(pipeline, kernel, loop, vf, interleave)``,
-``key_for(..., vf, interleave)``) is kept as a shim over the vectorization
-task.
+Every entry point takes the action tuple and the owning task explicitly.
 
 Rewards themselves are *derived* from cached measurements by each consumer
 (the environment applies its own compile-time penalty rule), so one cache
@@ -56,8 +54,6 @@ WHOLE_FUNCTION_PRAGMAS = -2
 #: once); the key's action part flattens the whole decision map.
 WHOLE_FUNCTION_APPLICATION = -3
 
-#: Task tag for legacy (VF, IF) keys — the vectorization task's name.
-VECTORIZATION_TASK = "vectorization"
 #: Task tag for whole-function measurements, which are task-independent
 #: (the same ``clang -O3`` baseline serves every task on a kernel).
 WHOLE_FUNCTION_TASK = "function"
@@ -79,14 +75,7 @@ def machine_fingerprint(machine: "MachineDescription") -> str:
     return hashlib.sha1(repr(machine).encode("utf-8")).hexdigest()
 
 
-def _resolve_default_task() -> "OptimizationTask":
-    """The vectorization task the legacy two-int API resolves to."""
-    from repro.tasks import resolve_task
-
-    return resolve_task(None)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class RewardKey:
     """Identity of one measurement: kernel content x machine x task action.
 
@@ -96,10 +85,6 @@ class RewardKey:
     because the simulator falls back to it for symbolic loop bounds missing
     from the bindings — pipelines configured differently must not share
     entries.
-
-    The legacy constructor shape ``RewardKey(kh, mh, loop, vf, interleave)``
-    (positional or by ``vf=``/``interleave=`` keyword) still works and tags
-    the key with the vectorization task.
     """
 
     kernel_hash: str
@@ -109,41 +94,13 @@ class RewardKey:
     task: str
     default_symbol_value: int
 
-    def __init__(
-        self,
-        kernel_hash: str,
-        machine_hash: str,
-        loop_index: int,
-        vf: Optional[int] = None,
-        interleave: Optional[int] = None,
-        default_symbol_value: int = 256,
-        action: Optional[Tuple[int, ...]] = None,
-        task: str = VECTORIZATION_TASK,
-    ):
-        if action is None:
-            if vf is None or interleave is None:
-                raise TypeError(
-                    "RewardKey needs either action=(...) or vf/interleave"
-                )
-            action = (int(vf), int(interleave))
-        elif vf is not None or interleave is not None:
-            raise TypeError("pass either action or vf/interleave, not both")
-        object.__setattr__(self, "kernel_hash", kernel_hash)
-        object.__setattr__(self, "machine_hash", machine_hash)
-        object.__setattr__(self, "loop_index", int(loop_index))
-        object.__setattr__(self, "action", tuple(int(v) for v in action))
-        object.__setattr__(self, "task", str(task))
-        object.__setattr__(self, "default_symbol_value", int(default_symbol_value))
-
-    @property
-    def vf(self) -> int:
-        """Legacy alias for the first action component."""
-        return self.action[0]
-
-    @property
-    def interleave(self) -> int:
-        """Legacy alias for the second action component."""
-        return self.action[1]
+    def __post_init__(self):
+        # Keys decoded from a store or the wire must equal (and hash like)
+        # the ones built in-process, whatever int/sequence types they carry.
+        object.__setattr__(self, "loop_index", int(self.loop_index))
+        object.__setattr__(self, "action", tuple(int(v) for v in self.action))
+        object.__setattr__(self, "task", str(self.task))
+        object.__setattr__(self, "default_symbol_value", int(self.default_symbol_value))
 
 
 @dataclass
@@ -246,30 +203,19 @@ class RewardCache:
         kernel: "LoopKernel",
         machine: "MachineDescription",
         loop_index: int,
-        vf=None,
-        interleave: Optional[int] = None,
+        action: Tuple[int, ...],
+        task: str,
         default_symbol_value: int = 256,
-        action: Optional[Tuple[int, ...]] = None,
-        task: str = VECTORIZATION_TASK,
     ) -> RewardKey:
-        """Build the cache key for one measurement.
+        """Build the cache key for one measurement of ``task``'s ``action``.
 
-        Either pass ``action=(...)`` (plus ``task=``) or the legacy
-        ``vf, interleave`` pair, which is shorthand for the vectorization
-        task's two-dimensional action.
+        Nothing here checks ``action`` against the task's menus:
+        :meth:`measure_action` and the batcher canonicalize it through
+        ``task.cache_key`` before they build a key.
         """
         kernel_hash, machine_hash = self._fingerprints(kernel, machine)
-        if action is None and interleave is None and isinstance(vf, (tuple, list)):
-            action, vf = tuple(vf), None
         return RewardKey(
-            kernel_hash,
-            machine_hash,
-            int(loop_index),
-            vf=vf,
-            interleave=interleave,
-            default_symbol_value=int(default_symbol_value),
-            action=action,
-            task=task,
+            kernel_hash, machine_hash, loop_index, action, task, default_symbol_value
         )
 
     def site_key(
@@ -373,33 +319,6 @@ class RewardCache:
         self.put(key, entry)
         return entry, False
 
-    def measure(
-        self,
-        pipeline: "CompileAndMeasure",
-        kernel: "LoopKernel",
-        loop_index: int,
-        vf: int,
-        interleave: int,
-    ) -> Tuple[CachedMeasurement, bool]:
-        """Cached ``measure_with_factors``; returns (measurement, was_hit).
-
-        Legacy vectorization shorthand for :meth:`measure_action`.
-        """
-        key = self.key_for(
-            kernel,
-            pipeline.machine,
-            loop_index,
-            vf,
-            interleave,
-            default_symbol_value=pipeline.default_symbol_value,
-        )
-        return self._measure_cached(
-            key,
-            lambda: pipeline.measure_with_factors(
-                kernel, {loop_index: (vf, interleave)}
-            ),
-        )
-
     def measure_action(
         self,
         pipeline: "CompileAndMeasure",
@@ -408,7 +327,8 @@ class RewardCache:
         site_index: int,
         action: Tuple[int, ...],
     ) -> Tuple[CachedMeasurement, bool]:
-        """Cached single-site evaluation of one task action."""
+        """Cached single-site evaluation of one task action; returns
+        (measurement, was_hit)."""
         action = task.cache_key(action)
         return self._measure_cached(
             self.site_key(pipeline, task, kernel, site_index, action),
@@ -490,32 +410,33 @@ class BatchOutcome:
 
 
 def normalize_requests(requests) -> List[Tuple["LoopKernel", int, Tuple[int, ...]]]:
-    """Normalise reward requests to ``(kernel, site_index, action)`` triples.
+    """Check reward requests are ``(kernel, site_index, action)`` triples.
 
-    Accepts both the legacy 4-tuple ``(kernel, loop_index, vf, interleave)``
-    and the generic 3-tuple ``(kernel, site_index, action_tuple)``.
+    The one accepted shape; anything else — wrong arity, a scalar action —
+    is a :class:`ValueError` naming it, never a bare unpacking error.
     """
     normalized = []
-    for request in requests:
-        if len(request) == 4:
-            kernel, site_index, vf, interleave = request
-            action: Tuple[int, ...] = (int(vf), int(interleave))
-        elif len(request) == 3:
+    for position, request in enumerate(requests):
+        try:
             kernel, site_index, action = request
-            action = tuple(int(value) for value in action)
-        else:
-            raise ValueError(
-                "reward requests are (kernel, site, action) or the legacy "
-                f"(kernel, loop, vf, interleave); got a {len(request)}-tuple"
+            normalized.append(
+                (kernel, int(site_index), tuple(int(value) for value in action))
             )
-        normalized.append((kernel, int(site_index), action))
+        except (TypeError, ValueError):
+            # Not repr(request): a kernel's repr is its whole source text.
+            rest = request[1:] if isinstance(request, (tuple, list)) else type(request).__name__
+            raise ValueError(
+                "a reward request is a (kernel, site_index, action) triple "
+                f"whose action is a sequence of ints; request #{position} "
+                f"carries {rest!r} after the kernel"
+            ) from None
     return normalized
 
 
 class EvaluationBatcher:
     """Deduplicating batch front-end over a :class:`RewardCache`.
 
-    ``add``/``add_action`` enqueue a request and return a ticket; ``flush``
+    ``add_action`` enqueues a request and returns a ticket; ``flush``
     evaluates the unique cache misses (one pipeline call each, through the
     configured task), fills the cache, and returns outcomes indexed by
     ticket.  Duplicate requests within a batch cost one evaluation total and
@@ -528,19 +449,15 @@ class EvaluationBatcher:
         cache: RewardCache,
         task: Optional["OptimizationTask"] = None,
     ):
+        from repro.tasks import resolve_task  # lazy: repro.tasks imports this package
+
         self.pipeline = pipeline
         self.cache = cache
-        self.task = task if task is not None else _resolve_default_task()
+        self.task = resolve_task(task)
         self._pending: List[_PendingRequest] = []
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    def add(
-        self, kernel: "LoopKernel", loop_index: int, vf: int, interleave: int
-    ) -> int:
-        """Legacy vectorization shorthand for :meth:`add_action`."""
-        return self.add_action(kernel, loop_index, (int(vf), int(interleave)))
 
     def add_action(
         self, kernel: "LoopKernel", site_index: int, action: Tuple[int, ...]
@@ -612,9 +529,8 @@ def evaluate_requests(
     workers / persistent store), a plain :class:`EvaluationBatcher`
     otherwise.  The single front door every batched consumer shares.
 
-    Requests are ``(kernel, site_index, action)`` triples or the legacy
-    ``(kernel, loop_index, vf, interleave)`` 4-tuples; ``task`` defaults to
-    the vectorization task.
+    Requests are ``(kernel, site_index, action)`` triples; ``task`` defaults
+    to the vectorization task.
 
     A service measuring under a different machine model (or writing to a
     different cache) than the caller would silently mix inconsistent

@@ -15,11 +15,7 @@ injection → compile-and-measure → reward.  The pieces are:
 from repro.core.loop_extractor import ExtractedLoop, LoopExtractor, extract_loops
 from repro.core.pragma_injector import inject_pragma_line, inject_pragmas, strip_loop_pragmas
 from repro.core.pipeline import CompilationResult, CompileAndMeasure
-from repro.core.framework import (
-    NeuroVectorizer,
-    VectorizationDecision,
-    VectorizationResult,
-)
+from repro.core.framework import NeuroVectorizer
 
 __all__ = [
     "ExtractedLoop",
@@ -31,6 +27,4 @@ __all__ = [
     "CompilationResult",
     "CompileAndMeasure",
     "NeuroVectorizer",
-    "VectorizationDecision",
-    "VectorizationResult",
 ]

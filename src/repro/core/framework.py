@@ -1,11 +1,10 @@
 """The NeuroVectorizer facade: embedding + agent + task application + measure.
 
-Since the task redesign the facade is generic over an
-:class:`repro.tasks.OptimizationTask`: the task defines what is decided per
-site and how a decision map is applied and measured.  Every public name
-(:class:`NeuroVectorizer`, :class:`TrainingConfig`,
-:class:`VectorizationDecision`, ...) keeps its pre-redesign behaviour when
-the task is the default vectorization one.
+The facade is generic over an :class:`repro.tasks.OptimizationTask`: the
+task defines what is decided per site and how a decision map is applied and
+measured.  There is one end-to-end path — :meth:`NeuroVectorizer.decide_sites`
+→ ``task.apply`` → :class:`OptimizationResult` — and the paper's per-loop
+(VF, IF) vectorization is what it does under the default task.
 """
 
 from __future__ import annotations
@@ -13,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.cache.reward_cache import RewardCache, resolve_cache
-from repro.core.loop_extractor import ExtractedLoop, extract_loops
+from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompilationResult, CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.embedding.ast_paths import PathContext, extract_path_contexts
@@ -24,45 +21,6 @@ from repro.embedding.code2vec import Code2VecConfig, Code2VecModel
 from repro.embedding.vocab import build_vocabularies, normalize_identifiers
 from repro.machine.description import MachineDescription
 from repro.tasks import OptimizationTask, resolve_task
-
-
-@dataclass
-class VectorizationDecision:
-    """The factors chosen for one innermost loop of a kernel."""
-
-    function_name: str
-    loop_index: int
-    vf: int
-    interleave: int
-    source_line: int = 0
-
-    def as_pragma(self) -> str:
-        from repro.frontend.pragmas import LoopPragma, format_pragma
-
-        return format_pragma(
-            LoopPragma(vectorize_width=self.vf, interleave_count=self.interleave)
-        )
-
-
-@dataclass
-class VectorizationResult:
-    """Outcome of vectorizing one kernel end-to-end."""
-
-    kernel_name: str
-    decisions: List[VectorizationDecision]
-    vectorized_source: str
-    cycles: float
-    baseline_cycles: float
-    compile_seconds: float
-
-    @property
-    def speedup_over_baseline(self) -> float:
-        return self.baseline_cycles / self.cycles if self.cycles > 0 else float("inf")
-
-    @property
-    def reward(self) -> float:
-        """The paper's reward for this result (Equation 2)."""
-        return (self.baseline_cycles - self.cycles) / max(self.baseline_cycles, 1e-9)
 
 
 @dataclass
@@ -404,14 +362,6 @@ class NeuroVectorizer:
             title=title,
         )
 
-    # -- observation -----------------------------------------------------------------
-
-    def observe_loop(self, loop: ExtractedLoop) -> np.ndarray:
-        """The embedding the agent sees for one extracted loop."""
-        rename_map = normalize_identifiers(loop.nest_root)
-        contexts = extract_path_contexts(loop.nest_root, rename_map=rename_map)
-        return self.embedding_model.embed(contexts)
-
     # -- task routing -----------------------------------------------------------------
 
     def _member_task(self, task=None) -> OptimizationTask:
@@ -466,43 +416,6 @@ class NeuroVectorizer:
             )
             decisions[site.index] = task.cache_key(chosen.as_tuple())
         return decisions
-
-    def decide_kernel(self, kernel: LoopKernel) -> List[VectorizationDecision]:
-        """Run the agent on every innermost loop of a kernel.
-
-        Vectorization-task API: returns the legacy per-loop (VF, IF)
-        records.  Use :meth:`decide_sites` for task-generic decisions.
-        """
-        self._require_vectorization("decide_kernel")
-        # Route through the task-pinned agent: on a jointly-trained
-        # framework the raw PolicyAgent has no task and a multi-bank
-        # policy would refuse to act without one.
-        agent = self._agent_for_task(self.task)
-        loops = extract_loops(kernel.source, function_name=kernel.function_name)
-        decisions: List[VectorizationDecision] = []
-        for loop in loops:
-            observation = self.observe_loop(loop)
-            chosen = agent.select_factors(
-                observation, kernel=kernel, loop_index=loop.loop_index
-            )
-            decisions.append(
-                VectorizationDecision(
-                    function_name=loop.function_name,
-                    loop_index=loop.loop_index,
-                    vf=chosen.vf,
-                    interleave=chosen.interleave,
-                    source_line=loop.source_line,
-                )
-            )
-        return decisions
-
-    def _require_vectorization(self, method: str) -> None:
-        if self.task.name != "vectorization":
-            raise ValueError(
-                f"{method}() is the vectorization-task API but this framework "
-                f"runs task {self.task.name!r}; use optimize_kernel()/"
-                f"optimize_suite() instead"
-            )
 
     # -- end-to-end optimization -----------------------------------------------------------
 
@@ -746,33 +659,13 @@ class NeuroVectorizer:
             self.tasks = list(self.tasks) + [target]
         return history
 
-    def vectorize_kernel(self, kernel: LoopKernel) -> VectorizationResult:
-        """Decide factors, inject pragmas, compile and measure one kernel.
+    def optimize_source(
+        self, source: str, function_name: Optional[str] = None, name: str = "user_kernel", task=None
+    ) -> OptimizationResult:
+        """:meth:`optimize_kernel` on raw C source text.
 
-        Both whole-function measurements go through the run's reward cache
-        (keyed by the effective source text), so with a disk-backed cache a
-        repeat run over the same kernels compiles nothing at all.
+        ``function_name`` defaults to the function holding the first loop.
         """
-        self._require_vectorization("vectorize_kernel")
-        decisions = self.decide_kernel(kernel)
-        factor_map = {d.loop_index: (d.vf, d.interleave) for d in decisions}
-        baseline, _ = self.reward_cache.measure_baseline(self.pipeline, kernel)
-        application = self.task.apply(
-            self.pipeline, kernel, factor_map, reward_cache=self.reward_cache
-        )
-        return VectorizationResult(
-            kernel_name=kernel.name,
-            decisions=decisions,
-            vectorized_source=application.transformed_source,
-            cycles=application.result.cycles,
-            baseline_cycles=baseline.cycles,
-            compile_seconds=application.result.compile_seconds,
-        )
-
-    def vectorize_source(
-        self, source: str, function_name: Optional[str] = None, name: str = "user_kernel"
-    ) -> VectorizationResult:
-        """Vectorize raw C source text (the quickstart entry point)."""
         if function_name is None:
             loops = extract_loops(source)
             if not loops:
@@ -781,10 +674,7 @@ class NeuroVectorizer:
         kernel = LoopKernel(
             name=name, source=source, function_name=function_name, suite="user"
         )
-        return self.vectorize_kernel(kernel)
-
-    def vectorize_suite(self, kernels: Sequence[LoopKernel]) -> List[VectorizationResult]:
-        return [self.vectorize_kernel(kernel) for kernel in kernels]
+        return self.optimize_kernel(kernel, task=task)
 
     # -- constructors ---------------------------------------------------------------------
 

@@ -54,8 +54,7 @@ if TYPE_CHECKING:
     from repro.datasets.kernels import LoopKernel
     from repro.tasks.base import OptimizationTask
 
-#: One reward query: the generic (kernel, site index, action tuple) triple
-#: or the legacy (kernel, innermost-loop index, VF, IF) 4-tuple.
+#: One reward query: a (kernel, site index, action tuple) triple.
 EvaluationRequest = Tuple
 
 
@@ -342,11 +341,11 @@ class EvaluationService:
     ) -> EvaluationFuture:
         """Enqueue a batch of reward queries and return a future.
 
-        ``task`` is the optimization task the actions belong to (the
-        vectorization default covers the legacy 4-tuple requests).  With
-        workers the call returns immediately after dispatching the unique
-        misses; serially (``workers == 0``) the batch is evaluated before
-        returning and the future is already done.
+        ``task`` is the optimization task the actions belong to
+        (vectorization by default).  With workers the call returns
+        immediately after dispatching the unique misses; serially
+        (``workers == 0``) the batch is evaluated before returning and the
+        future is already done.
         """
         self._check_open()
         future = EvaluationFuture(self, len(requests))

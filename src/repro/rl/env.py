@@ -3,8 +3,8 @@
 Generic over an :class:`repro.tasks.OptimizationTask`: the task defines the
 decision sites of each kernel, the action menus, and how a chosen action is
 measured.  The default task reproduces the paper's per-loop (VF, IF)
-vectorization decision; ``VectorizationEnv`` keeps its name (and its legacy
-``evaluate_factors`` API) as the compatibility surface.
+vectorization decision; ``VectorizationEnv`` keeps its name but serves
+every task, and an action is always the task's tuple.
 
 :class:`MultiTaskEnv` is the joint-training environment: it interleaves
 the decision sites of several tasks over one kernel set, tags every
@@ -221,12 +221,6 @@ class VectorizationEnv:
         )
         return self._reward_from_measurement(sample, action, measurement, was_cached)
 
-    def evaluate_factors(
-        self, sample: EnvSample, vf: int, interleave: int
-    ) -> Tuple[float, Dict[str, float]]:
-        """Legacy (VF, IF) shorthand for :meth:`evaluate_action`."""
-        return self.evaluate_action(sample, (int(vf), int(interleave)))
-
     def _reward_from_measurement(
         self,
         sample: EnvSample,
@@ -289,15 +283,6 @@ class VectorizationEnv:
             )
             for (sample, action), outcome in zip(normalized, outcomes)
         ]
-
-    def evaluate_factors_batch(
-        self, requests: Sequence[Tuple[EnvSample, int, int]]
-    ) -> List[Tuple[float, Dict[str, float]]]:
-        """Legacy ``(sample, vf, interleave)`` shorthand for
-        :meth:`evaluate_actions_batch`."""
-        return self.evaluate_actions_batch(
-            [(sample, (int(vf), int(interleave))) for sample, vf, interleave in requests]
-        )
 
     def evaluate_batch(
         self, pairs: Sequence[Tuple[EnvSample, object]]

@@ -570,16 +570,6 @@ class DiscretePolicy(MultiTaskPolicy):
     def value_head(self) -> Dense:
         return self.heads_for(None).value_head
 
-    @property
-    def vf_head(self) -> Dense:
-        """Legacy alias for the first categorical head."""
-        return self.heads[0]
-
-    @property
-    def if_head(self) -> Dense:
-        """Legacy alias for the second categorical head."""
-        return self.heads[1]
-
 
 class ContinuousPolicy(MultiTaskPolicy):
     """Gaussian policy over N continuous action values in [0, 1].

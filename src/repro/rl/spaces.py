@@ -51,24 +51,13 @@ class ActionSpace:
     """Base class: maps raw policy outputs to a tuple of concrete factors.
 
     ``menus`` is one tuple of legal values per decision dimension, in
-    decision order.  The default two menus are the paper's VF and IF lists;
-    the legacy ``vf_values=`` / ``if_values=`` keyword arguments keep
-    constructing exactly that two-dimensional space.
+    decision order; the default two menus are the paper's VF and IF lists.
+    An action is always one tuple with one value per menu.
     """
 
-    def __init__(
-        self,
-        menus: Optional[Sequence[Sequence[int]]] = None,
-        vf_values: Optional[Sequence[int]] = None,
-        if_values: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self, menus: Optional[Sequence[Sequence[int]]] = None):
         if menus is None:
-            menus = (
-                tuple(vf_values) if vf_values is not None else DEFAULT_VF_VALUES,
-                tuple(if_values) if if_values is not None else DEFAULT_IF_VALUES,
-            )
-        elif vf_values is not None or if_values is not None:
-            raise ValueError("pass either menus or vf_values/if_values, not both")
+            menus = (DEFAULT_VF_VALUES, DEFAULT_IF_VALUES)
         self.menus: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(int(value) for value in menu) for menu in menus
         )
@@ -86,54 +75,45 @@ class ActionSpace:
         return tuple(len(menu) for menu in self.menus)
 
     @property
-    def vf_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the first menu (the VF list of the paper)."""
-        return self.menus[0]
-
-    @property
-    def if_values(self) -> Tuple[int, ...]:
-        """Legacy alias for the second menu (the IF list of the paper)."""
-        return self.menus[1]
-
-    @property
     def num_actions(self) -> int:
         total = 1
         for menu in self.menus:
             total *= len(menu)
         return total
 
-    @property
-    def num_factor_pairs(self) -> int:
-        """Legacy alias for :attr:`num_actions`."""
-        return self.num_actions
-
     def all_actions(self) -> List[Tuple[int, ...]]:
         """Every concrete action tuple, first menu varying slowest."""
         return list(product(*self.menus))
-
-    def all_factors(self) -> List[Tuple[int, ...]]:
-        """Legacy alias for :meth:`all_actions`."""
-        return self.all_actions()
 
     # -- codec --------------------------------------------------------------
 
     def decode(self, action) -> Tuple[int, ...]:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def encode(self, *values):  # pragma: no cover - abstract
+    def encode(self, action: Sequence[int]):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def flatten_action(self, *values) -> int:
-        """Mixed-radix index of the action nearest to ``values``.
+    def _nearest_indices(self, action: Sequence[int]) -> Tuple[int, ...]:
+        """The menu index nearest to each component of ``action``."""
+        if len(action) != self.dims:
+            raise ValueError(
+                f"expected {self.dims} factor value(s) to encode, got {len(action)}"
+            )
+        return tuple(
+            self._nearest_index(menu, int(value))
+            for menu, value in zip(self.menus, action)
+        )
+
+    def flatten_action(self, action: Sequence[int]) -> int:
+        """Mixed-radix index of the action nearest to ``action``.
 
         The index enumerates :meth:`all_actions` order (first menu varying
         slowest); each component rounds to its menu with the pinned
         :meth:`_nearest_index` tie-break.
         """
-        values = _flatten_values(values, self.dims)
         flat_index = 0
-        for menu, value in zip(self.menus, values):
-            flat_index = flat_index * len(menu) + self._nearest_index(menu, value)
+        for menu, index in zip(self.menus, self._nearest_indices(action)):
+            flat_index = flat_index * len(menu) + index
         return flat_index
 
     def unflatten_action(self, flat_index: int) -> Tuple[int, ...]:
@@ -151,7 +131,7 @@ class ActionSpace:
 
         Tie-break (pinned): on an exactly equidistant target the *first*
         match wins, which for the ascending menus used throughout means the
-        smaller factor (encode(3, ...) maps to VF 2, not VF 4).
+        smaller factor (encoding VF 3 maps to VF 2, not VF 4).
         """
         best_index, best_distance = 0, float("inf")
         for index, value in enumerate(values):
@@ -173,11 +153,8 @@ class DiscreteFactorSpace(ActionSpace):
             factors.append(menu[index])
         return tuple(factors)
 
-    def encode(self, *values) -> Tuple[int, ...]:
-        values = _flatten_values(values, self.dims)
-        return tuple(
-            self._nearest_index(menu, value) for menu, value in zip(self.menus, values)
-        )
+    def encode(self, action: Sequence[int]) -> Tuple[int, ...]:
+        return self._nearest_indices(action)
 
 
 class ContinuousJointSpace(ActionSpace):
@@ -190,9 +167,9 @@ class ContinuousJointSpace(ActionSpace):
             _round_half_down(value * max(self.num_actions - 1, 1))
         )
 
-    def encode(self, *values) -> np.ndarray:
+    def encode(self, action: Sequence[int]) -> np.ndarray:
         return np.array(
-            [self.flatten_action(*values) / max(self.num_actions - 1, 1)]
+            [self.flatten_action(action) / max(self.num_actions - 1, 1)]
         )
 
 
@@ -208,25 +185,13 @@ class ContinuousPairSpace(ActionSpace):
             factors.append(menu[index])
         return tuple(factors)
 
-    def encode(self, *values) -> np.ndarray:
-        values = _flatten_values(values, self.dims)
+    def encode(self, action: Sequence[int]) -> np.ndarray:
         return np.array(
             [
-                self._nearest_index(menu, value) / max(len(menu) - 1, 1)
-                for menu, value in zip(self.menus, values)
+                index / max(len(menu) - 1, 1)
+                for menu, index in zip(self.menus, self._nearest_indices(action))
             ]
         )
-
-
-def _flatten_values(values: Tuple, dims: int) -> Tuple[int, ...]:
-    """Accept ``encode(vf, interleave)`` or ``encode((vf, interleave))``."""
-    if len(values) == 1 and isinstance(values[0], (tuple, list)):
-        values = tuple(values[0])
-    if len(values) != dims:
-        raise ValueError(
-            f"expected {dims} factor value(s) to encode, got {len(values)}"
-        )
-    return tuple(int(value) for value in values)
 
 
 _SPACE_KINDS = {

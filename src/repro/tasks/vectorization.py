@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from repro.tasks.base import (
     Action,
@@ -33,20 +33,13 @@ class VectorizationTask(OptimizationTask):
     name = "vectorization"
     action_labels = ("vf", "interleave")
 
-    def __init__(
-        self,
-        vf_values: Optional[Sequence[int]] = None,
-        if_values: Optional[Sequence[int]] = None,
-    ):
+    def __init__(self):
         # Imported lazily: the canonical menus live in repro.rl.spaces, and
         # importing them at module level would cycle through repro.rl.env
         # (which imports this package) during ``import repro.tasks``.
         from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
 
-        self.menus: Tuple[Tuple[int, ...], ...] = (
-            tuple(vf_values) if vf_values is not None else DEFAULT_VF_VALUES,
-            tuple(if_values) if if_values is not None else DEFAULT_IF_VALUES,
-        )
+        self.menus = (DEFAULT_VF_VALUES, DEFAULT_IF_VALUES)
 
     def default_action(self) -> Action:
         return (1, 1)
@@ -96,8 +89,7 @@ class VectorizationTask(OptimizationTask):
         vectorized_source = inject_pragmas(
             kernel.source, factor_map, function_name=kernel.function_name
         )
-        # Keyed by the effective (pragma-annotated) source — the same
-        # entries vectorize_kernel uses, so either path warms the other.
+        # Keyed by the effective (pragma-annotated) source.
         result = measure_annotated_source(
             pipeline, kernel, vectorized_source, reward_cache
         )

@@ -50,7 +50,7 @@ def scale_kernel() -> LoopKernel:
 
 
 def grid_requests(kernel, vfs=(1, 2, 4, 8), ifs=(1, 2)):
-    return [(kernel, 0, vf, interleave) for vf in vfs for interleave in ifs]
+    return [(kernel, 0, (vf, interleave)) for vf in vfs for interleave in ifs]
 
 
 def task_requests(task, kernels: Sequence[LoopKernel], site: int = 0):

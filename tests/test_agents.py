@@ -16,6 +16,7 @@ from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.rl.policy import DiscretePolicy
 from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
+from repro.tasks import resolve_task
 
 
 DOT = LoopKernel(
@@ -33,8 +34,9 @@ class TestRandomSearchAgent:
         agent = RandomSearchAgent(seed=0)
         for _ in range(50):
             decision = agent.select_factors(np.zeros(4))
-            assert decision.vf in DEFAULT_VF_VALUES
-            assert decision.interleave in DEFAULT_IF_VALUES
+            vf, interleave = decision.action
+            assert vf in DEFAULT_VF_VALUES
+            assert interleave in DEFAULT_IF_VALUES
 
     def test_deterministic_given_seed(self):
         first = [RandomSearchAgent(seed=7).select_factors(np.zeros(2)).as_tuple()
@@ -83,7 +85,7 @@ class TestRandomSearchAgent:
 
         warm_cache = RewardCache()
         for vf in DEFAULT_VF_VALUES:  # pre-populate the whole VF row
-            warm_cache.measure(pipeline, DOT, 0, vf, 1)
+            warm_cache.measure_action(pipeline, resolve_task(None), DOT, 0, (vf, 1))
         warm = RandomSearchAgent(
             seed=11, candidates=5, pipeline=pipeline, reward_cache=warm_cache
         ).select_factors(np.zeros(2), kernel=DOT, loop_index=0)
@@ -206,5 +208,6 @@ class TestSearchAndBaselineAgents:
         policy = DiscretePolicy(observation_dim=6, seed=0)
         agent = PolicyAgent(policy)
         decision = agent.select_factors(np.zeros(6))
-        assert decision.vf in DEFAULT_VF_VALUES
-        assert decision.interleave in DEFAULT_IF_VALUES
+        vf, interleave = decision.action
+        assert vf in DEFAULT_VF_VALUES
+        assert interleave in DEFAULT_IF_VALUES

@@ -327,7 +327,7 @@ class TestSimulatorMemo:
         framework = NeuroVectorizer(
             embedding, BaselineAgent(pipeline), pipeline
         )
-        framework.vectorize_kernel(kernels[0])
+        framework.optimize_kernel(kernels[0])
         rendered = framework.cache_stats_report().render()
         assert "simulator memo hits" in rendered
         assert "frontend cache hits" in rendered

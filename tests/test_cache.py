@@ -9,8 +9,10 @@ from repro.cache import (
     CachedMeasurement,
     EvaluationBatcher,
     RewardCache,
+    evaluate_requests,
     kernel_fingerprint,
     machine_fingerprint,
+    normalize_requests,
 )
 from repro.core.framework import build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
@@ -19,7 +21,9 @@ from repro.datasets.motivating import dot_product_kernel
 from repro.evaluation.report import format_cache_stats_table
 from repro.machine.description import MachineDescription
 from repro.rl.env import VectorizationEnv, build_samples
+from repro.tasks import get_task
 
+VECTORIZATION = get_task("vectorization")
 
 SAXPY = LoopKernel(
     name="saxpy",
@@ -58,8 +62,8 @@ class TestFingerprints:
 class TestRewardCache:
     def test_measure_records_hit_and_miss(self, pipeline):
         cache = RewardCache()
-        first, was_hit_first = cache.measure(pipeline, SAXPY, 0, 8, 2)
-        second, was_hit_second = cache.measure(pipeline, SAXPY, 0, 8, 2)
+        first, was_hit_first = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        second, was_hit_second = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit_first and was_hit_second
         assert second.cycles == first.cycles
         assert cache.stats.hits == 1
@@ -68,8 +72,8 @@ class TestRewardCache:
 
     def test_different_actions_are_distinct_entries(self, pipeline):
         cache = RewardCache()
-        cache.measure(pipeline, SAXPY, 0, 1, 1)
-        _, was_hit = cache.measure(pipeline, SAXPY, 0, 8, 2)
+        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (1, 1))
+        _, was_hit = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit
         assert len(cache) == 2
 
@@ -77,8 +81,8 @@ class TestRewardCache:
         cache = RewardCache()
         avx2 = CompileAndMeasure(machine=MachineDescription())
         avx512 = CompileAndMeasure(machine=MachineDescription(vector_bits=512))
-        cache.measure(avx2, SAXPY, 0, 8, 2)
-        _, was_hit = cache.measure(avx512, SAXPY, 0, 8, 2)
+        cache.measure_action(avx2, VECTORIZATION, SAXPY, 0, (8, 2))
+        _, was_hit = cache.measure_action(avx512, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit
 
     def test_default_symbol_value_is_part_of_the_key(self):
@@ -95,15 +99,15 @@ class TestRewardCache:
         cache = RewardCache()
         small = CompileAndMeasure(default_symbol_value=16)
         large = CompileAndMeasure(default_symbol_value=4096)
-        first, _ = cache.measure(small, symbolic, 0, 4, 2)
-        second, was_hit = cache.measure(large, symbolic, 0, 4, 2)
+        first, _ = cache.measure_action(small, VECTORIZATION, symbolic, 0, (4, 2))
+        second, was_hit = cache.measure_action(large, VECTORIZATION, symbolic, 0, (4, 2))
         assert not was_hit
         assert second.cycles != first.cycles
 
     def test_max_entries_evicts_fifo(self):
         cache = RewardCache(max_entries=2)
         machine = MachineDescription()
-        keys = [cache.key_for(SAXPY, machine, 0, vf, 1) for vf in (1, 2, 4)]
+        keys = [cache.key_for(SAXPY, machine, 0, (vf, 1), "vectorization") for vf in (1, 2, 4)]
         for key in keys:
             cache.put(key, CachedMeasurement(cycles=1.0, compile_seconds=0.1))
         assert len(cache) == 2
@@ -124,7 +128,7 @@ class TestRewardCache:
         keys = set()
         for n in (128, 256, 512, 1024, 2048):
             kernel = SAXPY.with_source(SAXPY.source.replace("2048", str(n)))
-            keys.add(cache.key_for(kernel, machine, 0, 4, 2).kernel_hash)
+            keys.add(cache.key_for(kernel, machine, 0, (4, 2), "vectorization").kernel_hash)
             del kernel
         assert len(keys) == 5
 
@@ -132,14 +136,14 @@ class TestRewardCache:
         cache = RewardCache()
         machine = MachineDescription()
         kernel = SAXPY.with_source(SAXPY.source)
-        before = cache.key_for(kernel, machine, 0, 4, 2).kernel_hash
+        before = cache.key_for(kernel, machine, 0, (4, 2), "vectorization").kernel_hash
         kernel.source = kernel.source.replace("2048", "64")
-        after = cache.key_for(kernel, machine, 0, 4, 2).kernel_hash
+        after = cache.key_for(kernel, machine, 0, (4, 2), "vectorization").kernel_hash
         assert before != after
 
     def test_clear_empties_entries(self, pipeline):
         cache = RewardCache()
-        cache.measure(pipeline, SAXPY, 0, 8, 2)
+        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         cache.clear()
         assert len(cache) == 0
 
@@ -149,7 +153,7 @@ class TestEvaluationBatcher:
         cache = RewardCache()
         batcher = EvaluationBatcher(pipeline, cache)
         grid = [(1, 1), (4, 2), (8, 4)]
-        tickets = [batcher.add(SAXPY, 0, vf, il) for vf, il in grid]
+        tickets = [batcher.add_action(SAXPY, 0, (vf, il)) for vf, il in grid]
         outcomes = batcher.flush()
         assert tickets == [0, 1, 2]
         direct = [
@@ -162,7 +166,7 @@ class TestEvaluationBatcher:
         cache = RewardCache()
         batcher = EvaluationBatcher(pipeline, cache)
         for _ in range(5):
-            batcher.add(SAXPY, 0, 8, 2)
+            batcher.add_action(SAXPY, 0, (8, 2))
         outcomes = batcher.flush()
         assert cache.stats.misses == 1
         assert cache.stats.batch_deduplicated == 4
@@ -175,7 +179,7 @@ class TestEvaluationBatcher:
         batcher = EvaluationBatcher(pipeline, cache)
         grid = [(1, 1), (2, 1), (4, 1), (8, 1)]
         for vf, interleave in grid:
-            batcher.add(SAXPY, 0, vf, interleave)
+            batcher.add_action(SAXPY, 0, (vf, interleave))
         outcomes = batcher.flush()
         assert len(outcomes) == 4
         assert all(o.measurement.cycles > 0 for o in outcomes)
@@ -184,10 +188,46 @@ class TestEvaluationBatcher:
 
     def test_flush_drains_pending(self, pipeline):
         batcher = EvaluationBatcher(pipeline, RewardCache())
-        batcher.add(SAXPY, 0, 2, 1)
+        batcher.add_action(SAXPY, 0, (2, 1))
         batcher.flush()
         assert len(batcher) == 0
         assert batcher.flush() == []
+
+
+class TestRequestShape:
+    def test_well_formed_triple_is_normalized(self):
+        assert normalize_requests([(SAXPY, 0, [8, 2])]) == [(SAXPY, 0, (8, 2))]
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            (SAXPY, 0, 8, 2),  # the retired (kernel, loop, vf, interleave) form
+            (SAXPY, 0),
+            (SAXPY, 0, 8),  # scalar action
+            (SAXPY, 0, ("wide", 2)),
+            SAXPY,
+        ],
+    )
+    def test_malformed_request_is_one_typed_error(self, malformed):
+        with pytest.raises(ValueError, match=r"\(kernel, site_index, action\) triple"):
+            normalize_requests([(SAXPY, 0, (8, 2)), malformed])
+
+    def test_wrong_dimension_action_never_becomes_a_key(self, pipeline):
+        # Every keyed entry point canonicalizes through task.cache_key, so a
+        # (VF, IF) pair cannot be filed under the one-dimensional task.
+        unrolling = get_task("unrolling")
+        cache = RewardCache()
+        with pytest.raises(ValueError, match="unrolling"):
+            cache.measure_action(pipeline, unrolling, SAXPY, 0, (4, 2))
+        with pytest.raises(ValueError, match="unrolling"):
+            EvaluationBatcher(pipeline, cache, task=unrolling).add_action(
+                SAXPY, 0, (4, 2)
+            )
+        with pytest.raises(ValueError, match="unrolling"):
+            evaluate_requests(pipeline, cache, [(SAXPY, 0, (4, 2))], task=unrolling)
+        assert len(cache) == 0
+        with pytest.raises(TypeError):
+            cache.key_for(SAXPY, pipeline.machine, 0, (4, 2))  # no default task
 
 
 class TestEnvBatchEvaluation:
@@ -201,8 +241,8 @@ class TestEnvBatchEvaluation:
 
     def test_evaluate_batch_matches_step(self, env):
         sample = env.samples[0]
-        direct_reward, _ = env.evaluate_factors(sample, 8, 2)
-        action = env.action_space.encode(8, 2)
+        direct_reward, _ = env.evaluate_action(sample, (8, 2))
+        action = env.action_space.encode((8, 2))
         results = env.evaluate_batch([(sample, action)] * 3)
         assert [r.reward for r in results] == [direct_reward] * 3
         assert all(r.info["cached"] == 1.0 for r in results)
@@ -210,16 +250,16 @@ class TestEnvBatchEvaluation:
     def test_evaluate_batch_counts_steps(self, env):
         before = env.total_steps
         sample = env.samples[0]
-        env.evaluate_batch([(sample, env.action_space.encode(4, 1))] * 4)
+        env.evaluate_batch([(sample, env.action_space.encode((4, 1)))] * 4)
         assert env.total_steps == before + 4
 
     def test_factors_batch_mixes_samples(self, env):
-        requests = [(sample, 2, 2) for sample in env.samples]
-        results = env.evaluate_factors_batch(requests)
+        requests = [(sample, (2, 2)) for sample in env.samples]
+        results = env.evaluate_actions_batch(requests)
         assert len(results) == len(env.samples)
-        for (sample, vf, interleave), (reward, info) in zip(requests, results):
-            assert info["vf"] == float(vf)
-            expected, _ = env.evaluate_factors(sample, vf, interleave)
+        for (sample, action), (reward, info) in zip(requests, results):
+            assert info["vf"] == float(action[0])
+            expected, _ = env.evaluate_action(sample, action)
             assert reward == expected
 
     def test_shared_cache_across_envs(self):
@@ -239,8 +279,8 @@ class TestEnvBatchEvaluation:
             compile_time_limit=0.0001,
             compile_time_penalty=-9.0,
         )
-        lenient.evaluate_factors(samples[0], 64, 16)
-        reward, info = strict.evaluate_factors(samples[0], 64, 16)
+        lenient.evaluate_action(samples[0], (64, 16))
+        reward, info = strict.evaluate_action(samples[0], (64, 16))
         # The measurement is shared, but each env derives its own reward.
         assert info.get("cached") == 1.0
         assert reward == -9.0
@@ -249,8 +289,8 @@ class TestEnvBatchEvaluation:
 class TestStatsReport:
     def test_table_renders_all_counters(self, pipeline):
         cache = RewardCache()
-        cache.measure(pipeline, SAXPY, 0, 8, 2)
-        cache.measure(pipeline, SAXPY, 0, 8, 2)
+        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         text = format_cache_stats_table(cache.stats, title="unit").render()
         assert "unit" in text
         assert "hit rate" in text

@@ -11,7 +11,7 @@ from repro.core.pipeline import CompileAndMeasure
 from repro.core.pragma_injector import inject_pragma_line, inject_pragmas, strip_loop_pragmas
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
-from repro.frontend.pragmas import parse_pragma_text
+from repro.frontend.pragmas import LoopPragma, format_pragma, parse_pragma_text
 
 
 NESTED_SOURCE = """
@@ -198,26 +198,34 @@ class TestNeuroVectorizerFacade:
         return NeuroVectorizer(embedding, BruteForceAgent(pipeline), pipeline)
 
     def test_vectorize_kernel_improves_over_baseline(self, framework, dot_kernel):
-        result = framework.vectorize_kernel(dot_kernel)
+        result = framework.optimize_kernel(dot_kernel)
         assert result.speedup_over_baseline >= 1.0
         assert result.reward >= 0.0
         assert len(result.decisions) == 1
-        assert "#pragma clang loop" in result.vectorized_source
+        assert "#pragma clang loop" in result.transformed_source
 
     def test_vectorize_source_entry_point(self, framework):
-        result = framework.vectorize_source(
+        result = framework.optimize_source(
             "float a[1024], b[1024];\nvoid f() { for (int i = 0; i < 1024; i++) a[i] = b[i] * 2; }"
         )
-        assert result.decisions[0].vf >= 1
-        assert "#pragma clang loop" in result.vectorized_source
+        assert result.task == "vectorization"
+        assert result.decisions[0][0] >= 1
+        assert "#pragma clang loop" in result.transformed_source
 
     def test_decisions_render_as_pragmas(self, framework, dot_kernel):
-        result = framework.vectorize_kernel(dot_kernel)
-        assert result.decisions[0].as_pragma().startswith("#pragma clang loop")
+        result = framework.optimize_kernel(dot_kernel)
+        vf, interleave = result.decisions[0]
+        pragma = format_pragma(
+            LoopPragma(vectorize_width=vf, interleave_count=interleave)
+        )
+        assert pragma.startswith("#pragma clang loop")
+        assert pragma in result.transformed_source
 
     def test_observe_loop_dimension(self, framework, dot_kernel):
-        loops = extract_loops(dot_kernel.source, function_name=dot_kernel.function_name)
-        observation = framework.observe_loop(loops[0])
+        (site,) = framework.task.decision_sites(dot_kernel)
+        observation = framework.task.observation_features(
+            site, framework.embedding_model
+        )
         assert observation.shape == (framework.embedding_model.config.code_vector_dim,)
 
     def test_baseline_agent_framework_is_neutral(self, dot_kernel):
@@ -225,9 +233,9 @@ class TestNeuroVectorizerFacade:
         embedding = build_embedding_model(kernels)
         pipeline = CompileAndMeasure()
         framework = NeuroVectorizer(embedding, BaselineAgent(pipeline), pipeline)
-        result = framework.vectorize_kernel(dot_kernel)
+        result = framework.optimize_kernel(dot_kernel)
         assert result.speedup_over_baseline == pytest.approx(1.0, rel=1e-9)
 
     def test_vectorize_source_without_loops_raises(self, framework):
         with pytest.raises(ValueError):
-            framework.vectorize_source("int f() { return 3; }")
+            framework.optimize_source("int f() { return 3; }")

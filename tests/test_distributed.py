@@ -8,6 +8,8 @@ import os
 import pytest
 
 from repro.cache.reward_cache import (
+    WHOLE_FUNCTION_BASELINE,
+    WHOLE_FUNCTION_TASK,
     CachedMeasurement,
     EvaluationBatcher,
     RewardCache,
@@ -16,6 +18,7 @@ from repro.cache.reward_cache import (
 from repro.core.framework import NeuroVectorizer, build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.datasets.motivating import dot_product_kernel
 from repro.distributed import (
     DiskBackedRewardCache,
     EvaluationService,
@@ -26,6 +29,7 @@ from repro.distributed.async_api import AsyncEvaluator
 from repro.distributed.store import SCHEMA_NAME
 from repro.evaluation.report import Table
 from repro.simulator.engine import Simulator
+from repro.tasks import get_task
 
 
 ADD_SOURCE = """
@@ -62,13 +66,14 @@ def sample_key(index: int = 0) -> RewardKey:
         kernel_hash=f"kernel{index:02d}" + "0" * 32,
         machine_hash="machine" + "0" * 33,
         loop_index=0,
-        vf=4,
-        interleave=2,
+        action=(4, 2),
+        task="vectorization",
+        default_symbol_value=256,
     )
 
 
 def grid_requests(kernel, vfs=(1, 2, 4, 8), ifs=(1, 2)):
-    return [(kernel, 0, vf, interleave) for vf in vfs for interleave in ifs]
+    return [(kernel, 0, (vf, interleave)) for vf in vfs for interleave in ifs]
 
 
 def outcome_tuples(outcomes):
@@ -235,14 +240,59 @@ class TestDiskBackedRewardCache:
     def test_measure_through_cache_persists(self, tmp_path):
         pipeline = CompileAndMeasure()
         cache = DiskBackedRewardCache.open(str(tmp_path))
-        measurement, was_hit = cache.measure(pipeline, add_kernel(), 0, 4, 2)
+        measurement, was_hit = cache.measure_action(
+            pipeline, get_task("vectorization"), add_kernel(), 0, (4, 2)
+        )
         assert not was_hit
         cache.close()
 
         warm = DiskBackedRewardCache.open(str(tmp_path))
-        cached, was_hit = warm.measure(CompileAndMeasure(), add_kernel(), 0, 4, 2)
+        cached, was_hit = warm.measure_action(
+            CompileAndMeasure(), get_task("vectorization"), add_kernel(), 0, (4, 2)
+        )
         assert was_hit
         assert cached == measurement
+
+    def test_segment_written_before_the_key_redesign_is_served(self, tmp_path):
+        # A literal v2 segment captured from a store written at the commit
+        # before RewardKey lost its (vf, interleave) constructor: one site
+        # action and one whole-function baseline of the dot-product kernel.
+        (tmp_path / "segment-5817-cb8a5e8d.jsonl").write_text(
+            '{"schema": "repro-reward-store", "version": 2}\n'
+            '{"key":["b1d0eee2cf245908aebb36ea6924d17052801b12",'
+            '"3c9c90dd8b4b949b49537a950e2e5bfe9371446c",0,"vectorization",'
+            '[8,2],256],"cycles":131.62,"compile_seconds":0.05808}\n'
+            '{"key":["b1d0eee2cf245908aebb36ea6924d17052801b12",'
+            '"3c9c90dd8b4b949b49537a950e2e5bfe9371446c",-1,"function",'
+            '[0,0],256],"cycles":247.74,"compile_seconds":0.05808}\n'
+        )
+        pipeline = CompileAndMeasure()
+        kernel = dot_product_kernel()
+        cache = RewardCache()
+        site_key = cache.site_key(
+            pipeline, get_task("vectorization"), kernel, 0, (8, 2)
+        )
+        baseline_key = cache.key_for(
+            kernel,
+            pipeline.machine,
+            WHOLE_FUNCTION_BASELINE,
+            (0, 0),
+            WHOLE_FUNCTION_TASK,
+            default_symbol_value=pipeline.default_symbol_value,
+        )
+        assert PersistentRewardStore(str(tmp_path)).load() == {
+            site_key: CachedMeasurement(131.62, 0.05808),
+            baseline_key: CachedMeasurement(247.74, 0.05808),
+        }
+        with DiskBackedRewardCache.open(str(tmp_path)) as warm:
+            assert warm.preloaded == 2
+            assert warm.measure_action(
+                pipeline, get_task("vectorization"), kernel, 0, (8, 2)
+            ) == (CachedMeasurement(131.62, 0.05808), True)
+            assert warm.measure_baseline(pipeline, kernel) == (
+                CachedMeasurement(247.74, 0.05808),
+                True,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +305,8 @@ class TestEvaluationService:
         requests = grid_requests(add_kernel())
         batcher_cache = RewardCache()
         batcher = EvaluationBatcher(CompileAndMeasure(), batcher_cache)
-        for kernel, loop_index, vf, interleave in requests:
-            batcher.add(kernel, loop_index, vf, interleave)
+        for kernel, site_index, action in requests:
+            batcher.add_action(kernel, site_index, action)
         expected = outcome_tuples(batcher.flush())
 
         service = EvaluationService(CompileAndMeasure(), workers=0)
@@ -344,7 +394,7 @@ class TestEvaluationService:
             agent = RandomSearchAgent(seed=2, candidates=3, evaluation_service=service)
             decision = agent.select_factors(np.zeros(2), kernel=add_kernel(), loop_index=0)
             assert service.stats.serial_requests == 3
-            assert decision.vf >= 1
+            assert decision.action[0] >= 1
 
     def test_submit_after_close_raises_clearly(self):
         service = EvaluationService(CompileAndMeasure(), workers=1)
@@ -438,7 +488,7 @@ class TestFrameworkWarmStart:
                     return original(self, *args, **kwargs)
 
                 monkeypatch.setattr(Simulator, "simulate", counting)
-            results = framework.vectorize_suite(kernels)
+            results = framework.optimize_suite(kernels)
             framework.close()
             if count_calls:
                 monkeypatch.undo()
@@ -452,9 +502,9 @@ class TestFrameworkWarmStart:
         assert [r.baseline_cycles for r in warm_results] == [
             r.baseline_cycles for r in cold_results
         ]
-        assert [
-            [(d.vf, d.interleave) for d in r.decisions] for r in warm_results
-        ] == [[(d.vf, d.interleave) for d in r.decisions] for r in cold_results]
+        assert [r.decisions for r in warm_results] == [
+            r.decisions for r in cold_results
+        ]
 
 
 class TestFrameworkStatsReports:
@@ -476,7 +526,7 @@ class TestFrameworkStatsReports:
 
     def test_cache_stats_report_after_evaluation(self):
         framework = self._framework()
-        framework.vectorize_kernel(add_kernel())
+        framework.optimize_kernel(add_kernel())
         rendered = framework.cache_stats_report().render()
         assert "no evaluations" not in rendered
         assert "hit rate" in rendered

@@ -48,8 +48,8 @@ def batcher_reference(*batches):
     batcher = EvaluationBatcher(CompileAndMeasure(), cache)
     outcomes = []
     for batch in batches:
-        for kernel, loop_index, vf, interleave in batch:
-            batcher.add(kernel, loop_index, vf, interleave)
+        for kernel, site_index, action in batch:
+            batcher.add_action(kernel, site_index, action)
         outcomes.extend(outcome_tuples(batcher.flush()))
     return outcomes, cache.stats
 
@@ -139,9 +139,9 @@ def test_measure_applications_flags_and_lifetime_dedup(service):
 def test_failing_site_job_surfaces_as_error(service):
     if service.workers == 0:
         with pytest.raises(ValueError, match="no function 'missing'"):
-            service.submit([(broken_kernel(), 0, 4, 1)])
+            service.submit([(broken_kernel(), 0, (4, 1))])
         return
-    future = service.submit([(broken_kernel(), 0, 4, 1)])
+    future = service.submit([(broken_kernel(), 0, (4, 1))])
     with pytest.raises(RuntimeError, match="failed in workers"):
         future.result()
     assert service.stats.errors == 1

@@ -76,13 +76,13 @@ class TestFrameworkTraining:
                            learning_rate=1e-3),
         )
         assert artifacts.history is not None
-        result = framework.vectorize_kernel(dot_product_kernel())
+        result = framework.optimize_kernel(dot_product_kernel())
         assert result.cycles > 0
         assert len(result.decisions) == 1
 
     def test_default_framework_runs_end_to_end(self):
         framework = NeuroVectorizer.default()
-        result = framework.vectorize_kernel(dot_product_kernel())
+        result = framework.optimize_kernel(dot_product_kernel())
         assert result.speedup_over_baseline == pytest.approx(1.0, rel=1e-6)
 
 

@@ -374,6 +374,7 @@ class TestJointTraining:
                 assert row["baseline"] == pytest.approx(1.0)
                 for value in row.values():
                     assert value == value and value > 0
+            assert name in comparison.summary_table().render()
 
     def test_optimize_kernel_per_task(self, trained):
         framework, _, kernels = trained
@@ -397,18 +398,6 @@ class TestJointTraining:
         for comparison in comparisons.values():
             assert comparison.methods == ["rl"]
             assert comparison.speedups["work"]["rl"] > 0
-
-    def test_legacy_vectorize_kernel_works_on_joint_framework(self, trained):
-        # Regression: the retained legacy surface must pin the agent to
-        # the primary task too — a joint framework's raw PolicyAgent has
-        # no task and a multi-bank policy refuses to act without one.
-        framework, _, kernels = trained
-        result = framework.vectorize_kernel(kernels[1])
-        assert result.decisions
-        vec_task = resolve_task("vectorization")
-        for decision in result.decisions:
-            assert decision.vf in vec_task.menus[0]
-            assert decision.interleave in vec_task.menus[1]
 
     def test_workers_2_byte_identical_to_serial(self):
         # The acceptance bar: the joint run's evaluation sharded over two
@@ -679,3 +668,4 @@ class TestFigureConvergence:
         rendered = figure.format_table().render()
         for result in results:
             assert result.name in rendered
+        assert "vectorization" in rendered  # single-task tables name it too

@@ -75,21 +75,21 @@ class TestSpacesProperties:
     @given(vf=power_of_two, interleave=interleave_values)
     def test_discrete_space_round_trip(self, vf, interleave):
         space = DiscreteFactorSpace()
-        assert space.decode(space.encode(vf, interleave)) == (vf, interleave)
+        assert space.decode(space.encode((vf, interleave))) == (vf, interleave)
 
     @_SETTINGS
     @given(vf=power_of_two, interleave=interleave_values)
     def test_continuous_spaces_round_trip(self, vf, interleave):
         for space in (ContinuousJointSpace(), ContinuousPairSpace()):
-            assert space.decode(space.encode(vf, interleave)) == (vf, interleave)
+            assert space.decode(space.encode((vf, interleave))) == (vf, interleave)
 
     @_SETTINGS
     @given(value=st.floats(min_value=-2.0, max_value=3.0, allow_nan=False))
     def test_continuous_joint_always_decodes_to_menu(self, value):
         space = ContinuousJointSpace()
         vf, interleave = space.decode([value])
-        assert vf in space.vf_values
-        assert interleave in space.if_values
+        assert vf in space.menus[0]
+        assert interleave in space.menus[1]
 
 
 class TestPlannerProperties:
@@ -280,34 +280,3 @@ class TestRewardStoreRoundTripProperties:
                 assert reloaded.preloaded == len(dict(records))
                 for key, measurement in dict(records).items():
                     assert reloaded.peek(key) == measurement
-
-    @_SETTINGS
-    @given(
-        vf=power_of_two,
-        interleave=interleave_values,
-        loop_index=st.integers(0, 32),
-        measurement=_measurements,
-    )
-    def test_legacy_vf_interleave_keys_round_trip(
-        self, vf, interleave, loop_index, measurement
-    ):
-        # The legacy two-int constructor tags keys with the vectorization
-        # task; a store round trip must come back equal to — and keep the
-        # vf/interleave aliases of — the original.
-        import tempfile
-
-        from repro.cache.reward_cache import CachedMeasurement, RewardKey
-        from repro.distributed import PersistentRewardStore
-
-        key = RewardKey("k" * 8, "m" * 8, loop_index, vf, interleave)
-        cycles, compile_seconds = measurement
-        stored = CachedMeasurement(cycles=cycles, compile_seconds=compile_seconds)
-        with tempfile.TemporaryDirectory() as directory:
-            with PersistentRewardStore(directory) as store:
-                store.append(key, stored)
-            loaded = PersistentRewardStore(directory).load()
-        assert loaded == {key: stored}
-        (round_tripped,) = loaded
-        assert round_tripped.task == "vectorization"
-        assert round_tripped.vf == vf
-        assert round_tripped.interleave == interleave

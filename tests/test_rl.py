@@ -65,12 +65,11 @@ class TestActionSpaces:
 
     def test_discrete_encode_round_trip(self):
         space = DiscreteFactorSpace()
-        for vf in space.vf_values:
-            for interleave in space.if_values:
-                assert space.decode(space.encode(vf, interleave)) == (vf, interleave)
+        for action in space.all_actions():
+            assert space.decode(space.encode(action)) == action
 
     def test_num_factor_pairs_is_35(self):
-        assert default_action_space().num_factor_pairs == 35
+        assert default_action_space().num_actions == 35
 
     def test_continuous_joint_covers_extremes(self):
         space = ContinuousJointSpace()
@@ -81,13 +80,13 @@ class TestActionSpaces:
         space = ContinuousJointSpace()
         for vf in (1, 4, 64):
             for interleave in (1, 8):
-                assert space.decode(space.encode(vf, interleave)) == (vf, interleave)
+                assert space.decode(space.encode((vf, interleave))) == (vf, interleave)
 
     def test_continuous_pair_round_trip(self):
         space = ContinuousPairSpace()
         for vf in (2, 16):
             for interleave in (2, 16):
-                assert space.decode(space.encode(vf, interleave)) == (vf, interleave)
+                assert space.decode(space.encode((vf, interleave))) == (vf, interleave)
 
     def test_continuous_values_are_clipped(self):
         space = ContinuousPairSpace()
@@ -123,12 +122,12 @@ class TestRoundingTieBreaks:
     def test_encode_equidistant_targets_pick_smaller_factor(self):
         space = DiscreteFactorSpace()
         # 3 is exactly between menu entries 2 and 4; 12 between 8 and 16.
-        assert space.decode(space.encode(3, 3)) == (2, 2)
-        assert space.decode(space.encode(12, 12)) == (8, 8)
+        assert space.decode(space.encode((3, 3))) == (2, 2)
+        assert space.decode(space.encode((12, 12))) == (8, 8)
         joint = ContinuousJointSpace()
-        assert joint.decode(joint.encode(3, 12)) == (2, 8)
+        assert joint.decode(joint.encode((3, 12))) == (2, 8)
         pair = ContinuousPairSpace()
-        assert pair.decode(pair.encode(48, 3)) == (32, 2)
+        assert pair.decode(pair.encode((48, 3))) == (32, 2)
 
 
 class TestEnvironment:
@@ -147,19 +146,19 @@ class TestEnvironment:
         pipeline = tiny_env.pipeline
         baseline = pipeline.measure_baseline(sample.kernel)
         factors = baseline.factors[sample.loop_index]
-        reward, _ = tiny_env.evaluate_factors(sample, *factors)
+        reward, _ = tiny_env.evaluate_action(sample, factors)
         assert reward == pytest.approx(0.0, abs=1e-9)
 
     def test_scalar_action_usually_negative(self, tiny_env):
         rewards = [
-            tiny_env.evaluate_factors(sample, 1, 1)[0] for sample in tiny_env.samples
+            tiny_env.evaluate_action(sample, (1, 1))[0] for sample in tiny_env.samples
         ]
         assert min(rewards) < 0
 
     def test_reward_cache_hits(self, tiny_env):
         sample = tiny_env.samples[0]
-        tiny_env.evaluate_factors(sample, 8, 2)
-        _, info = tiny_env.evaluate_factors(sample, 8, 2)
+        tiny_env.evaluate_action(sample, (8, 2))
+        _, info = tiny_env.evaluate_action(sample, (8, 2))
         assert info.get("cached") == 1.0
 
     def test_all_samples_visited_before_repeat(self):
@@ -193,7 +192,7 @@ class TestEnvironment:
         env = VectorizationEnv(
             samples, pipeline=pipeline, compile_time_limit=2.0, compile_time_penalty=-9.0
         )
-        reward, info = env.evaluate_factors(samples[0], 64, 16)
+        reward, info = env.evaluate_action(samples[0], (64, 16))
         assert reward == -9.0
         assert info.get("compile_time_exceeded") == 1.0
 

@@ -12,7 +12,6 @@ from repro.agents.brute_force import BruteForceAgent
 from repro.agents.random_search import RandomSearchAgent
 from repro.cache.reward_cache import (
     CachedMeasurement,
-    EvaluationBatcher,
     RewardCache,
     RewardKey,
 )
@@ -160,7 +159,7 @@ class TestBackwardCompat:
     def test_default_action_space_matches_vectorization_task(self):
         space = default_action_space()
         assert isinstance(space, DiscreteFactorSpace)
-        assert space.num_factor_pairs == 35
+        assert space.num_actions == 35
         task_space = VectorizationTask().action_space("discrete")
         assert task_space.menus == space.menus
 
@@ -180,37 +179,6 @@ class TestBackwardCompat:
         result = env.step((2, 1))
         assert result.info["vf"] == 4.0
         assert result.info["interleave"] == 2.0
-
-    def test_reward_key_legacy_constructor(self):
-        key = RewardKey(
-            kernel_hash="k" * 40, machine_hash="m" * 40, loop_index=0,
-            vf=4, interleave=2,
-        )
-        assert key.action == (4, 2)
-        assert key.task == "vectorization"
-        assert key.vf == 4
-        assert key.interleave == 2
-        same = RewardKey(
-            kernel_hash="k" * 40, machine_hash="m" * 40, loop_index=0,
-            action=(4, 2),
-        )
-        assert key == same and hash(key) == hash(same)
-
-    def test_reward_key_rejects_ambiguous_arguments(self):
-        with pytest.raises(TypeError):
-            RewardKey("k", "m", 0)
-        with pytest.raises(TypeError):
-            RewardKey("k", "m", 0, vf=4, interleave=2, action=(4, 2))
-
-    def test_batcher_legacy_add_matches_add_action(self):
-        pipeline = CompileAndMeasure()
-        cache = RewardCache()
-        batcher = EvaluationBatcher(pipeline, cache)
-        batcher.add(stream_kernel(), 0, 4, 2)
-        batcher.add_action(stream_kernel(), 0, (4, 2))
-        first, second = batcher.flush()
-        assert first.measurement == second.measurement
-        assert second.was_cached  # deduplicated against the legacy request
 
     def test_different_task_same_action_never_collides(self):
         cache = RewardCache()
@@ -437,11 +405,6 @@ class TestPollyEndToEnd:
         assert second.cycles == first.cycles
         assert second.decisions == first.decisions
 
-    def test_vectorize_kernel_rejected_for_other_tasks(self, trained):
-        framework, _, kernels = trained
-        with pytest.raises(ValueError, match="polly-tiling"):
-            framework.vectorize_kernel(kernels[0])
-
     def test_mismatched_agent_task_rejected_at_construction(self):
         # A vectorization brute-force agent under a polly framework would
         # silently apply (VF, IF) choices as (tile, fuse) — both are 2-dim.
@@ -486,7 +449,7 @@ class TestPollyEndToEnd:
 class TestShardedIdentity:
     def test_vectorization_workers_match_serial(self):
         requests = [
-            (kernel, 0, vf, interleave)
+            (kernel, 0, (vf, interleave))
             for kernel in (two_nest_kernel(), stream_kernel())
             for vf in (1, 4, 16)
             for interleave in (1, 2)
@@ -593,7 +556,7 @@ class TestStoreSchemaVersioning:
         # The stale key shape can never be looked up: every v2 key carries a
         # task tag and action tuple, so no query maps onto the old record.
         key = cache.key_for(
-            stream_kernel(), CompileAndMeasure().machine, 0, 4, 2
+            stream_kernel(), CompileAndMeasure().machine, 0, (4, 2), "vectorization"
         )
         assert cache.peek(key) is None
         cache.close()
@@ -605,6 +568,7 @@ class TestStoreSchemaVersioning:
             loop_index=1,
             action=(32, 1),
             task="polly-tiling",
+            default_symbol_value=256,
         )
         store = PersistentRewardStore(str(tmp_path))
         store.append(key, CachedMeasurement(cycles=77.0, compile_seconds=0.25))
@@ -631,6 +595,8 @@ class TestCompactOnClose:
                 machine_hash="m" * 40,
                 loop_index=0,
                 action=(4, 2),
+                task="vectorization",
+                default_symbol_value=256,
             )
             store.append(key, CachedMeasurement(float(index), 0.0))
             store.close()

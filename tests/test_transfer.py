@@ -442,6 +442,7 @@ class TestTransferProtocol:
             assert set(entry.test.speedups) == {"shift"}
             for side in entry.sides.values():
                 assert side.geomean("baseline") == 1.0
+                assert {row["baseline"] for row in side.speedups.values()} == {1.0}
         rendered = matrix.format_table().render()
         assert "train" in rendered and "test" in rendered
 
@@ -487,7 +488,11 @@ class TestTransferProtocol:
         decisions = framework.decide_sites(kernels[0], task="polly-tiling")
         assert decisions
         matrix = framework.compare_all_tasks(kernels, kernel_split=True)
-        assert "polly-tiling" in list(matrix)
+        assert sorted(matrix) == sorted(ALL_TASKS)
+        for _name, entry in matrix.items():
+            for side in entry.sides.values():
+                assert {row["baseline"] for row in side.speedups.values()} == {1.0}
+        assert matrix.format_table().render()
 
     def test_fine_tune_needs_conditioned_policy(self):
         framework = NeuroVectorizer.default()
