@@ -1,6 +1,6 @@
 """Shared fixtures for the benchmark harness.
 
-The Figure 7/8/9 benches share a single trained agent set (training once per
+The Figure 7/8/9 benches share a single trained framework (training once per
 benchmark session keeps the harness runtime reasonable while preserving the
 paper's methodology: train on the synthetic corpus, evaluate frozen agents on
 held-out suites).
@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.framework import NeuroVectorizer, TrainingConfig
 from repro.datasets.llvm_suite import llvm_vectorizer_suite, test_benchmarks
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
-from repro.evaluation.comparison import train_reference_agents
+from repro.evaluation import ComparisonRunner, fit_supervised_agents
 
 
 #: Scaled-down but shape-preserving training budget for the benches.
@@ -24,16 +25,27 @@ LEARNING_RATE = 5e-4
 
 @pytest.fixture(scope="session")
 def trained_agents():
+    """``(framework, supervised)``: the trained RL framework and the NNS /
+    decision-tree agents fitted on brute-force labels of its training set."""
     kernels = list(
         generate_synthetic_dataset(SyntheticDatasetConfig(count=TRAIN_KERNEL_COUNT, seed=0))
     )
     held_out = set(test_benchmarks().names())
     kernels.extend(k for k in llvm_vectorizer_suite() if k.name not in held_out)
-    return train_reference_agents(
+    framework, _ = NeuroVectorizer.train(
         kernels,
-        rl_steps=RL_STEPS,
-        rl_batch_size=RL_BATCH,
-        learning_rate=LEARNING_RATE,
-        pretrain_epochs=1,
-        seed=0,
+        TrainingConfig(
+            rl_total_steps=RL_STEPS,
+            rl_batch_size=RL_BATCH,
+            learning_rate=LEARNING_RATE,
+            pretrain_epochs=1,
+            seed=0,
+        ),
     )
+    runner = ComparisonRunner(
+        pipeline=framework.pipeline,
+        embedding_model=framework.embedding_model,
+        reward_cache=framework.reward_cache,
+    )
+    yield framework, fit_supervised_agents(runner, kernels, seed=0)
+    framework.close()

@@ -7,30 +7,21 @@ well below RL.  Expected shape: brute force >= RL > Polly/baseline, RL captures
 most of the brute-force headroom, random and Polly stay far below RL.
 """
 
-from repro.datasets.llvm_suite import test_benchmarks as held_out_benchmarks
-from repro.evaluation.comparison import compare_methods
-from repro.evaluation.report import format_speedup_table
+from repro.evaluation import figure7_main_comparison
 
 
 def test_fig7_main_comparison(benchmark, trained_agents):
-    def run():
-        return compare_methods(
-            list(held_out_benchmarks()),
-            trained_agents,
-            include_polly=True,
-            include_supervised=True,
-        )
+    framework, supervised = trained_agents
 
-    comparison = benchmark.pedantic(run, iterations=1, rounds=1)
+    def run():
+        return figure7_main_comparison(framework, supervised)
+
+    figure = benchmark.pedantic(run, iterations=1, rounds=1)
     print()
-    print(
-        format_speedup_table(
-            comparison.speedups,
-            comparison.methods,
-            title="Figure 7: performance normalised to the baseline cost model",
-        ).render()
-    )
-    averages = {method: comparison.average(method) for method in comparison.methods}
+    print(figure.format_table().render())
+    averages = {
+        method: figure.average(method) for method in figure.comparison.methods
+    }
     print("averages:", {k: round(v, 2) for k, v in averages.items()})
 
     assert averages["baseline"] == 1.0

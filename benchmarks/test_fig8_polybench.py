@@ -8,31 +8,21 @@ average, Polly is strong here (locality transformations), and the combination
 beats either alone.
 """
 
-from repro.datasets.polybench import polybench_suite
-from repro.evaluation.comparison import compare_methods
-from repro.evaluation.report import format_speedup_table
+from repro.evaluation import figure8_polybench
 
 
 def test_fig8_polybench_transfer(benchmark, trained_agents):
-    def run():
-        return compare_methods(
-            list(polybench_suite()),
-            trained_agents,
-            include_polly=True,
-            include_supervised=False,
-            include_combined=True,
-        )
+    framework, _supervised = trained_agents
 
-    comparison = benchmark.pedantic(run, iterations=1, rounds=1)
+    def run():
+        return figure8_polybench(framework)
+
+    figure = benchmark.pedantic(run, iterations=1, rounds=1)
     print()
-    print(
-        format_speedup_table(
-            comparison.speedups,
-            comparison.methods,
-            title="Figure 8: PolyBench, normalised to the baseline",
-        ).render()
-    )
-    averages = {method: comparison.average(method) for method in comparison.methods}
+    print(figure.format_table().render())
+    averages = {
+        method: figure.average(method) for method in figure.comparison.methods
+    }
     print("averages:", {k: round(v, 2) for k, v in averages.items()})
 
     # Polly is strong on PolyBench and beats the plain baseline.

@@ -7,30 +7,21 @@ baseline on average with a small margin (well below the Figure 7 gains), and
 RL >= Polly.
 """
 
-from repro.datasets.mibench import mibench_suite
-from repro.evaluation.comparison import compare_methods
-from repro.evaluation.report import format_speedup_table
+from repro.evaluation import figure9_mibench
 
 
 def test_fig9_mibench_transfer(benchmark, trained_agents):
-    def run():
-        return compare_methods(
-            list(mibench_suite()),
-            trained_agents,
-            include_polly=True,
-            include_supervised=False,
-        )
+    framework, _supervised = trained_agents
 
-    comparison = benchmark.pedantic(run, iterations=1, rounds=1)
+    def run():
+        return figure9_mibench(framework)
+
+    figure = benchmark.pedantic(run, iterations=1, rounds=1)
     print()
-    print(
-        format_speedup_table(
-            comparison.speedups,
-            comparison.methods,
-            title="Figure 9: MiBench, normalised to the baseline",
-        ).render()
-    )
-    averages = {method: comparison.average(method) for method in comparison.methods}
+    print(figure.format_table().render())
+    averages = {
+        method: figure.average(method) for method in figure.comparison.methods
+    }
     print("averages:", {k: round(v, 2) for k, v in averages.items()})
 
     # Modest average gain (the loops are a minor portion of these programs).

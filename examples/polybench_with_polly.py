@@ -20,17 +20,9 @@ reference.
 import argparse
 
 from repro.core.framework import NeuroVectorizer, TrainingConfig
-from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.polybench import polybench_suite
-from repro.polly.optimizer import PollyOptimizer
+from repro.evaluation import add_polly_columns
 from repro.tasks import available_tasks
-
-
-def fixed_polly_speedup(pipeline: CompileAndMeasure, kernel) -> float:
-    """Speed-up of the fixed-configuration Polly pass over the baseline."""
-    baseline = pipeline.measure_baseline(kernel)
-    transformed = PollyOptimizer().optimize(pipeline.lower_kernel(kernel))
-    return baseline.cycles / pipeline.measure_function(kernel, transformed).cycles
 
 
 def main() -> None:
@@ -65,17 +57,22 @@ def main() -> None:
     print(f"  iterations: {len(artifacts.history.iterations)}, "
           f"final mean reward: {artifacts.history.final_reward_mean:+.4f}")
 
+    # The learned per-site decisions next to the fixed-configuration pass:
+    # one comparison over the framework's plumbing, Polly's column appended.
+    comparison = framework.compare_agents(kernels, agents={"learned": framework.agent})
+    add_polly_columns(comparison, kernels, framework.pipeline)
     print()
     print(f"{'kernel':<12s} {'learned':>9s} {'fixed polly':>12s}   decisions")
     for kernel in kernels:
-        result = framework.optimize_kernel(kernel)
-        fixed = fixed_polly_speedup(framework.pipeline, kernel)
+        row = comparison.speedups[kernel.name]
         decisions = ", ".join(
             f"#{site}:" + "/".join(str(v) for v in action)
-            for site, action in sorted(result.decisions.items())
+            for site, action in sorted(
+                comparison.decisions_for(kernel.name, "learned").items()
+            )
         )
-        print(f"{kernel.name:<12s} {result.speedup_over_baseline:8.2f}x "
-              f"{fixed:11.2f}x   {decisions}")
+        print(f"{kernel.name:<12s} {row['learned']:8.2f}x "
+              f"{row['polly']:11.2f}x   {decisions}")
 
     print()
     print(framework.cache_stats_report().render())

@@ -21,15 +21,13 @@ Run with:  python examples/train_neurovectorizer.py  [--steps 4000] [--kernels 1
 
 import argparse
 
-from repro.core.pipeline import CompileAndMeasure
+from repro.core.framework import NeuroVectorizer, TrainingConfig
 from repro.datasets.llvm_suite import llvm_vectorizer_suite, test_benchmarks
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
-from repro.distributed import EvaluationService, EvaluationServiceConfig
-from repro.evaluation.comparison import compare_methods, train_reference_agents
-from repro.evaluation.report import (
-    format_cache_stats_table,
-    format_service_stats_table,
-    format_speedup_table,
+from repro.evaluation import (
+    ComparisonRunner,
+    figure7_main_comparison,
+    fit_supervised_agents,
 )
 
 
@@ -56,66 +54,55 @@ def main() -> None:
     held_out = set(test_benchmarks().names())
     kernels.extend(k for k in llvm_vectorizer_suite() if k.name not in held_out)
 
-    service = EvaluationService.from_config(
-        CompileAndMeasure(),
-        EvaluationServiceConfig(
-            workers=arguments.workers, cache_dir=arguments.cache_dir
-        ),
-    )
-    if arguments.workers or arguments.cache_dir:
-        print(
-            f"evaluation service: {arguments.workers} worker(s), "
-            f"store={arguments.cache_dir or 'memory-only'}, "
-            f"{getattr(service.cache, 'preloaded', 0)} measurement(s) "
-            "warm-started from disk"
-        )
-
-    try:
-        print(f"training (pretraining + {arguments.steps} PPO steps) ...")
-        trained = train_reference_agents(
-            kernels,
-            rl_steps=arguments.steps,
+    print(f"training (pretraining + {arguments.steps} PPO steps) ...")
+    framework, artifacts = NeuroVectorizer.train(
+        kernels,
+        TrainingConfig(
+            rl_total_steps=arguments.steps,
             rl_batch_size=250,
             learning_rate=5e-4,
             pretrain_epochs=1,
             seed=arguments.seed,
-            evaluation_service=service,
-        )
-        curve = [round(value, 3) for value in trained.history.reward_curve()]
+            workers=arguments.workers,
+            cache_dir=arguments.cache_dir,
+        ),
+    )
+    with framework:
+        if arguments.workers or arguments.cache_dir:
+            print(
+                f"evaluation service: {arguments.workers} worker(s), "
+                f"store={arguments.cache_dir or 'memory-only'}, "
+                f"{getattr(framework.reward_cache, 'preloaded', 0)} "
+                "measurement(s) warm-started from disk"
+            )
+        curve = [round(value, 3) for value in artifacts.history.reward_curve()]
         print(f"reward-mean curve over training: {curve}")
 
-        print("evaluating on the 12 held-out test benchmarks ...")
-        comparison = compare_methods(list(test_benchmarks()), trained)
-        print()
-        print(
-            format_speedup_table(
-                comparison.speedups,
-                comparison.methods,
-                title="Performance normalised to the baseline cost model (Figure 7 analogue)",
-            ).render()
+        print("fitting NNS / decision tree on brute-force labels ...")
+        runner = ComparisonRunner(
+            pipeline=framework.pipeline,
+            embedding_model=framework.embedding_model,
+            reward_cache=framework.reward_cache,
+            evaluation_service=framework.evaluation_service,
         )
+        supervised = fit_supervised_agents(runner, kernels, seed=arguments.seed)
+
+        print("evaluating on the 12 held-out test benchmarks ...")
+        figure = figure7_main_comparison(framework, supervised, seed=arguments.seed)
         print()
-        for method in comparison.methods:
-            print(f"  average {method:14s}: {comparison.average(method):5.2f}x")
-        rl_vs_brute = comparison.average("rl") / comparison.average("brute_force")
+        print(figure.format_table().render())
+        print()
+        for method in figure.comparison.methods:
+            print(f"  average {method:14s}: {figure.average(method):5.2f}x")
+        rl_vs_brute = figure.average("rl") / figure.average("brute_force")
         print(f"\nRL captures {rl_vs_brute * 100:.0f}% of the brute-force oracle's gain.")
 
         print()
-        print(format_cache_stats_table(service.cache.stats).render())
-        store = getattr(service.cache, "store", None)
-        print()
-        print(
-            format_service_stats_table(
-                service.stats,
-                store_stats=store.stats if store is not None else None,
-                preloaded=getattr(service.cache, "preloaded", 0),
-            ).render()
-        )
-    finally:
-        service.close()
-        closer = getattr(service.cache, "close", None)
-        if closer is not None:
-            closer()
+        print(framework.cache_stats_report().render())
+        service_report = framework.service_stats_report()
+        if service_report is not None:
+            print()
+            print(service_report.render())
 
 
 if __name__ == "__main__":

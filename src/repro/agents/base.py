@@ -7,6 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.datasets.kernels import LoopKernel
+from repro.tasks import resolve_task
 
 
 class AgentDecision:
@@ -52,6 +53,23 @@ class VectorizationAgent:
     name: str = "agent"
     #: Whether select_factors reads the observation vector (embedding).
     uses_observation: bool = True
+    #: The task this agent decides for; ``None`` for agents that decide from
+    #: the observation alone (NNS, decision tree, a single-task policy).
+    task = None
+
+    def for_task(self, task) -> "VectorizationAgent":
+        """This agent deciding for ``task`` (a registered name or instance).
+
+        An unpinned agent, or one already pinned to ``task``, serves as is;
+        an agent built for another task cannot change what it decides.
+        """
+        task = resolve_task(task)
+        if self.task is None or self.task.name == task.name:
+            return self
+        raise ValueError(
+            f"agent decides for task {self.task.name!r}, not "
+            f"{task.name!r}, and cannot be re-pinned"
+        )
 
     def select_factors(
         self,

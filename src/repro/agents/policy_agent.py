@@ -9,6 +9,7 @@ import numpy as np
 from repro.agents.base import AgentDecision, VectorizationAgent
 from repro.datasets.kernels import LoopKernel
 from repro.rl.policy import Policy
+from repro.tasks import resolve_task
 
 
 class PolicyAgent(VectorizationAgent):
@@ -28,8 +29,6 @@ class PolicyAgent(VectorizationAgent):
     name = "rl"
 
     def __init__(self, policy: Policy, deterministic: bool = True, task=None):
-        from repro.tasks import resolve_task
-
         self.policy = policy
         self.deterministic = deterministic
         self.task = resolve_task(task) if task is not None else None
@@ -48,6 +47,8 @@ class PolicyAgent(VectorizationAgent):
 
     def for_task(self, task) -> "PolicyAgent":
         """This policy pinned to one of its tasks (joint-training helper)."""
+        if self.task is not None and self.task.name == resolve_task(task).name:
+            return self
         return PolicyAgent(self.policy, deterministic=self.deterministic, task=task)
 
     def select_factors(

@@ -250,12 +250,11 @@ class NeuroVectorizer:
         # actions straight into this task's apply/cache path — both tasks
         # may share an action arity, so the mix-up would be silent garbage
         # (VF/IF applied as tile/fuse).  Fail loudly instead.
-        agent_task = getattr(agent, "task", None)
-        if agent_task is not None and agent_task.name not in {
+        if agent.task is not None and agent.task.name not in {
             t.name for t in self.tasks
         }:
             raise ValueError(
-                f"agent decides for task {agent_task.name!r} but the "
+                f"agent decides for task {agent.task.name!r} but the "
                 f"framework runs task(s) {[t.name for t in self.tasks]}; "
                 f"construct the agent with one of those tasks"
             )
@@ -378,24 +377,8 @@ class NeuroVectorizer:
         )
 
     def _agent_for_task(self, task: OptimizationTask):
-        """The framework agent pinned to ``task``.
-
-        A task-selecting agent (a :class:`repro.agents.policy_agent.
-        PolicyAgent` over a jointly-trained policy) is re-pinned via its
-        ``for_task``; other agents must already decide for the task.
-        """
-        agent_task = getattr(self.agent, "task", None)
-        if agent_task is not None and agent_task.name == task.name:
-            return self.agent
-        for_task = getattr(self.agent, "for_task", None)
-        if for_task is not None:
-            return for_task(task)
-        if agent_task is not None:
-            raise ValueError(
-                f"agent decides for task {agent_task.name!r}, not "
-                f"{task.name!r}, and cannot be re-pinned"
-            )
-        return self.agent
+        """The framework agent pinned to ``task`` (see ``for_task``)."""
+        return self.agent.for_task(task)
 
     # -- decision making -----------------------------------------------------------------
 
@@ -477,23 +460,15 @@ class NeuroVectorizer:
         if agents is None:
             agent = self._agent_for_task(task)
             agents = runner.default_agents(seed=seed)
-            agents[getattr(agent, "name", "agent")] = agent
+            agents[agent.name] = agent
         return runner.run(agents, kernels)
 
     @staticmethod
     def _repin_agents(agents, task):
         """Re-pin an explicit agents mapping to one task (``for_task``)."""
-        from collections import OrderedDict
-
         if agents is None:
             return None
-        return OrderedDict(
-            (
-                name,
-                agent.for_task(task) if hasattr(agent, "for_task") else agent,
-            )
-            for name, agent in agents.items()
-        )
+        return {name: agent.for_task(task) for name, agent in agents.items()}
 
     def _resolve_kernel_split(self, kernel_split, kernels, seed: int):
         """Coerce a ``kernel_split`` argument to a :class:`KernelSplit`."""

@@ -2,8 +2,8 @@
 
 Each ``figure*`` function returns a small result object with the same rows or
 series the paper plots, plus a ``format_table()`` helper so benchmarks and
-examples can print them.  The mapping from paper figure to driver is listed
-in DESIGN.md (§4) and EXPERIMENTS.md.
+examples can print them; each driver is named after its figure
+(``figure7_main_comparison`` is Figure 7, run by ``benchmarks/test_fig7_main.py``).
 """
 
 from repro.evaluation.report import (
@@ -17,13 +17,11 @@ from repro.evaluation.splits import KernelSplit, split_kernels
 from repro.evaluation.comparison import (
     ComparisonRunner,
     GeneralizationMatrix,
-    MethodComparison,
     SiteDecision,
     SplitComparison,
     TaskComparison,
-    compare_methods,
-    train_reference_agents,
-    TrainedAgents,
+    add_polly_columns,
+    fit_supervised_agents,
 )
 from repro.evaluation.figures import (
     ActionSweepResult,
@@ -31,7 +29,6 @@ from repro.evaluation.figures import (
     Figure2Result,
     FigureConvergenceResult,
     FigureCurvesResult,
-    FigureComparisonResult,
     TaskComparisonFigure,
     action_sweep,
     figure1_dot_product_grid,
@@ -55,19 +52,16 @@ __all__ = [
     "split_kernels",
     "ComparisonRunner",
     "GeneralizationMatrix",
-    "MethodComparison",
     "SiteDecision",
     "SplitComparison",
     "TaskComparison",
-    "compare_methods",
-    "TrainedAgents",
-    "train_reference_agents",
+    "add_polly_columns",
+    "fit_supervised_agents",
     "ActionSweepResult",
     "Figure1Result",
     "Figure2Result",
     "FigureConvergenceResult",
     "FigureCurvesResult",
-    "FigureComparisonResult",
     "TaskComparisonFigure",
     "action_sweep",
     "figure_convergence",

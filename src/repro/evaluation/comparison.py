@@ -1,22 +1,20 @@
 """Measuring a kernel suite under every method the paper compares.
 
-Two layers live here:
-
-* :class:`ComparisonRunner` / :class:`TaskComparison` — the task-generic
-  protocol: any mapping of named agents x any kernel suite x any registered
-  :class:`repro.tasks.OptimizationTask` produces the paper's speedup matrix
-  (Figures 7-9), with every measurement routed through the run-wide reward
-  cache (and sharded evaluation service, when attached) and a per-site
-  decision log recording what every agent chose where.
-* :func:`train_reference_agents` / :func:`compare_methods` — the original
-  vectorization-specific drivers behind the Figure 7/8/9 reproductions,
-  kept as-is (they bundle PPO training, brute-force labelling and the
-  Polly comparison into one call).
+One protocol: :class:`ComparisonRunner` takes any mapping of named agents,
+any kernel suite and any registered :class:`repro.tasks.OptimizationTask`
+and produces the paper's speedup matrix (Figures 7-9) as a
+:class:`TaskComparison`, with every measurement routed through the run-wide
+reward cache (and sharded evaluation service, when attached) and a per-site
+decision log recording what every agent chose where.  Two helpers complete
+the paper's line-up on that vocabulary: :func:`fit_supervised_agents` fits
+the NNS / decision-tree baselines on the runner's own brute-force labels,
+and :func:`add_polly_columns` appends the whole-function ``polly`` and
+``polly+<method>`` columns to a finished comparison.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -27,50 +25,15 @@ from repro.agents.baseline import BaselineAgent
 from repro.agents.brute_force import BruteForceAgent
 from repro.agents.decision_tree import DecisionTreeAgent
 from repro.agents.nns import NearestNeighborAgent
-from repro.agents.policy_agent import PolicyAgent
 from repro.agents.random_search import RandomSearchAgent
 from repro.cache.reward_cache import RewardCache, resolve_cache
-from repro.core.framework import TrainingConfig, build_embedding_model
-from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
-from repro.embedding.ast_paths import extract_path_contexts
 from repro.embedding.code2vec import Code2VecModel
-from repro.embedding.vocab import normalize_identifiers
 from repro.machine.description import MachineDescription
 from repro.polly.optimizer import PollyOptimizer
-from repro.rl.env import VectorizationEnv, build_samples
-from repro.rl.policy import make_policy
 from repro.evaluation.splits import KernelSplit
-from repro.rl.ppo import PPOConfig, PPOTrainer, TrainingHistory
 from repro.tasks import OptimizationTask, resolve_task
-
-
-@dataclass
-class MethodComparison:
-    """Speed-ups over the baseline per kernel and method (Figures 7/8/9)."""
-
-    speedups: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    methods: List[str] = field(default_factory=list)
-
-    def geomean(self, method: str) -> float:
-        from repro.evaluation.report import geometric_mean
-
-        values = [per.get(method, float("nan")) for per in self.speedups.values()]
-        return geometric_mean([v for v in values if v == v and v > 0])
-
-    def average(self, method: str) -> float:
-        values = [
-            per[method]
-            for per in self.speedups.values()
-            if method in per and per[method] == per[method]
-        ]
-        return float(np.mean(values)) if values else float("nan")
-
-
-# ---------------------------------------------------------------------------
-# Task-generic comparison protocol
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -89,8 +52,7 @@ class SiteDecision:
 class TaskComparison:
     """Speed-ups over the baseline per kernel and method, for one task.
 
-    The task-generic counterpart of :class:`MethodComparison`: the same
-    per-benchmark matrix the paper plots in Figures 7-9, plus the raw
+    The per-benchmark matrix the paper plots in Figures 7-9, plus the raw
     cycles, the per-site decision log, and the cache traffic the run
     generated (hits vs simulator misses), so a warm-store rerun can prove
     it recompiled nothing.
@@ -301,14 +263,13 @@ class ComparisonRunner:
         return agents
 
     def _check_agent(self, name: str, agent: VectorizationAgent) -> None:
-        agent_task = getattr(agent, "task", None)
-        if agent_task is not None and agent_task.name != self.task.name:
+        if agent.task is not None and agent.task.name != self.task.name:
             raise ValueError(
-                f"agent {name!r} decides for task {agent_task.name!r} but this "
+                f"agent {name!r} decides for task {agent.task.name!r} but this "
                 f"comparison runs task {self.task.name!r}; construct the agent "
                 f"with task={self.task.name!r}"
             )
-        if self.embedding_model is None and getattr(agent, "uses_observation", True):
+        if self.embedding_model is None and agent.uses_observation:
             # Without an embedding model the runner can only hand agents a
             # placeholder observation; an embedding-driven agent (NNS, tree,
             # policy) would then make the same decision at every site and
@@ -349,6 +310,16 @@ class ComparisonRunner:
         """
         for name, agent in agents.items():
             self._check_agent(name, agent)
+        # Rows, baselines and the decision log are keyed by kernel name: two
+        # kernels sharing one would overwrite each other's row and merge
+        # their decisions_for() maps.
+        name_counts = Counter(kernel.name for kernel in kernels)
+        duplicated = sorted(name for name, count in name_counts.items() if count > 1)
+        if duplicated:
+            raise ValueError(
+                f"ComparisonRunner.run: duplicate kernel name(s) {duplicated}; "
+                "every kernel in one comparison needs a distinct name"
+            )
         hits_before = self.reward_cache.stats.hits
         misses_before = self.reward_cache.stats.misses
         comparison = TaskComparison(task=self.task.name, methods=list(agents))
@@ -456,245 +427,72 @@ class ComparisonRunner:
         )
 
 
-@dataclass
-class TrainedAgents:
-    """Everything produced by :func:`train_reference_agents`."""
-
-    embedding_model: Code2VecModel
-    pipeline: CompileAndMeasure
-    rl_agent: PolicyAgent
-    nns_agent: NearestNeighborAgent
-    tree_agent: DecisionTreeAgent
-    random_agent: RandomSearchAgent
-    brute_force_agent: BruteForceAgent
-    history: TrainingHistory
-    training_samples: int = 0
-    reward_cache: Optional[RewardCache] = None
-
-
-def _embed_loop(embedding_model: Code2VecModel, loop) -> np.ndarray:
-    rename_map = normalize_identifiers(loop.nest_root)
-    contexts = extract_path_contexts(loop.nest_root, rename_map=rename_map)
-    return embedding_model.embed(contexts)
-
-
-def train_reference_agents(
-    train_kernels: Sequence[LoopKernel],
-    machine: Optional[MachineDescription] = None,
-    rl_steps: int = 1500,
-    rl_batch_size: int = 150,
-    learning_rate: float = 5e-4,
-    label_kernels: Optional[Sequence[LoopKernel]] = None,
-    pretrain_epochs: int = 1,
+def fit_supervised_agents(
+    runner: ComparisonRunner,
+    label_kernels: Sequence[LoopKernel],
     seed: int = 0,
-    reward_cache: Optional[RewardCache] = None,
-    evaluation_service=None,
-) -> TrainedAgents:
-    """Train the RL policy and fit NNS / decision tree on brute-force labels.
+) -> "OrderedDict[str, VectorizationAgent]":
+    """Fit the paper's supervised baselines (§3.5) on brute-force labels.
 
-    This is the shared setup for Figures 7, 8 and 9: pretrain the embedding
-    on loop properties, train PPO once on the synthetic corpus, then evaluate
-    the frozen agents on held-out suites.  ``label_kernels`` defaults to the
-    training kernels (the paper also limits the brute-force labelling to a
-    5,000-sample subset for cost reasons).
-
-    Pass an ``evaluation_service`` (see :mod:`repro.distributed`) to shard
-    reward evaluation across worker processes and/or persist it to disk; the
-    service's pipeline and cache take over as the run-wide instances.
+    Every decision site of ``label_kernels`` is embedded with the runner's
+    model and labelled by the runner's own brute-force agent, so labelling
+    shares the run's reward cache, store and evaluation service (the paper
+    likewise labels a subset of the training set for cost reasons).
+    Returns ``{"nns": ..., "decision_tree": ...}`` ready to join a
+    :meth:`ComparisonRunner.run` line-up under the runner's task.
     """
-    if evaluation_service is not None:
-        # The service's pipeline (and its machine model) take over; a
-        # conflicting explicit machine would silently measure everything
-        # under the wrong model, so reject it.
-        pipeline = evaluation_service.pipeline
-        if machine is not None and machine is not pipeline.machine:
-            raise ValueError(
-                "train_reference_agents: explicit machine conflicts with the "
-                "evaluation service's pipeline machine; build the service "
-                "from a pipeline using that machine instead"
-            )
-        machine = pipeline.machine
-        if reward_cache is None:
-            reward_cache = evaluation_service.cache
-    else:
-        machine = machine or MachineDescription()
-        pipeline = CompileAndMeasure(machine=machine)
-    embedding_model = build_embedding_model(train_kernels)
-
-    if pretrain_epochs > 0:
-        _pretrain_embedding(
-            embedding_model, train_kernels, pipeline, pretrain_epochs, seed
-        )
-
-    # One measurement cache for the whole comparison: PPO rollouts and the
-    # brute-force labelling sweep share each other's evaluations.
-    if reward_cache is None:
-        reward_cache = RewardCache()
-    samples = build_samples(train_kernels, embedding_model, pipeline)
-    env = VectorizationEnv(
-        samples,
-        pipeline=pipeline,
-        seed=seed,
-        reward_cache=reward_cache,
-        evaluation_service=evaluation_service,
-    )
-    policy = make_policy("discrete", env.observation_dim, seed=seed)
-    trainer = PPOTrainer(
-        env,
-        policy,
-        PPOConfig(learning_rate=learning_rate, train_batch_size=rl_batch_size,
-                  minibatch_size=min(64, rl_batch_size), epochs_per_batch=6),
-    )
-    history = trainer.train(rl_steps, batch_size=rl_batch_size)
-    rl_agent = PolicyAgent(policy)
-
-    # Brute-force labels for the supervised methods.
-    brute = BruteForceAgent(
-        pipeline, reward_cache=reward_cache, evaluation_service=evaluation_service
-    )
-    label_kernels = list(label_kernels) if label_kernels is not None else list(train_kernels)
-    embeddings: List[np.ndarray] = []
-    labels: List[Tuple[int, int]] = []
+    task = runner.task
+    brute = runner.default_agents()["brute_force"]
+    observations: List[np.ndarray] = []
+    labels: List[Tuple[int, ...]] = []
     for kernel in label_kernels:
-        try:
-            loops = extract_loops(kernel.source, function_name=kernel.function_name)
-        except Exception:
-            continue
-        for loop in loops:
-            observation = _embed_loop(embedding_model, loop)
-            decision = brute.select_factors(observation, kernel, loop.loop_index)
-            embeddings.append(observation)
+        for site in task.decision_sites(kernel):
+            observation = task.observation_features(site, runner.embedding_model)
+            decision = brute.select_factors(
+                observation, kernel=kernel, loop_index=site.index
+            )
+            observations.append(observation)
             labels.append(decision.as_tuple())
-    nns_agent = NearestNeighborAgent(k=1)
-    tree_agent = DecisionTreeAgent(max_depth=8, seed=seed)
-    if embeddings:
-        stacked = np.stack(embeddings)
-        nns_agent.fit(stacked, labels)
-        tree_agent.fit(stacked, labels)
-
-    return TrainedAgents(
-        embedding_model=embedding_model,
-        pipeline=pipeline,
-        rl_agent=rl_agent,
-        nns_agent=nns_agent,
-        tree_agent=tree_agent,
-        # The paper's plain uniform-random baseline: one draw, no measuring,
-        # so it takes no cache (best-of-N mode is opt-in via candidates>1).
-        random_agent=RandomSearchAgent(seed=seed),
-        brute_force_agent=brute,
-        history=history,
-        training_samples=len(samples),
-        reward_cache=reward_cache,
+    stacked = np.stack(observations)
+    return OrderedDict(
+        nns=NearestNeighborAgent(k=1).fit(stacked, labels),
+        decision_tree=DecisionTreeAgent(max_depth=8, seed=seed, task=task).fit(
+            stacked, labels
+        ),
     )
 
 
-def _pretrain_embedding(
-    embedding_model: Code2VecModel,
+def add_polly_columns(
+    comparison: TaskComparison,
     kernels: Sequence[LoopKernel],
     pipeline: CompileAndMeasure,
-    epochs: int,
-    seed: int,
-) -> None:
-    """Self-supervised pretraining on loop-property labels (see DESIGN.md)."""
-    from repro.analysis.loopinfo import analyze_loop
-    from repro.embedding.pretrain import Code2VecPretrainer, loop_property_labels
+    combine_with: Sequence[str] = (),
+) -> TaskComparison:
+    """Append the whole-function Polly columns to a finished comparison.
 
-    bags, labels = [], []
+    ``polly`` is the fixed-configuration polyhedral pass with the baseline
+    cost model vectorizing its output (Figures 7-9).  Each method named in
+    ``combine_with`` adds ``polly+<method>`` (Figure 8): the same
+    transformed function vectorized with the (VF, IF) factors that method
+    chose — ``comparison.decisions_for(kernel, method)`` — which therefore
+    needs a vectorization comparison.  ``kernels`` are the ones
+    ``comparison`` was run on; returns ``comparison`` for chaining.
+    """
+    if combine_with and comparison.task != "vectorization":
+        raise ValueError(
+            f"polly+<method> applies (VF, IF) decisions, but this comparison "
+            f"ran task {comparison.task!r}"
+        )
+    polly = PollyOptimizer()
+    columns = [("polly", None)] + [(f"polly+{method}", method) for method in combine_with]
     for kernel in kernels:
-        try:
-            loops = extract_loops(kernel.source, function_name=kernel.function_name)
-            ir_function = pipeline.lower_kernel(kernel)
-            ir_loops = ir_function.innermost_loops()
-        except Exception:
-            continue
-        for loop in loops:
-            if loop.loop_index >= len(ir_loops):
-                continue
-            rename_map = normalize_identifiers(loop.nest_root)
-            bags.append(extract_path_contexts(loop.nest_root, rename_map=rename_map))
-            labels.append(
-                loop_property_labels(analyze_loop(ir_function, ir_loops[loop.loop_index]))
+        transformed = polly.optimize(pipeline.lower_kernel(kernel))
+        for column, method in columns:
+            factors = comparison.decisions_for(kernel.name, method) if method else None
+            cycles = pipeline.measure_function(kernel, transformed, factors).cycles
+            comparison.cycles[kernel.name][column] = cycles
+            comparison.speedups[kernel.name][column] = (
+                comparison.baseline_cycles[kernel.name] / cycles
             )
-    if bags:
-        Code2VecPretrainer(embedding_model, seed=seed).train(bags, labels, epochs=epochs)
-
-
-def _measure_with_agent(
-    pipeline: CompileAndMeasure,
-    embedding_model: Code2VecModel,
-    kernel: LoopKernel,
-    agent: VectorizationAgent,
-) -> float:
-    """Cycles when ``agent`` decides the factors of every innermost loop."""
-    loops = extract_loops(kernel.source, function_name=kernel.function_name)
-    factors: Dict[int, Tuple[int, int]] = {}
-    for loop in loops:
-        observation = _embed_loop(embedding_model, loop)
-        decision = agent.select_factors(observation, kernel=kernel,
-                                        loop_index=loop.loop_index)
-        factors[loop.loop_index] = decision.as_tuple()
-    return pipeline.measure_with_factors(kernel, factors).cycles
-
-
-def compare_methods(
-    kernels: Sequence[LoopKernel],
-    trained: TrainedAgents,
-    include_polly: bool = True,
-    include_supervised: bool = True,
-    include_combined: bool = False,
-    polly_optimizer: Optional[PollyOptimizer] = None,
-) -> MethodComparison:
-    """Speed-ups over the baseline for every method on every kernel."""
-    pipeline = trained.pipeline
-    embedding_model = trained.embedding_model
-    polly = polly_optimizer or PollyOptimizer()
-
-    methods = ["baseline", "random"]
-    if include_polly:
-        methods.append("polly")
-    if include_supervised:
-        methods.extend(["nns", "decision_tree"])
-    methods.extend(["rl", "brute_force"])
-    if include_combined:
-        methods.append("polly+rl")
-
-    comparison = MethodComparison(methods=methods)
-    for kernel in kernels:
-        baseline = pipeline.measure_baseline(kernel)
-        row: Dict[str, float] = {"baseline": 1.0}
-        row["random"] = baseline.cycles / _measure_with_agent(
-            pipeline, embedding_model, kernel, trained.random_agent
-        )
-        if include_polly:
-            transformed = polly.optimize(pipeline.lower_kernel(kernel))
-            row["polly"] = baseline.cycles / pipeline.measure_function(
-                kernel, transformed
-            ).cycles
-        if include_supervised:
-            row["nns"] = baseline.cycles / _measure_with_agent(
-                pipeline, embedding_model, kernel, trained.nns_agent
-            )
-            row["decision_tree"] = baseline.cycles / _measure_with_agent(
-                pipeline, embedding_model, kernel, trained.tree_agent
-            )
-        row["rl"] = baseline.cycles / _measure_with_agent(
-            pipeline, embedding_model, kernel, trained.rl_agent
-        )
-        row["brute_force"] = baseline.cycles / _measure_with_agent(
-            pipeline, embedding_model, kernel, trained.brute_force_agent
-        )
-        if include_combined:
-            transformed = polly.optimize(pipeline.lower_kernel(kernel))
-            loops = extract_loops(kernel.source, function_name=kernel.function_name)
-            factors: Dict[int, Tuple[int, int]] = {}
-            for loop in loops:
-                observation = _embed_loop(embedding_model, loop)
-                decision = trained.rl_agent.select_factors(
-                    observation, kernel=kernel, loop_index=loop.loop_index
-                )
-                factors[loop.loop_index] = decision.as_tuple()
-            row["polly+rl"] = baseline.cycles / pipeline.measure_function(
-                kernel, transformed, factors
-            ).cycles
-        comparison.speedups[kernel.name] = row
+    comparison.methods.extend(column for column, _ in columns)
     return comparison

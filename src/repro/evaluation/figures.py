@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.framework import (
+    NeuroVectorizer,
+    TrainingConfig,
+    build_embedding_model,
+    compare_agents,
+)
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import KernelSuite, LoopKernel
 from repro.datasets.llvm_suite import llvm_vectorizer_suite, test_benchmarks
@@ -15,18 +21,16 @@ from repro.datasets.motivating import dot_product_kernel
 from repro.datasets.polybench import polybench_suite
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
 from repro.evaluation.comparison import (
-    MethodComparison,
+    ComparisonRunner,
     TaskComparison,
-    TrainedAgents,
-    compare_methods,
-    train_reference_agents,
+    add_polly_columns,
+    fit_supervised_agents,
 )
-from repro.evaluation.report import Table, format_speedup_table
+from repro.evaluation.report import Table
 from repro.machine.description import MachineDescription
 from repro.rl.tune import ExperimentResult, run_experiments
 from repro.simulator.engine import Simulator
 from repro.vectorizer.bruteforce import brute_force_search
-from repro.vectorizer.cost_model import BaselineCostModel
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +181,6 @@ def _make_training_environment(
     can sweep single-task vs joint multi-task configurations; per-task
     samples are built lazily and memoised across experiments.
     """
-    from repro.core.framework import build_embedding_model
     from repro.rl.env import MultiTaskEnv, VectorizationEnv, build_samples
     from repro.tasks import resolve_task
 
@@ -287,16 +290,17 @@ def figure6_action_spaces(
 
 
 @dataclass
-class FigureComparisonResult:
-    """Per-benchmark speed-ups over the baseline for each method."""
+class TaskComparisonFigure:
+    """A Figure 7/8/9-style comparison rendered for one task."""
 
-    comparison: MethodComparison
+    comparison: TaskComparison
     title: str
 
     def format_table(self) -> Table:
-        return format_speedup_table(
-            self.comparison.speedups, self.comparison.methods, title=self.title
-        )
+        return self.comparison.format_table(title=self.title)
+
+    def summary_table(self) -> Table:
+        return self.comparison.summary_table()
 
     def average(self, method: str) -> float:
         return self.comparison.average(method)
@@ -305,84 +309,133 @@ class FigureComparisonResult:
         return self.comparison.geomean(method)
 
 
-def _default_trained_agents(
+def _train_reference_framework(
     train_count: int,
     rl_steps: int,
     machine: Optional[MachineDescription],
     seed: int,
-) -> TrainedAgents:
-    """Training corpus: synthetic loops plus the vectorizer-suite kernels that
-    are *not* part of the held-out 12 test benchmarks (the paper's training
-    set is likewise generated from the LLVM vectorizer tests)."""
-    kernels = list(
+) -> Tuple[NeuroVectorizer, List[LoopKernel]]:
+    """Train on the paper's kind of corpus; returns (framework, corpus).
+
+    Synthetic loops plus the vectorizer-suite kernels that are *not* among
+    the held-out 12 test benchmarks (the paper's training set is likewise
+    generated from the LLVM vectorizer tests).
+    """
+    corpus = list(
         generate_synthetic_dataset(SyntheticDatasetConfig(count=train_count, seed=seed))
     )
     held_out = set(test_benchmarks().names())
-    kernels.extend(k for k in llvm_vectorizer_suite() if k.name not in held_out)
-    return train_reference_agents(
-        kernels, machine=machine, rl_steps=rl_steps, seed=seed
+    corpus.extend(k for k in llvm_vectorizer_suite() if k.name not in held_out)
+    framework, _ = NeuroVectorizer.train(
+        corpus,
+        TrainingConfig(
+            rl_total_steps=rl_steps,
+            rl_batch_size=150,
+            learning_rate=5e-4,
+            pretrain_epochs=1,
+            seed=seed,
+        ),
+        machine=machine,
     )
+    return framework, corpus
+
+
+def _reference_comparison(
+    framework: NeuroVectorizer,
+    suite: KernelSuite,
+    title: str,
+    seed: int,
+    supervised=None,
+    label_kernels: Optional[Sequence[LoopKernel]] = None,
+    combine_with: Sequence[str] = (),
+) -> TaskComparisonFigure:
+    """The shared body of Figures 7/8/9: one runner over the framework's
+    plumbing, the paper's line-up in the paper's order, Polly appended."""
+    runner = ComparisonRunner(
+        pipeline=framework.pipeline,
+        embedding_model=framework.embedding_model,
+        reward_cache=framework.reward_cache,
+        evaluation_service=framework.evaluation_service,
+    )
+    if label_kernels is not None:
+        supervised = fit_supervised_agents(runner, label_kernels, seed=seed)
+    agents = runner.default_agents(seed=seed)
+    brute_force = agents.pop("brute_force")
+    agents.update(supervised or {})
+    agents["rl"] = framework.agent.for_task(runner.task)
+    agents["brute_force"] = brute_force
+    kernels = list(suite)
+    comparison = runner.run(agents, kernels)
+    add_polly_columns(comparison, kernels, framework.pipeline, combine_with)
+    return TaskComparisonFigure(comparison=comparison, title=title)
 
 
 def figure7_main_comparison(
-    trained: Optional[TrainedAgents] = None,
+    framework: Optional[NeuroVectorizer] = None,
+    supervised=None,
     train_count: int = 60,
     rl_steps: int = 1200,
     machine: Optional[MachineDescription] = None,
     seed: int = 0,
-) -> FigureComparisonResult:
-    """Regenerate Figure 7: baseline / random / Polly / NNS / decision tree /
-    RL / brute force on the 12 held-out test benchmarks."""
-    trained = trained or _default_trained_agents(train_count, rl_steps, machine, seed)
-    comparison = compare_methods(
-        list(test_benchmarks()), trained, include_polly=True, include_supervised=True
-    )
-    return FigureComparisonResult(
-        comparison=comparison,
-        title="Figure 7: performance normalised to the baseline cost model",
+) -> TaskComparisonFigure:
+    """Regenerate Figure 7: baseline / random / NNS / decision tree / RL /
+    brute force / Polly on the 12 held-out test benchmarks.
+
+    ``framework`` is a vectorization-trained :class:`NeuroVectorizer` and
+    ``supervised`` the :func:`fit_supervised_agents` mapping fitted with
+    its embedding (omit it to leave NNS / decision tree out).  Without a
+    framework one is trained (:func:`_train_reference_framework`) and the
+    supervised agents are fitted on its training corpus.
+    """
+    label_kernels = None
+    if framework is None:
+        framework, label_kernels = _train_reference_framework(
+            train_count, rl_steps, machine, seed
+        )
+    return _reference_comparison(
+        framework,
+        test_benchmarks(),
+        "Figure 7: performance normalised to the baseline cost model",
+        seed,
+        supervised=supervised,
+        label_kernels=label_kernels,
     )
 
 
 def figure8_polybench(
-    trained: Optional[TrainedAgents] = None,
+    framework: Optional[NeuroVectorizer] = None,
     train_count: int = 60,
     rl_steps: int = 1200,
     machine: Optional[MachineDescription] = None,
     seed: int = 0,
-) -> FigureComparisonResult:
-    """Regenerate Figure 8: baseline / Polly / RL (+ combined) on PolyBench."""
-    trained = trained or _default_trained_agents(train_count, rl_steps, machine, seed)
-    comparison = compare_methods(
-        list(polybench_suite()),
-        trained,
-        include_polly=True,
-        include_supervised=False,
-        include_combined=True,
-    )
-    return FigureComparisonResult(
-        comparison=comparison,
-        title="Figure 8: PolyBench, performance normalised to the baseline",
+) -> TaskComparisonFigure:
+    """Regenerate Figure 8: baseline / RL / Polly (+ combined) on PolyBench."""
+    if framework is None:
+        framework, _ = _train_reference_framework(train_count, rl_steps, machine, seed)
+    return _reference_comparison(
+        framework,
+        polybench_suite(),
+        "Figure 8: PolyBench, performance normalised to the baseline",
+        seed,
+        combine_with=("rl",),
     )
 
 
 def figure9_mibench(
-    trained: Optional[TrainedAgents] = None,
+    framework: Optional[NeuroVectorizer] = None,
     train_count: int = 60,
     rl_steps: int = 1200,
     machine: Optional[MachineDescription] = None,
     seed: int = 0,
-) -> FigureComparisonResult:
-    """Regenerate Figure 9: baseline / Polly / RL on MiBench-like programs."""
-    trained = trained or _default_trained_agents(train_count, rl_steps, machine, seed)
-    comparison = compare_methods(
-        list(mibench_suite()),
-        trained,
-        include_polly=True,
-        include_supervised=False,
-    )
-    return FigureComparisonResult(
-        comparison=comparison,
-        title="Figure 9: MiBench, performance normalised to the baseline",
+) -> TaskComparisonFigure:
+    """Regenerate Figure 9: baseline / RL / Polly on MiBench-like programs."""
+    if framework is None:
+        framework, _ = _train_reference_framework(train_count, rl_steps, machine, seed)
+    return _reference_comparison(
+        framework,
+        mibench_suite(),
+        "Figure 9: MiBench, performance normalised to the baseline",
+        seed,
     )
 
 
@@ -579,26 +632,6 @@ def action_sweep(
     )
 
 
-@dataclass
-class TaskComparisonFigure:
-    """A Figure 7/8/9-style comparison rendered for one task."""
-
-    comparison: "TaskComparison"
-    title: str
-
-    def format_table(self) -> Table:
-        return self.comparison.format_table(title=self.title)
-
-    def summary_table(self) -> Table:
-        return self.comparison.summary_table()
-
-    def average(self, method: str) -> float:
-        return self.comparison.average(method)
-
-    def geomean(self, method: str) -> float:
-        return self.comparison.geomean(method)
-
-
 def figure_task_comparison(
     kernels: Sequence[LoopKernel],
     task=None,
@@ -618,16 +651,16 @@ def figure_task_comparison(
     :class:`repro.agents.policy_agent.PolicyAgent` (plus the embedding it
     was trained with) to reproduce the full figure.
     """
-    from repro.evaluation.comparison import ComparisonRunner
-
-    runner = ComparisonRunner(
+    comparison = compare_agents(
+        kernels,
+        agents=agents,
         task=task,
         machine=machine,
         embedding_model=embedding_model,
         reward_cache=reward_cache,
         evaluation_service=evaluation_service,
+        seed=seed,
     )
-    comparison = runner.run(agents or runner.default_agents(seed=seed), kernels)
     return TaskComparisonFigure(
         comparison=comparison,
         title=title

@@ -30,7 +30,9 @@ from repro.evaluation import (
     ComparisonRunner,
     TaskComparison,
     action_sweep,
+    add_polly_columns,
     figure_task_comparison,
+    fit_supervised_agents,
 )
 from repro.cache.reward_cache import RewardCache
 from repro.simulator.engine import Simulator
@@ -221,6 +223,68 @@ class TestCompareAgents:
         figure = figure_task_comparison([stream_kernel()], task="polly-tiling")
         assert "polly-tiling" in figure.format_table().render()
         assert figure.geomean("baseline") == pytest.approx(1.0)
+
+    def test_duplicate_kernel_names_rejected_before_measuring(self):
+        # Rows and decisions_for() are keyed by kernel name: two kernels
+        # sharing one would collapse into one row with merged decisions.
+        twin = LoopKernel(name="stream", source=TWO_LOOP_SOURCE, function_name="work")
+        cache = RewardCache()
+        with pytest.raises(ValueError, match=r"duplicate kernel name\(s\) \['stream'\]"):
+            compare_agents(
+                [stream_kernel(), two_loop_kernel(), twin], reward_cache=cache
+            )
+        assert cache.stats.lookups == 0
+
+    def test_agent_pinned_to_another_task_cannot_be_repinned(self):
+        unrolling = get_task("unrolling")
+        pinned = BruteForceAgent(CompileAndMeasure(), task=unrolling)
+        assert pinned.for_task("unrolling") is pinned
+        with pytest.raises(ValueError, match="cannot be re-pinned"):
+            pinned.for_task("vectorization")
+        # An agent that decides from the observation alone serves any task.
+        unpinned = NearestNeighborAgent(k=1)
+        assert unpinned.task is None and unpinned.for_task(unrolling) is unpinned
+
+    def test_supervised_helper_is_task_generic_and_shares_the_cache(self):
+        from repro.core.framework import build_embedding_model
+
+        kernels = [stream_kernel(), two_loop_kernel()]
+        runner = ComparisonRunner(
+            task="unrolling", embedding_model=build_embedding_model(kernels)
+        )
+        agents = runner.default_agents(seed=0)
+        agents.update(fit_supervised_agents(runner, kernels, seed=0))
+        labelled = runner.reward_cache.stats.misses
+        assert labelled > 0
+        comparison = runner.run(agents, kernels)
+        # Fitted on these very kernels with k=1, NNS replays the brute-force
+        # labels, and brute force re-reads them from the shared cache.
+        for kernel in kernels:
+            assert comparison.decisions_for(
+                kernel.name, "nns"
+            ) == comparison.decisions_for(kernel.name, "brute_force")
+        assert list(agents)[-2:] == ["nns", "decision_tree"]
+        assert agents["decision_tree"].task is runner.task
+
+    def test_polly_columns_append_to_a_finished_comparison(self):
+        kernels = [stream_kernel(), two_loop_kernel()]
+        runner = ComparisonRunner()
+        comparison = runner.run(runner.default_agents(seed=0), kernels)
+        returned = add_polly_columns(
+            comparison, kernels, runner.pipeline, combine_with=("brute_force",)
+        )
+        assert returned is comparison
+        assert comparison.methods[-2:] == ["polly", "polly+brute_force"]
+        for kernel in kernels:
+            row = comparison.speedups[kernel.name]
+            assert row["polly"] > 0 and row["polly+brute_force"] > 0
+            assert comparison.cycles[kernel.name]["polly"] == pytest.approx(
+                comparison.baseline_cycles[kernel.name] / row["polly"]
+            )
+        assert "polly+brute_force" in comparison.format_table().render()
+        tiling = compare_agents(kernels, task="polly-tiling")
+        with pytest.raises(ValueError, match="polly-tiling"):
+            add_polly_columns(tiling, kernels, runner.pipeline, combine_with=("random",))
 
 
 # ---------------------------------------------------------------------------

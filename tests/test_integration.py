@@ -8,7 +8,6 @@ from repro.datasets import SyntheticDatasetConfig, generate_synthetic_dataset
 from repro.datasets import test_benchmarks as held_out_benchmarks
 from repro.datasets.motivating import dot_product_kernel
 from repro.evaluation import figure1_dot_product_grid, figure2_bruteforce_suite
-from repro.evaluation.comparison import compare_methods, train_reference_agents
 from repro.evaluation.report import format_speedup_table, geometric_mean
 
 
@@ -37,30 +36,25 @@ class TestEndToEndTraining:
     @pytest.fixture(scope="class")
     def trained(self):
         kernels = list(generate_synthetic_dataset(SyntheticDatasetConfig(count=40, seed=0)))
-        return train_reference_agents(
-            kernels, rl_steps=900, rl_batch_size=150, learning_rate=5e-4,
-            pretrain_epochs=0, seed=0,
+        return NeuroVectorizer.train(
+            kernels,
+            TrainingConfig(rl_total_steps=900, rl_batch_size=150, learning_rate=5e-4,
+                           pretrain_epochs=0, seed=0),
         )
 
     def test_rl_policy_learns_positive_reward(self, trained):
-        history = trained.history
+        history = trained[1].history
         assert history.final_reward_mean > history.reward_curve()[0]
 
     def test_method_ordering_on_held_out_benchmarks(self, trained):
-        comparison = compare_methods(
-            list(held_out_benchmarks())[:6], trained, include_polly=False,
-            include_supervised=False,
-        )
+        comparison = trained[0].compare_agents(list(held_out_benchmarks())[:6])
         rl = comparison.average("rl")
         brute = comparison.average("brute_force")
         assert brute >= rl >= 0.9
         assert brute > 1.2
 
     def test_speedup_table_renders(self, trained):
-        comparison = compare_methods(
-            list(held_out_benchmarks())[:3], trained, include_polly=False,
-            include_supervised=False,
-        )
+        comparison = trained[0].compare_agents(list(held_out_benchmarks())[:3])
         table = format_speedup_table(comparison.speedups, comparison.methods)
         text = table.render()
         assert "geomean" in text
