@@ -8,8 +8,8 @@ show its speed delta against a recorded baseline instead of anecdotes:
   run (embedding pretrain + PPO) over a seeded synthetic kernel set,
 * **inference** — decision sites per second through the policy, serial
   (one ``act`` call per site) versus batched (one ``act_batch`` call over
-  all pending sites); the batched column is ``null`` on code that predates
-  ``act_batch``,
+  all pending sites); the batched column is ``null`` in entries written
+  before ``act_batch`` existed,
 * **frontend** — wall-clock of a full agent-comparison run with cold
   process state versus a repeat with *fresh* pipeline/reward caches, so any
   gap is exactly what the process-wide frontend memo saves,
@@ -104,7 +104,7 @@ def bench_training(workload: Dict[str, object]) -> Dict[str, float]:
     return {"wall_seconds": seconds}
 
 
-def bench_inference(workload: Dict[str, object]) -> Dict[str, Optional[float]]:
+def bench_inference(workload: Dict[str, object]) -> Dict[str, float]:
     """Sites/second through the policy: serial ``act`` vs ``act_batch``."""
     from repro.rl.policy import make_policy
 
@@ -128,18 +128,12 @@ def bench_inference(workload: Dict[str, object]) -> Dict[str, Optional[float]]:
     )
     serial_rate = sites / serial_seconds
 
-    batched_rate: Optional[float] = None
     batched_policy = make_policy("discrete", observation_dim, seed=0)
-    act_batch = getattr(batched_policy, "act_batch", None)
-    if act_batch is not None:
-        batched_seconds = time_best(lambda: act_batch(observations))
-        batched_rate = sites / batched_seconds
+    batched_rate = sites / time_best(lambda: batched_policy.act_batch(observations))
     return {
         "serial_sites_per_second": serial_rate,
         "batched_sites_per_second": batched_rate,
-        "batched_over_serial": (
-            batched_rate / serial_rate if batched_rate is not None else None
-        ),
+        "batched_over_serial": batched_rate / serial_rate,
     }
 
 
@@ -328,11 +322,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"  training: {entry['training']['wall_seconds']:.2f}s")
     serial = inference["serial_sites_per_second"]
     print(f"  inference serial: {serial:,.0f} sites/s")
-    if inference["batched_sites_per_second"] is not None:
-        print(
-            f"  inference batched: {inference['batched_sites_per_second']:,.0f} "
-            f"sites/s ({inference['batched_over_serial']:.1f}x serial)"
-        )
+    print(
+        f"  inference batched: {inference['batched_sites_per_second']:,.0f} "
+        f"sites/s ({inference['batched_over_serial']:.1f}x serial)"
+    )
     print(
         f"  frontend: cold {frontend['cold_comparison_seconds']:.2f}s, "
         f"warm {frontend['warm_comparison_seconds']:.2f}s "

@@ -1,12 +1,13 @@
-"""PPO update-path profiler: fused kernel vs autodiff graph, phase by phase.
+"""PPO update profiler: fused kernel vs autodiff graph, phase by phase.
 
 Runs the same seeded synthetic PPO workload through the trainer twice —
-once with ``fused_update=False`` (the historical per-minibatch autodiff
-graph) and once with the fused kernel auto-detected — with a
+once as it trains (the fused kernel) and once with the trainer's updater
+instance bound to :func:`repro.rl.fused_update.graph_update_minibatch`,
+the per-minibatch autodiff graph the kernel is checked against — with a
 :class:`repro.profiling.PhaseTimer` attached, so every entry splits the
 update wall-clock into its gather / evaluate / backward / optimizer
 phases.  The two variants must finish with **byte-identical weights and
-metrics**: the fused path is a pure re-expression of the graph, so any
+metrics**: the fused kernel is a pure re-expression of the graph, so any
 drift is a bug, and ``--check`` fails on it.
 
 Run it from the repo root::
@@ -24,6 +25,7 @@ workload).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -105,7 +107,7 @@ def _make_batches(spaces, workload: Dict[str, object]) -> List[Tuple]:
     return batches
 
 
-def _run_variant(fused: Optional[bool], workload: Dict[str, object]) -> Dict[str, object]:
+def _run_variant(graph: bool, workload: Dict[str, object]) -> Dict[str, object]:
     """One full multi-update run; returns timings plus identity evidence.
 
     The wall-clock is best-of-``repeats`` (each repeat rebuilds policy and
@@ -113,6 +115,7 @@ def _run_variant(fused: Optional[bool], workload: Dict[str, object]) -> Dict[str
     phase split and the final weights come from the last repeat.
     """
     from repro.profiling import PhaseTimer
+    from repro.rl.fused_update import graph_update_minibatch
     from repro.rl.policy import make_policy
     from repro.rl.ppo import PPOConfig, PPOTrainer
 
@@ -130,16 +133,15 @@ def _run_variant(fused: Optional[bool], workload: Dict[str, object]) -> Dict[str
             conditioning="banks",
         )
         timer = PhaseTimer()
-        trainer = PPOTrainer(
-            _NullEnv(),
-            policy,
-            PPOConfig(
-                minibatch_size=int(workload["minibatch"]),
-                epochs_per_batch=int(workload["epochs"]),
-                fused_update=fused,
-            ),
-            profiler=timer,
+        config = PPOConfig(
+            minibatch_size=int(workload["minibatch"]),
+            epochs_per_batch=int(workload["epochs"]),
         )
+        trainer = PPOTrainer(_NullEnv(), policy, config, profiler=timer)
+        if graph:
+            trainer._updater.update_minibatch = functools.partial(
+                graph_update_minibatch, policy, trainer.optimizer, config
+            )
         metrics = []
         start = time.perf_counter()
         for batch in batches:
@@ -163,8 +165,8 @@ def _run_variant(fused: Optional[bool], workload: Dict[str, object]) -> Dict[str
 
 def profile_update(workload: Dict[str, object]) -> Dict[str, object]:
     """Profile both variants and fold in the identity verdict."""
-    graph = _run_variant(False, workload)
-    fused = _run_variant(None, workload)
+    graph = _run_variant(True, workload)
+    fused = _run_variant(False, workload)
     identical = (
         graph.pop("_weights") == fused.pop("_weights")
         and graph.pop("_metrics") == fused.pop("_metrics")

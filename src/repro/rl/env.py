@@ -185,6 +185,31 @@ class VectorizationEnv:
         """Task id tag of the observation (constant for single-task envs)."""
         return self.task.name
 
+    def set_action_spaces(self, spaces: Mapping[str, ActionSpace]) -> None:
+        """Adopt a single-task policy's action space.
+
+        ``spaces`` is the policy's ``task name -> ActionSpace`` mapping.  A
+        lone bank named for this env's task, or the unnamed
+        :data:`repro.rl.policy.DEFAULT_HEAD` bank, is adopted.  A lone bank
+        named for a *different* task is rejected — adopting its space would
+        decode that task's menus into this task's apply/cache path — and a
+        policy with several banks needs a :class:`MultiTaskEnv`.
+        """
+        from repro.rl.policy import DEFAULT_HEAD
+
+        if len(spaces) > 1:
+            raise ValueError(
+                f"a multi-task policy (head banks: {list(spaces)}) needs a "
+                f"MultiTaskEnv, not {type(self).__name__}"
+            )
+        ((name, space),) = spaces.items()
+        if name not in (self.task.name, DEFAULT_HEAD):
+            raise ValueError(
+                f"policy head bank {name!r} is named for another task; this "
+                f"environment trains {self.task.name!r}"
+            )
+        self.action_space = space
+
     def next_batch(
         self, count: int
     ) -> List[Tuple[EnvSample, np.ndarray, str]]:
@@ -327,22 +352,8 @@ class VectorizationEnv:
 
 
 def _policy_outputs_batch(policy, observations, tasks=None):
-    """Act on many observations with one ``act_batch`` call when available.
-
-    Duck-typed policies (hand-rolled baselines, mocks) that only implement
-    ``act`` fall back to the serial loop with identical results.
-    """
-    act_batch = getattr(policy, "act_batch", None)
-    if act_batch is not None:
-        if tasks is None:
-            return act_batch(np.stack(observations), deterministic=True)
-        return act_batch(np.stack(observations), deterministic=True, tasks=tasks)
-    if tasks is None:
-        return [policy.act(observation, deterministic=True) for observation in observations]
-    return [
-        policy.act(observation, deterministic=True, task=task)
-        for observation, task in zip(observations, tasks)
-    ]
+    """Greedy actions for many observations from one ``act_batch`` call."""
+    return policy.act_batch(np.stack(observations), deterministic=True, tasks=tasks)
 
 
 # ---------------------------------------------------------------------------

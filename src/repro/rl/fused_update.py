@@ -1,4 +1,4 @@
-"""Hand-fused PPO minibatch updates for the known policy architectures.
+"""The PPO minibatch update: one hand-fused kernel and its graph oracle.
 
 The per-minibatch update used to build ~50 autodiff graph nodes (trunk
 matmuls, fused-head slices, per-head log-softmax/entropy chains, the
@@ -7,178 +7,131 @@ allocating a closure and several temporaries per node.  Profiling shows
 that Python-level graph construction and backward-closure dispatch — not
 numpy arithmetic — dominate the update phase once rollouts are batched.
 
-This module evaluates the same computation as ONE forward + ONE backward
-function per minibatch, with **no graph construction at all**.  Every
-numpy expression replicates the op chain the graph would have run — same
-operations, same order, same gradient accumulation order (including the
-subtle cases: the clipped-branch-first accumulation into the ratio, the
+:class:`FusedUpdater` evaluates the same computation as ONE forward + ONE
+backward function per minibatch, with **no graph construction at all**,
+and is the trainer's only minibatch step.  Every numpy expression
+replicates the op chain the graph would have run — same operations, same
+order, same gradient accumulation order (including the subtle cases: the
+clipped-branch-first accumulation into the ratio, the
 log-softmax-then-softmax accumulation into each head's logits slice, the
 ``exp(log_softmax)`` recomputation inside the log-softmax backward, the
 value-branch-before-policy-branch accumulation into the trunk features,
 and the ``-0.0 → +0.0`` normalization when two or more head slices pad
-into the fused logits gradient).  The result is bit-identical losses,
-gradients, optimizer state and trained weights; the regression suite in
-``tests/test_fused_update.py`` pins this exactly against the graph path.
+into the fused logits gradient).
 
-Supported (feature-detected in :meth:`FusedUpdater.create`):
+:func:`graph_update_minibatch` is that graph: the same step built from
+``policy.evaluate`` and walked by autodiff.  It is the oracle, not a
+mode — ``tests/test_fused_update.py`` and ``benchmarks/profile_update.py``
+swap it in to check that losses, gradients, optimizer state and trained
+weights are bit-identical.
 
-* :class:`MultiTaskPolicy` (and its :class:`DiscretePolicy` /
-  :class:`ContinuousPolicy` specializations) — discrete and Gaussian
-  head banks;
-* :class:`ConditionedPolicy` — task-embedding rows concatenated onto the
-  trunk features, discrete and Gaussian stacks.
-
-Anything else — external policies, subclasses overriding ``evaluate``,
-non-Dense trunks, exotic head banks — returns ``None`` from ``create``
-and the trainer falls back to the graph path unchanged.
+The kernel serves :class:`MultiTaskPolicy` (and its single-bank
+specializations) and :class:`ConditionedPolicy`: a tanh-MLP trunk, linear
+discrete or Gaussian heads, and — for the conditioned policy — task
+embedding rows concatenated onto the trunk features.  Any other policy,
+including a subclass that overrides ``evaluate``, is rejected at
+construction.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.nn.layers import MLP, Dense, Sequential
+from repro.nn import ops
+from repro.nn.losses import mse_loss
 from repro.nn.ops import (
     _entropy_backward,
-    _entropy_forward,
     _ppo_surrogate_backward,
     _ppo_surrogate_forward,
 )
-from repro.rl.policy import (
-    ConditionedPolicy,
-    ContinuousPolicy,
-    DiscretePolicy,
-    MultiTaskPolicy,
-    _TaskHeads,
-)
+from repro.nn.tensor import Tensor
+from repro.rl.policy import ConditionedPolicy, MultiTaskPolicy
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _ENTROPY_CONSTANT = 0.5 * float(np.log(2.0 * np.pi * np.e))
 
-#: Policy classes whose ``evaluate`` composition the kernels replicate.
-_FUSABLE_POLICIES = (
-    MultiTaskPolicy,
-    DiscretePolicy,
-    ContinuousPolicy,
-    ConditionedPolicy,
-)
 
-_SUPPORTED_ACTIVATIONS = ("tanh", "sigmoid", "relu", "linear")
-
-
-def _plain_dense(layer) -> bool:
-    return type(layer) is Dense and layer.activation in _SUPPORTED_ACTIVATIONS
-
-
-def _fusable_trunk(trunk) -> bool:
-    return (
-        type(trunk) is MLP
-        and type(trunk.network) is Sequential
-        and all(_plain_dense(layer) for layer in trunk.network.layers)
+def graph_update_minibatch(
+    policy,
+    optimizer,
+    config,
+    observations,
+    actions,
+    old_log_probs,
+    advantages,
+    returns,
+    task=None,
+    timer=None,
+) -> Dict[str, float]:
+    """One PPO minibatch step through the autodiff graph (the oracle)."""
+    started = time.perf_counter() if timer is not None else 0.0
+    log_probs, entropy, values = policy.evaluate(observations, actions, task=task)
+    # The clipped surrogate as ONE graph node (ops.ppo_surrogate is
+    # bit-identical, forward and backward, to the historical
+    # exp/sub/mul/clip/minimum/mean/mul chain).
+    policy_loss = ops.ppo_surrogate(
+        log_probs,
+        old_log_probs,
+        advantages,
+        1.0 - config.clip_ratio,
+        1.0 + config.clip_ratio,
     )
-
-
-def _fusable_bank(bank) -> bool:
-    if type(bank) is not _TaskHeads:
-        return False
-    if type(bank.value_head) is not Dense or bank.value_head.activation != "linear":
-        return False
-    if bank.kind == "discrete":
-        return all(
-            type(head) is Dense and head.activation == "linear"
-            for head in bank.heads
-        )
-    if bank.kind == "gaussian":
-        return (
-            type(bank.mean_head) is Dense and bank.mean_head.activation == "linear"
-        )
-    return False
-
-
-def supports_fused_update(policy) -> bool:
-    """Whether the fused kernels replicate this policy's ``evaluate``."""
-    if type(policy) not in _FUSABLE_POLICIES:
-        return False
-    if not _fusable_trunk(policy.trunk):
-        return False
-    if isinstance(policy, ConditionedPolicy):
-        banks = policy.head_stacks.values()
-    else:
-        banks = policy.task_heads.values()
-    return all(_fusable_bank(bank) for bank in banks)
-
-
-def _activation_forward(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z  # linear: the Dense layer adds no activation node
-
-
-def _activation_backward(
-    name: str, gradient: np.ndarray, z: np.ndarray, h: np.ndarray
-) -> np.ndarray:
-    if name == "tanh":
-        return gradient * (1.0 - h ** 2)
-    if name == "sigmoid":
-        return gradient * h * (1.0 - h)
-    if name == "relu":
-        return gradient * (z > 0)
-    return gradient
+    value_loss = mse_loss(values, Tensor(returns))
+    entropy_bonus = ops.mean(entropy)
+    total_loss = ops.add(
+        ops.add(policy_loss, ops.mul(value_loss, config.value_coefficient)),
+        ops.mul(entropy_bonus, -config.entropy_coefficient),
+    )
+    if timer is not None:
+        now = time.perf_counter()
+        timer.add("evaluate", now - started)
+        started = now
+    optimizer.zero_grad()
+    total_loss.backward()
+    if timer is not None:
+        now = time.perf_counter()
+        timer.add("backward", now - started)
+        started = now
+    optimizer.clip_gradients(config.max_gradient_norm)
+    optimizer.step()
+    if timer is not None:
+        timer.add("optimizer", time.perf_counter() - started)
+    return {
+        "total_loss": float(total_loss.item()),
+        "policy_loss": float(policy_loss.item()),
+        "value_loss": float(value_loss.item()),
+        "entropy": float(entropy_bonus.item()),
+    }
 
 
 class FusedUpdater:
     """Bit-exact fused forward/backward PPO updates for one trainer.
 
-    Holds the policy, optimizer and config; :meth:`update_minibatch` is a
-    drop-in replacement for the trainer's graph-based minibatch step for
-    any task whose head bank passed feature detection (``kernel_for``
-    returns ``None`` otherwise, and the trainer falls back).
+    Holds the policy, optimizer and config; :meth:`update_minibatch` is
+    bit-identical to :func:`graph_update_minibatch` for every task the
+    policy serves.
     """
 
     def __init__(self, policy, optimizer, config):
+        if not any(
+            isinstance(policy, cls) and type(policy).evaluate is cls.evaluate
+            for cls in (MultiTaskPolicy, ConditionedPolicy)
+        ):
+            raise ValueError(
+                "the PPO update kernel replicates MultiTaskPolicy.evaluate and "
+                f"ConditionedPolicy.evaluate; {type(policy).__name__} is "
+                "neither or overrides evaluate"
+            )
         self.policy = policy
         self.optimizer = optimizer
         self.config = config
         self.conditioned = isinstance(policy, ConditionedPolicy)
-        trunk_layers = policy.trunk.network.layers
         self._trunk = [
-            (layer.weight, layer.bias, layer.activation) for layer in trunk_layers
+            (layer.weight, layer.bias) for layer in policy.trunk.network.layers
         ]
-        self._bank_cache: Dict[Optional[str], Optional[_TaskHeads]] = {}
-
-    @classmethod
-    def create(cls, policy, optimizer, config) -> Optional["FusedUpdater"]:
-        """An updater for supported policies, ``None`` otherwise."""
-        if not supports_fused_update(policy):
-            return None
-        return cls(policy, optimizer, config)
-
-    # -- routing -------------------------------------------------------------
-
-    def _bank_for(self, task) -> Optional[_TaskHeads]:
-        key = task if (task is None or isinstance(task, str)) else getattr(
-            task, "name", str(task)
-        )
-        if key in self._bank_cache:
-            return self._bank_cache[key]
-        bank = self.policy.heads_for(task)
-        resolved = bank if _fusable_bank(bank) else None
-        self._bank_cache[key] = resolved
-        return resolved
-
-    def kernel_for(self, task) -> bool:
-        """Whether ``update_minibatch`` can serve this task."""
-        try:
-            return self._bank_for(task) is not None
-        except (ValueError, KeyError):
-            return False
 
     # -- the fused step ------------------------------------------------------
 
@@ -192,21 +145,18 @@ class FusedUpdater:
         task=None,
         timer=None,
     ) -> Dict[str, float]:
-        """One PPO minibatch step — bit-identical to the graph path."""
+        """One PPO minibatch step — bit-identical to the graph oracle."""
         config = self.config
-        bank = self._bank_for(task)
+        bank = self.policy.heads_for(task)
         started = time.perf_counter() if timer is not None else 0.0
 
         # ---- forward -------------------------------------------------------
         layer_inputs: List[np.ndarray] = []  # x entering each trunk layer
-        pre_activations: List[np.ndarray] = []  # z = x @ W + b per layer
-        outputs: List[np.ndarray] = []  # h = activation(z) per layer
+        outputs: List[np.ndarray] = []  # h = tanh(x @ W + b) per layer
         x = observations
-        for weight, bias, activation in self._trunk:
+        for weight, bias in self._trunk:
             layer_inputs.append(x)
-            z = x @ weight.data + bias.data
-            h = _activation_forward(activation, z)
-            pre_activations.append(z)
+            h = np.tanh(x @ weight.data + bias.data)
             outputs.append(h)
             x = h
         hidden = x
@@ -312,10 +262,8 @@ class FusedUpdater:
 
         gradient = g_hidden
         for index in range(len(self._trunk) - 1, -1, -1):
-            weight, bias, activation = self._trunk[index]
-            g_z = _activation_backward(
-                activation, gradient, pre_activations[index], outputs[index]
-            )
+            weight, bias = self._trunk[index]
+            g_z = gradient * (1.0 - outputs[index] ** 2)
             bias._accumulate(g_z.sum(axis=0))
             if index > 0:
                 gradient = g_z @ np.swapaxes(weight.data, -1, -2)

@@ -24,11 +24,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn import ops
-from repro.nn.losses import mse_loss
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 from repro.rl.env import VectorizationEnv
+from repro.rl.fused_update import FusedUpdater
 from repro.rl.policy import Policy
 
 
@@ -57,16 +55,20 @@ class PPOConfig:
     #: collected batch), keeping single-task training byte-identical to
     #: the global-normalization trainer; ``True``/``False`` force it.
     per_task_advantage_norm: Optional[bool] = None
-    #: Hand-fused minibatch updates: one forward + one backward function
-    #: per minibatch instead of building and walking an autodiff graph.
-    #: Bit-identical losses, gradients and optimizer state (the regression
-    #: suite in ``tests/test_fused_update.py`` pins this), so it is purely
-    #: a speed knob.  ``None`` (default) auto-detects: fused kernels serve
-    #: the known policy architectures, anything else — external policies,
-    #: overridden ``evaluate`` — falls back to the graph path per
-    #: minibatch.  ``False`` forces the graph path; ``True`` additionally
-    #: raises at construction when the policy is not fusable.
-    fused_update: Optional[bool] = None
+
+    def __post_init__(self):
+        counts = {
+            "train_batch_size": self.train_batch_size,
+            "minibatch_size": self.minibatch_size,
+            "epochs_per_batch": self.epochs_per_batch,
+        }
+        for name, value in counts.items():
+            if value <= 0:
+                raise ValueError(f"PPOConfig.{name} must be positive, got {value!r}")
+        if self.reward_clip is not None and self.reward_clip < 0:
+            raise ValueError(
+                f"PPOConfig.reward_clip must not be negative, got {self.reward_clip!r}"
+            )
 
     def scaled(self, **overrides) -> "PPOConfig":
         """A copy of this config with some fields replaced."""
@@ -177,11 +179,20 @@ class _RunningMoments:
 
 
 class PPOTrainer:
-    """Single-process PPO trainer over a :class:`VectorizationEnv`.
+    """Single-process PPO trainer over a :class:`VectorizationEnv` or a
+    :class:`repro.rl.env.MultiTaskEnv`.
 
     Episodes are single-step (contextual bandit), so the advantage of an
     action is simply ``reward - value_estimate`` and there is no bootstrapping
     or discounting to do.
+
+    The env hands out rollout chunks with ``next_batch`` and adopts the
+    policy's per-task action spaces with ``set_action_spaces``; the policy
+    acts on a chunk with one ``act_batch`` call.  Every minibatch step is
+    :meth:`repro.rl.fused_update.FusedUpdater.update_minibatch`, so the
+    policy must be a :class:`repro.rl.policy.MultiTaskPolicy` or
+    :class:`repro.rl.policy.ConditionedPolicy` with that class's own
+    ``evaluate``; anything else is rejected here.
 
     ``trainable_parameters`` restricts the optimizer to a parameter subset
     (the frozen-trunk transfer path: a conditioned policy's
@@ -205,28 +216,6 @@ class PPOTrainer:
         #: training records collect/gather/evaluate/backward/optimizer
         #: phase timings.  ``None`` (default) skips all timing calls.
         self.profiler = profiler
-        # The environment must decode actions with the policy's own
-        # space(s).  A multi-task policy hands its per-task spaces to a
-        # multi-task env; a single-task policy keeps the legacy assignment.
-        spaces = getattr(policy, "spaces", None)
-        if spaces is not None and hasattr(env, "set_action_spaces"):
-            env.set_action_spaces(spaces)
-        elif spaces is not None and len(spaces) > 1:
-            raise ValueError(
-                "a multi-task policy (head banks: "
-                f"{list(spaces)}) needs a MultiTaskEnv, not "
-                f"{type(env).__name__}"
-            )
-        elif hasattr(policy, "space"):
-            env_task = getattr(env, "task", None)
-            if env_task is not None and hasattr(policy, "space_for"):
-                # Validates the bank serves the env's task: a single bank
-                # *named* for a different task is rejected here instead of
-                # silently decoding its menus into this task's cache path
-                # (the unnamed legacy bank serves any task).
-                self.env.action_space = policy.space_for(env_task.name)
-            else:
-                self.env.action_space = policy.space
         if trainable_parameters is not None:
             parameters = list(trainable_parameters)
             if not parameters:
@@ -236,24 +225,14 @@ class PPOTrainer:
         else:
             parameters = policy.parameters()
         self.optimizer = Adam(parameters, self.config.learning_rate)
+        self._updater = FusedUpdater(policy, self.optimizer, self.config)
+        # The environment must decode actions with the policy's own spaces.
+        env.set_action_spaces(policy.spaces)
         self.history = TrainingHistory(config=self.config)
         self.total_steps = 0
         # One running-moments accumulator per task id for per-task
         # advantage normalization (lazily created on first joint batch).
         self._advantage_moments: Dict[Optional[str], _RunningMoments] = {}
-        # Hand-fused update kernels for the known policy architectures
-        # (bit-identical to the graph path; see PPOConfig.fused_update).
-        self._fused = None
-        if self.config.fused_update is not False:
-            from repro.rl.fused_update import FusedUpdater
-
-            self._fused = FusedUpdater.create(policy, self.optimizer, self.config)
-            if self._fused is None and self.config.fused_update is True:
-                raise ValueError(
-                    "fused_update=True but the fused kernels do not support "
-                    f"this policy ({type(policy).__name__}); use "
-                    "fused_update=None for per-minibatch auto-detection"
-                )
 
     # -- rollout collection --------------------------------------------------------
 
@@ -290,7 +269,7 @@ class PPOTrainer:
             # them with ONE batched forward (rows grouped by task id inside
             # act_batch).  Site order and RNG consumption match the serial
             # loop exactly, so rollouts are byte-identical either way.
-            entries = self._gather_chunk(min(chunk_size, batch_size - collected))
+            entries = self.env.next_batch(min(chunk_size, batch_size - collected))
             outputs = self._act_chunk(entries)
             pairs = []
             for (sample, observation, task_name), output in zip(entries, outputs):
@@ -327,31 +306,12 @@ class PPOTrainer:
             task_names,
         )
 
-    def _gather_chunk(self, count: int):
-        """The next ``count`` rollout entries as (sample, observation, task)."""
-        next_batch = getattr(self.env, "next_batch", None)
-        if next_batch is not None:
-            return next_batch(count)
-        entries = []
-        for _ in range(count):
-            observation = self.env.reset()
-            entries.append(
-                (self.env.current_sample(), observation, self.env.current_task_name)
-            )
-        return entries
-
     def _act_chunk(self, entries):
         """Sample actions for a whole chunk with one batched forward."""
-        act_batch = getattr(self.policy, "act_batch", None)
-        if act_batch is not None:
-            return act_batch(
-                np.stack([observation for _, observation, _ in entries]),
-                tasks=[task_name for _, _, task_name in entries],
-            )
-        return [
-            self.policy.act(observation, task=task_name)
-            for _, observation, task_name in entries
-        ]
+        return self.policy.act_batch(
+            np.stack([observation for _, observation, _ in entries]),
+            tasks=[task_name for _, _, task_name in entries],
+        )
 
     # -- optimisation ---------------------------------------------------------------
 
@@ -412,30 +372,17 @@ class PPOTrainer:
                     profiler.add(
                         "gather", time.perf_counter() - gather_started
                     )
-                fused = self._fused
-                if fused is not None and not fused.kernel_for(task):
-                    fused = None
                 for start in range(0, len(task_indices), config.minibatch_size):
                     stop = start + config.minibatch_size
-                    if fused is not None:
-                        last_metrics = fused.update_minibatch(
-                            group_observations[start:stop],
-                            group_actions[start:stop],
-                            group_old_log_probs[start:stop],
-                            group_advantages[start:stop],
-                            group_returns[start:stop],
-                            task=task,
-                            timer=profiler,
-                        )
-                    else:
-                        last_metrics = self._update_minibatch(
-                            group_observations[start:stop],
-                            group_actions[start:stop],
-                            group_old_log_probs[start:stop],
-                            group_advantages[start:stop],
-                            group_returns[start:stop],
-                            task=task,
-                        )
+                    last_metrics = self._updater.update_minibatch(
+                        group_observations[start:stop],
+                        group_actions[start:stop],
+                        group_old_log_probs[start:stop],
+                        group_advantages[start:stop],
+                        group_returns[start:stop],
+                        task=task,
+                        timer=profiler,
+                    )
         return last_metrics
 
     def _normalize_advantages_per_task(
@@ -497,52 +444,6 @@ class PPOTrainer:
         return [
             (names[code], indices[shuffled_codes == code]) for code in ordered
         ]
-
-    def _update_minibatch(
-        self, observations, actions, old_log_probs, advantages, returns, task=None
-    ) -> Dict[str, float]:
-        config = self.config
-        profiler = self.profiler
-        started = time.perf_counter() if profiler is not None else 0.0
-        log_probs, entropy, values = self.policy.evaluate(
-            observations, actions, task=task
-        )
-        # The clipped surrogate as ONE graph node (ops.ppo_surrogate is
-        # bit-identical, forward and backward, to the historical
-        # exp/sub/mul/clip/minimum/mean/mul chain).
-        policy_loss = ops.ppo_surrogate(
-            log_probs,
-            old_log_probs,
-            advantages,
-            1.0 - config.clip_ratio,
-            1.0 + config.clip_ratio,
-        )
-        value_loss = mse_loss(values, Tensor(returns))
-        entropy_bonus = ops.mean(entropy)
-        total_loss = ops.add(
-            ops.add(policy_loss, ops.mul(value_loss, config.value_coefficient)),
-            ops.mul(entropy_bonus, -config.entropy_coefficient),
-        )
-        if profiler is not None:
-            now = time.perf_counter()
-            profiler.add("evaluate", now - started)
-            started = now
-        self.optimizer.zero_grad()
-        total_loss.backward()
-        if profiler is not None:
-            now = time.perf_counter()
-            profiler.add("backward", now - started)
-            started = now
-        self.optimizer.clip_gradients(config.max_gradient_norm)
-        self.optimizer.step()
-        if profiler is not None:
-            profiler.add("optimizer", time.perf_counter() - started)
-        return {
-            "total_loss": float(total_loss.item()),
-            "policy_loss": float(policy_loss.item()),
-            "value_loss": float(value_loss.item()),
-            "entropy": float(entropy_bonus.item()),
-        }
 
     # -- training loop -----------------------------------------------------------------
 

@@ -1,12 +1,17 @@
-"""Byte-identity regression suite for the fused PPO update path.
+"""Byte-identity regression suite for the fused PPO update.
 
-The fused kernel (:mod:`repro.rl.fused_update`) and the fused composite ops
-(:func:`repro.nn.ops.ppo_surrogate`, :func:`repro.nn.ops.entropy_from_logits`)
-are pure re-expressions of slower reference code.  Every test here compares
-raw bytes — losses, per-parameter gradients, Adam moment state, trained
-weights — against the reference path, because "close" is not the contract:
-the contract is *identical*.
+The fused kernel (:class:`repro.rl.fused_update.FusedUpdater`) and the
+fused composite ops (:func:`repro.nn.ops.ppo_surrogate`,
+:func:`repro.nn.ops.entropy_from_logits`) are pure re-expressions of
+slower reference code.  The kernel's reference is the autodiff graph,
+:func:`repro.rl.fused_update.graph_update_minibatch`, swapped onto a
+trainer's updater instance.  Every test here compares raw bytes — losses,
+per-parameter gradients, Adam moment state, trained weights — against the
+reference, because "close" is not the contract: the contract is
+*identical*.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -14,8 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.nn import Tensor, ops
-from repro.rl.fused_update import FusedUpdater, supports_fused_update
-from repro.rl.policy import make_policy
+from repro.rl.fused_update import FusedUpdater, graph_update_minibatch
+from repro.rl.policy import DiscretePolicy, make_policy
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.spaces import (
     ContinuousJointSpace,
@@ -57,7 +62,7 @@ def _synth_batch(spaces, rng, count, observation_dim):
     return observations, actions, old_log_probs, rewards, values, tasks
 
 
-def _run_training(kind, spaces, conditioning, fused, *, count=97, updates=3,
+def _run_training(kind, spaces, conditioning, graph, *, count=97, updates=3,
                   minibatch=16, epochs=3, observation_dim=6):
     policy = make_policy(
         kind,
@@ -67,10 +72,12 @@ def _run_training(kind, spaces, conditioning, fused, *, count=97, updates=3,
         spaces=spaces,
         conditioning=conditioning,
     )
-    config = PPOConfig(
-        minibatch_size=minibatch, epochs_per_batch=epochs, fused_update=fused
-    )
+    config = PPOConfig(minibatch_size=minibatch, epochs_per_batch=epochs)
     trainer = PPOTrainer(_NullEnv(), policy, config)
+    if graph:
+        trainer._updater.update_minibatch = functools.partial(
+            graph_update_minibatch, policy, trainer.optimizer, config
+        )
     rng = np.random.default_rng(77)
     metrics = []
     for _ in range(updates):
@@ -136,38 +143,52 @@ class TestFusedUpdateByteIdentity:
     @pytest.mark.parametrize("kind,spaces,conditioning", ARCHITECTURES)
     def test_training_identity(self, kind, spaces, conditioning):
         graph_trainer, graph_metrics = _run_training(
-            kind, spaces, conditioning, fused=False
+            kind, spaces, conditioning, graph=True
         )
         fused_trainer, fused_metrics = _run_training(
-            kind, spaces, conditioning, fused=None
+            kind, spaces, conditioning, graph=False
         )
-        assert fused_trainer._fused is not None, "fused path did not engage"
+        assert "update_minibatch" not in vars(fused_trainer._updater)
+        graph_step = vars(graph_trainer._updater)["update_minibatch"]
+        assert graph_step.func is graph_update_minibatch
         assert graph_metrics == fused_metrics
         assert _fingerprint(graph_trainer) == _fingerprint(fused_trainer)
 
     def test_single_task_identity(self):
         spaces = {"only": DiscreteFactorSpace()}
         graph_trainer, graph_metrics = _run_training(
-            "discrete", spaces, "banks", fused=False
+            "discrete", spaces, "banks", graph=True
         )
         fused_trainer, fused_metrics = _run_training(
-            "discrete", spaces, "banks", fused=None
+            "discrete", spaces, "banks", graph=False
         )
         assert graph_metrics == fused_metrics
         assert _fingerprint(graph_trainer) == _fingerprint(fused_trainer)
 
-    def test_fused_update_true_raises_on_unsupported_policy(self):
+    def test_rejects_unsupported_policies(self):
         class Opaque:
             def parameters(self):
                 return []
 
-        with pytest.raises(ValueError):
-            PPOTrainer(_NullEnv(), Opaque(), PPOConfig(fused_update=True))
+        class Reweighted(DiscretePolicy):
+            def evaluate(self, observations, actions, task=None):
+                return super().evaluate(observations, actions, task=task)
 
-    def test_supports_fused_update_detects_standard_policies(self):
-        policy = make_policy("discrete", 6, hidden_sizes=(8,), seed=0)
-        assert supports_fused_update(policy)
-        assert FusedUpdater.create(policy, None, PPOConfig()) is not None
+        for policy in (Opaque(), Reweighted(6, hidden_sizes=(8,), seed=0)):
+            with pytest.raises(ValueError, match=type(policy).__name__):
+                PPOTrainer(_NullEnv(), policy, PPOConfig())
+
+    def test_accepts_standard_policies(self):
+        policies = [
+            make_policy("discrete", 6, hidden_sizes=(8,), seed=0),
+            make_policy("continuous2", 6, hidden_sizes=(8,), seed=0),
+            make_policy(
+                "discrete", 6, hidden_sizes=(8,), seed=0,
+                spaces={"a": DiscreteFactorSpace()}, conditioning="embedding",
+            ),
+        ]
+        for policy in policies:
+            assert FusedUpdater(policy, None, PPOConfig()).policy is policy
 
     @settings(
         max_examples=15,
@@ -182,11 +203,11 @@ class TestFusedUpdateByteIdentity:
     def test_identity_over_random_minibatch_sizes(self, minibatch, epochs, count):
         spaces = {"a": DiscreteFactorSpace(), "b": _discrete_space(4, 3, 2)}
         graph_trainer, graph_metrics = _run_training(
-            "discrete", spaces, "banks", fused=False,
+            "discrete", spaces, "banks", graph=True,
             count=count, updates=1, minibatch=minibatch, epochs=epochs,
         )
         fused_trainer, fused_metrics = _run_training(
-            "discrete", spaces, "banks", fused=None,
+            "discrete", spaces, "banks", graph=False,
             count=count, updates=1, minibatch=minibatch, epochs=epochs,
         )
         assert graph_metrics == fused_metrics

@@ -291,6 +291,22 @@ class TestPPO:
         assert scaled.train_batch_size == 10
         assert config.learning_rate == 1e-4
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("train_batch_size", 0),
+            ("minibatch_size", 0),
+            ("minibatch_size", -4),
+            ("epochs_per_batch", 0),
+            ("reward_clip", -1.0),
+        ],
+    )
+    def test_config_rejects_settings_that_train_nothing(self, name, value):
+        with pytest.raises(ValueError, match=f"PPOConfig.{name}"):
+            PPOConfig(**{name: value})
+        with pytest.raises(ValueError, match=f"PPOConfig.{name}"):
+            PPOConfig().scaled(**{name: value})
+
 
 class TestTune:
     def test_grid_search_expansion(self):
