@@ -21,7 +21,7 @@ from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_
 from repro.embedding.ast_paths import extract_path_contexts
 from repro.embedding.vocab import normalize_identifiers
 from repro.machine.description import avx2_machine, avx512_machine
-from repro.rl.env import VectorizationEnv, build_samples
+from repro.rl.env import COMPILE_TIME_PENALTY, MultiTaskEnv, build_samples
 from repro.vectorizer.bruteforce import brute_force_search
 from repro.simulator.engine import Simulator
 
@@ -90,8 +90,13 @@ def test_ablation_compile_time_penalty(benchmark):
     samples = build_samples([kernel], embedding, pipeline)
 
     def run():
-        capped = VectorizationEnv(samples, pipeline=pipeline, compile_time_limit=2.0)
-        uncapped = VectorizationEnv(samples, pipeline=pipeline, compile_time_limit=1e9)
+        capped, uncapped = (
+            MultiTaskEnv(
+                ["vectorization"], {"vectorization": samples},
+                pipeline=pipeline, compile_time_limit=limit,
+            )
+            for limit in (2.0, 1e9)
+        )
         with_cap, _ = capped.evaluate_action(samples[0], (64, 16))
         without_cap, _ = uncapped.evaluate_action(samples[0], (64, 16))
         return with_cap, without_cap
@@ -99,8 +104,8 @@ def test_ablation_compile_time_penalty(benchmark):
     with_cap, without_cap = benchmark.pedantic(run, iterations=1, rounds=1)
     print()
     print(f"reward with compile-time cap: {with_cap}, without: {round(without_cap, 3)}")
-    assert with_cap == -9.0
-    assert without_cap > -9.0
+    assert with_cap == COMPILE_TIME_PENALTY
+    assert without_cap > COMPILE_TIME_PENALTY
     benchmark.extra_info["capped_reward"] = with_cap
     benchmark.extra_info["uncapped_reward"] = round(without_cap, 3)
 

@@ -830,7 +830,7 @@ class NeuroVectorizer:
             # --- stage 2: PPO over the frozen embedding ---------------------------
             # The joint loop: one environment interleaving every task's
             # decision sites, one policy with a head bank per task.  A
-            # single task is the one-lane/one-bank special case, identical
+            # single task is the one-task/one-bank special case, identical
             # to pre-joint single-task training.
             samples_by_task: Dict[str, List[object]] = _OrderedDict()
             for member in tasks:

@@ -8,10 +8,9 @@ the next chunk while worker processes simulate the first — with a parallel
 :class:`EvaluationService` the two genuinely overlap; without one the API
 degrades to the plain synchronous path with identical results.
 
-Generic over the environment's optimization task(s): raw policy actions are
-decoded once (through each sample's own task space — a
-:class:`repro.rl.env.MultiTaskEnv` routes per tag), and the decoded
-task-action tuples travel through the service exactly as the serial path
+Raw policy actions are decoded once by the :class:`repro.rl.env.MultiTaskEnv`
+(through each sample's own task space), and the decoded task-action tuples
+travel through the service, grouped per task, exactly as the serial path
 would send them.
 """
 
@@ -19,7 +18,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.rl.env import EnvSample, StepResult, VectorizationEnv
+from repro.rl.env import EnvSample, MultiTaskEnv, StepResult
 
 
 class RewardFuture:
@@ -32,7 +31,7 @@ class RewardFuture:
 
     def __init__(
         self,
-        env: VectorizationEnv,
+        env: MultiTaskEnv,
         requests: Sequence[Tuple[EnvSample, Tuple[int, ...]]],
         service_future=None,
         eager_results: Optional[List[Tuple[float, dict]]] = None,
@@ -74,16 +73,16 @@ class RewardFuture:
 class AsyncEvaluator:
     """Submit reward queries for an environment without blocking on them.
 
-    Wraps a :class:`VectorizationEnv`; uses the environment's attached
+    Wraps a :class:`MultiTaskEnv`; uses the environment's attached
     :class:`EvaluationService` when it has parallel workers, and falls back
     to deferred serial evaluation otherwise.  Bookkeeping (``total_steps``,
-    episode state) mirrors ``VectorizationEnv.evaluate_batch`` so the two
+    episode state) mirrors ``MultiTaskEnv.evaluate_batch`` so the two
     paths are interchangeable.
     """
 
-    def __init__(self, env: VectorizationEnv, policy=None):
+    def __init__(self, env: MultiTaskEnv, policy=None):
         self.env = env
-        self.service = getattr(env, "evaluation_service", None)
+        self.service = env.evaluation_service
         # With a service that speculates (prefetch_top_k > 0) and a policy
         # to rank actions with, warm the cache with the policy's likely
         # next actions after every submission — the workers evaluate them
@@ -108,8 +107,7 @@ class AsyncEvaluator:
 
         Decoding and service submission are delegated to the environment
         (``decode_batch``/``submit_requests``), which routes each request
-        through its sample's own task — single- and multi-task envs share
-        this one path.
+        through its sample's own task.
         """
         requests = self.env.decode_batch(pairs)
         self.env.total_steps += len(pairs)

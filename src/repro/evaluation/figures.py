@@ -177,11 +177,12 @@ def _make_training_environment(
     """Build an env factory over a synthetic corpus (shared by Figures 5/6).
 
     The factory accepts an optional ``tasks=`` keyword (a tuple of
-    registered task names) so :func:`repro.rl.tune.run_experiments` grids
-    can sweep single-task vs joint multi-task configurations; per-task
-    samples are built lazily and memoised across experiments.
+    registered task names, vectorization alone by default) so
+    :func:`repro.rl.tune.run_experiments` grids can sweep single-task vs
+    joint multi-task configurations; per-task samples are built lazily and
+    memoised across experiments.
     """
-    from repro.rl.env import MultiTaskEnv, VectorizationEnv, build_samples
+    from repro.rl.env import MultiTaskEnv, build_samples
     from repro.tasks import resolve_task
 
     machine = machine or MachineDescription()
@@ -190,10 +191,9 @@ def _make_training_environment(
     )
     pipeline = CompileAndMeasure(machine=machine)
     embedding_model = build_embedding_model(kernels)
-    samples = build_samples(kernels, embedding_model, pipeline)
-    sample_memo = {"vectorization": samples}
+    sample_memo = {}
 
-    def lane_samples(task):
+    def task_samples(task):
         if task.name not in sample_memo:
             sample_memo[task.name] = build_samples(
                 kernels, embedding_model, pipeline, task=task
@@ -201,12 +201,10 @@ def _make_training_environment(
         return sample_memo[task.name]
 
     def make_env(tasks=None):
-        if not tasks:
-            return VectorizationEnv(samples, pipeline=pipeline, seed=seed)
-        task_objects = [resolve_task(name) for name in tasks]
+        task_objects = [resolve_task(name) for name in tasks or ("vectorization",)]
         return MultiTaskEnv(
             task_objects,
-            {task.name: lane_samples(task) for task in task_objects},
+            {task.name: task_samples(task) for task in task_objects},
             pipeline=pipeline,
             seed=seed,
         )

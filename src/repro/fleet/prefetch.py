@@ -10,15 +10,16 @@ the top-k most likely actions at low priority.  By the time the rollout
 reaches those samples, the demanded keys resolve as store hits (or join
 the in-flight speculation) instead of paying a dispatch-and-wait.
 
-The ranking reuses the exact inference kernels ``act_batch`` runs
-(:func:`repro.rl.policy._trunk_forward` + the stable softmax), and decodes
-index tuples through the same per-lane action space the demand path uses
-— so a speculated key is byte-identical to the demanded one.
+The ranking reuses the exact inference kernels ``act_batch`` runs (the
+policy's ``head_features`` + the stable softmax), and decodes index
+tuples through the env's action space for the sample's task — the same
+space the demand path uses — so a speculated key is byte-identical to
+the demanded one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -26,11 +27,12 @@ import numpy as np
 class SpeculativePrefetcher:
     """Rank likely next actions and warm the fleet cache with them.
 
-    ``top_k``/``horizon`` default from the service's ``prefetch_top_k`` /
-    ``prefetch_horizon`` knobs; ``horizon`` is how many upcoming samples
-    to speculate on per call.  Safe to hold against duck-typed policies
-    and environments — anything without the needed surface (``trunk``,
-    ``heads_for``, ``peek_upcoming``) silently prefetches nothing.
+    ``env`` is a :class:`repro.rl.env.MultiTaskEnv` and ``policy`` the
+    trainer's :class:`repro.rl.policy.MultiTaskPolicy` or
+    :class:`repro.rl.policy.ConditionedPolicy`.  ``top_k``/``horizon``
+    default from the service's ``prefetch_top_k`` / ``prefetch_horizon``
+    knobs; ``horizon`` is how many upcoming samples to speculate on per
+    call.  Tasks whose head is Gaussian are not speculated on.
     """
 
     #: Joint action spaces larger than this are not enumerated.
@@ -49,62 +51,32 @@ class SpeculativePrefetcher:
         """Issue one round of speculation; returns how many were issued."""
         if self.top_k <= 0 or self.service.workers == 0:
             return 0
-        peek = getattr(self.env, "peek_upcoming", None)
-        if peek is None:
-            return 0
-        if getattr(self.policy, "trunk", None) is None or not hasattr(
-            self.policy, "heads_for"
-        ):
-            return 0
-        upcoming = peek(self.horizon)
-        if not upcoming:
-            return 0
-        issued = 0
-        for task_name, samples in self._by_task(upcoming).items():
-            issued += self._prefetch_task(task_name, samples)
-        return issued
-
-    def _by_task(self, samples) -> Dict[Optional[str], List[object]]:
-        grouped: Dict[Optional[str], List[object]] = {}
-        for sample in samples:
-            name = getattr(sample, "task_name", None)
-            if name is None:
-                task = getattr(self.env, "task", None)
-                name = getattr(task, "name", None)
-            grouped.setdefault(name, []).append(sample)
-        return grouped
-
-    def _prefetch_task(self, task_name: Optional[str], samples) -> int:
-        from repro.rl.policy import _stable_matmul, _trunk_forward
-
-        try:
-            bank = self.policy.heads_for(task_name)
-        except (ValueError, KeyError):
-            return 0
-        if getattr(bank, "kind", None) != "discrete":
-            return 0
-        lane = (
-            self.env.lane_for(task_name)
-            if hasattr(self.env, "lane_for")
-            else self.env
+        by_task: Dict[str, List[object]] = {}
+        for sample in self.env.peek_upcoming(self.horizon):
+            by_task.setdefault(sample.task_name, []).append(sample)
+        return sum(
+            self._prefetch_task(task_name, samples)
+            for task_name, samples in by_task.items()
         )
-        space = lane.action_space
-        sizes = [len(menu) for menu in getattr(space, "menus", [])]
-        if not sizes:
+
+    def _prefetch_task(self, task_name: str, samples) -> int:
+        from repro.rl.policy import _stable_matmul
+
+        bank = self.policy.heads_for(task_name)
+        if bank.kind != "discrete":
             return 0
-        total = 1
-        for size in sizes:
-            total *= size
+        space = self.env.action_spaces[task_name]
+        total = space.num_actions
         if total > self.MAX_JOINT_ACTIONS:
             return 0
         observations = np.stack(
             [np.asarray(sample.observation, dtype=np.float64) for sample in samples]
         )
-        hidden = _trunk_forward(self.policy.trunk, observations)
+        features = self.policy.head_features(observations, [task_name] * len(samples))
         # The act_batch softmax, per factored dimension.
         per_dim = []
         for head in bank.heads:
-            logits = _stable_matmul(hidden, head.weight.data) + head.bias.data
+            logits = _stable_matmul(features, head.weight.data) + head.bias.data
             shifted = logits - logits.max(axis=1, keepdims=True)
             exps = np.exp(shifted)
             per_dim.append(exps / exps.sum(axis=1, keepdims=True))
@@ -123,6 +95,4 @@ class SpeculativePrefetcher:
                 )
                 decoded = space.decode(raw)
                 requests.append((sample.kernel, sample.loop_index, decoded))
-        if not requests:
-            return 0
-        return int(self.service.prefetch(requests, task=lane.task))
+        return int(self.service.prefetch(requests, task=self.env.tasks[task_name]))

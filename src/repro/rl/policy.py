@@ -1,10 +1,11 @@
 """Policy networks: one shared tanh-MLP trunk, task-conditioned heads.
 
-Two multi-task architectures share the routing API:
+Every policy is keyed by task name.  Two architectures share the routing
+API:
 
-* :class:`MultiTaskPolicy` — a shared trunk feeding one discrete *head
-  bank* per optimization task (categorical heads per decision dimension
-  or a Gaussian mean head, plus a value head, built from the task's own
+* :class:`MultiTaskPolicy` — a shared trunk feeding one *head bank* per
+  optimization task (categorical heads per decision dimension or a
+  Gaussian mean head, plus a value head, built from the task's own
   :class:`~repro.rl.spaces.ActionSpace`).
 * :class:`ConditionedPolicy` — a learned task-embedding table: each row
   is concatenated onto the shared-trunk output and fed through one head
@@ -16,14 +17,12 @@ Two multi-task architectures share the routing API:
 embedding, so one network jointly learns several tasks while each task
 keeps its own action menus.  :func:`make_policy` picks the architecture
 via ``conditioning=`` ("embedding" is the default for joint spaces,
-"banks" the legacy per-task banks).
+"banks" for one task).
 
-Single-task policies are the one-head special case:
-:class:`DiscretePolicy` and :class:`ContinuousPolicy` are thin
-specializations holding exactly one bank, with construction order (and
-therefore seeded weights and sampling behaviour) identical to the
-pre-redesign classes.  With the default (VF, IF) space the discrete policy
-reproduces the paper's architecture exactly.
+A single-task policy is the one-entry case: one bank named for its task,
+which also serves requests that name no task.  With the default
+vectorization task's (VF, IF) space the discrete policy reproduces the
+paper's architecture exactly.
 """
 
 from __future__ import annotations
@@ -42,19 +41,14 @@ from repro.nn.losses import (
     gaussian_entropy,
     gaussian_log_prob,
 )
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor
 from repro.rl.spaces import (
+    _SPACE_KINDS,
     ActionSpace,
     ContinuousJointSpace,
-    ContinuousPairSpace,
     DiscreteFactorSpace,
 )
-
-#: Head-bank key used by single-task policies constructed without a task
-#: name (the legacy ``space=`` path).  A bank under this key answers *any*
-#: requested task id — it predates task conditioning, so there is nothing
-#: to misroute.
-DEFAULT_HEAD = "default"
+from repro.tasks import resolve_task
 
 
 @dataclass
@@ -164,14 +158,21 @@ def _grouped_act(
     return outputs  # type: ignore[return-value]
 
 
+def _gaussian_width(space: ActionSpace) -> int:
+    """Mean dimensions of a Gaussian head over ``space``: one real number
+    for the joint encoding, one per menu otherwise."""
+    return 1 if isinstance(space, ContinuousJointSpace) else space.dims
+
+
 class _TaskHeads(Module):
     """One task's head bank: action heads + value head over the trunk.
 
     ``kind`` is ``"discrete"`` (one categorical head per menu) or
     ``"gaussian"`` (one mean dimension per continuous value, with a
-    learned log-std).  Construction draws from ``rng`` in the exact order
-    the pre-redesign single-task policies did — action heads, then the
-    value head — so a one-bank policy is weight-identical to the seed.
+    learned log-std); the head widths come from ``space``.  Construction
+    draws from ``rng`` in the exact order the pre-redesign single-task
+    policies did — action heads, then the value head — so a one-bank
+    policy is weight-identical to the seed.
     """
 
     def __init__(
@@ -180,7 +181,6 @@ class _TaskHeads(Module):
         space: ActionSpace,
         rng: np.random.Generator,
         initial_log_std: float = -0.5,
-        action_dims: Optional[int] = None,
     ):
         self.space = space
         if isinstance(space, DiscreteFactorSpace):
@@ -193,11 +193,7 @@ class _TaskHeads(Module):
             self.action_dims = space.dims
         else:
             self.kind = "gaussian"
-            if action_dims is None:
-                action_dims = 1 if isinstance(space, ContinuousJointSpace) else space.dims
-            if action_dims < 1:
-                raise ValueError("continuous head banks need at least 1 action dimension")
-            self.action_dims = int(action_dims)
+            self.action_dims = _gaussian_width(space)
             self.mean_head = Dense(
                 hidden_dim, self.action_dims, rng=rng, weight_scale=0.01
             )
@@ -265,46 +261,6 @@ class _TaskHeads(Module):
         )
         return np.clip(sample, 0.0, 1.0), log_probs, values
 
-    def act_from_hidden(
-        self, hidden: Tensor, rng: np.random.Generator, deterministic: bool
-    ) -> PolicyOutput:
-        value = self.value_head(hidden)
-        if self.kind == "discrete":
-            indices: List[int] = []
-            log_prob = 0.0
-            for head in self.heads:
-                probs = _softmax(head(hidden).numpy()[0])
-                if deterministic:
-                    index = int(np.argmax(probs))
-                else:
-                    index = int(rng.choice(len(probs), p=probs))
-                indices.append(index)
-                log_prob += float(np.log(probs[index] + 1e-12))
-            return PolicyOutput(
-                action=np.array(indices),
-                log_prob=log_prob,
-                value=float(value.numpy()[0, 0]),
-            )
-        mean = ops.sigmoid(self.mean_head(hidden))  # keep the mean in [0, 1]
-        mean_values = mean.numpy()[0]
-        std = np.exp(self.log_std.numpy())
-        if deterministic:
-            sample = mean_values
-        else:
-            sample = mean_values + std * rng.standard_normal(self.action_dims)
-        log_prob = float(
-            np.sum(
-                -0.5 * ((sample - mean_values) / std) ** 2
-                - np.log(std)
-                - 0.5 * np.log(2 * np.pi)
-            )
-        )
-        return PolicyOutput(
-            action=np.clip(sample, 0.0, 1.0),
-            log_prob=log_prob,
-            value=float(value.numpy()[0, 0]),
-        )
-
     def evaluate_from_hidden(self, hidden: Tensor, actions: np.ndarray):
         values = self.value_head(hidden)
         if self.kind == "discrete":
@@ -350,8 +306,8 @@ class _TaskHeads(Module):
 class Policy(Module):
     """Common interface: act on observations, evaluate log-probs for PPO.
 
-    ``task`` selects the head bank on multi-task policies; single-task
-    policies accept and ignore it (the one-head special case).
+    ``task`` names the task whose head bank (or embedding) decides; a
+    policy holding one task also serves ``task=None``.
     """
 
     observation_dim: int
@@ -402,9 +358,8 @@ class MultiTaskPolicy(Policy):
     keeps its own action menus, log-probs and value estimate.
 
     ``act``/``evaluate`` take the task id to route through.  A policy with
-    exactly one bank (the single-task special case) routes every request to
-    it when the request's task id matches the bank — or unconditionally
-    when the bank was built under the legacy :data:`DEFAULT_HEAD` key.
+    exactly one bank (the single-task special case) also serves requests
+    that name no task; a task it holds no bank for is refused.
     """
 
     def __init__(
@@ -414,15 +369,9 @@ class MultiTaskPolicy(Policy):
         hidden_sizes: Sequence[int] = (64, 64),
         seed: int = 0,
         initial_log_std: float = -0.5,
-        action_dims: Optional[int] = None,
     ):
         if not spaces:
             raise ValueError("a policy needs at least one task head bank")
-        if action_dims is not None and len(spaces) > 1:
-            raise ValueError(
-                "action_dims overrides are only meaningful for single-task "
-                "policies; multi-task banks derive their arity from the space"
-            )
         self.observation_dim = observation_dim
         self.hidden_sizes = tuple(hidden_sizes)
         rng = np.random.default_rng(seed)
@@ -435,7 +384,6 @@ class MultiTaskPolicy(Policy):
                 space,
                 rng,
                 initial_log_std=initial_log_std,
-                action_dims=action_dims,
             )
         self.rng = np.random.default_rng(seed + 1)
 
@@ -453,11 +401,6 @@ class MultiTaskPolicy(Policy):
             (name, bank.space) for name, bank in self.task_heads.items()
         )
 
-    @property
-    def space(self) -> ActionSpace:
-        """The single bank's action space (single-task policies only)."""
-        return self.heads_for(None).space
-
     def heads_for(self, task: Optional[str] = None) -> _TaskHeads:
         """The head bank serving ``task`` (a name, a task object, or None)."""
         if task is None:
@@ -467,14 +410,10 @@ class MultiTaskPolicy(Policy):
                 "multi-task policy: pass task=<name> to select a head bank; "
                 f"trained heads: {list(self.task_heads)}"
             )
-        name = task if isinstance(task, str) else getattr(task, "name", str(task))
+        name = _task_name(task)
         bank = self.task_heads.get(name)
         if bank is not None:
             return bank
-        if len(self.task_heads) == 1 and DEFAULT_HEAD in self.task_heads:
-            # Legacy single-task policies predate task conditioning: with
-            # one unnamed bank there is nothing to misroute.
-            return self.task_heads[DEFAULT_HEAD]
         raise ValueError(
             f"policy has no head bank for task {name!r}; "
             f"trained heads: {list(self.task_heads)}"
@@ -516,16 +455,19 @@ class MultiTaskPolicy(Policy):
         — the seed-identity guarantee the rollout layer relies on.
         """
         rows = _as_observation_matrix(observations)
-        count = rows.shape[0]
-        if tasks is None:
-            banks = [self.heads_for(task)] * count
-        else:
-            names = _row_task_names(count, None, tasks)
-            banks = [self.heads_for(name) for name in names]
-        if count == 0:
+        names = _row_task_names(rows.shape[0], task, tasks)
+        banks = [self.heads_for(name) for name in names]
+        if not banks:
             return []
-        hidden = _trunk_forward(self.trunk, rows)
-        return _grouped_act(banks, hidden, self.rng, deterministic)
+        features = self.head_features(rows, names)
+        return _grouped_act(banks, features, self.rng, deterministic)
+
+    def head_features(
+        self, rows: np.ndarray, tasks: Sequence[Optional[str]]
+    ) -> np.ndarray:
+        """What the head banks read for ``rows``: the trunk output alone
+        (``tasks``, one entry per row, selects the bank, not the input)."""
+        return _trunk_forward(self.trunk, rows)
 
     def evaluate(
         self, observations: np.ndarray, actions: np.ndarray, task: Optional[str] = None
@@ -534,89 +476,6 @@ class MultiTaskPolicy(Policy):
         batch = Tensor(observations)
         hidden = self.trunk(batch)
         return bank.evaluate_from_hidden(hidden, actions)
-
-
-class DiscretePolicy(MultiTaskPolicy):
-    """One categorical head per decision dimension plus a value head.
-
-    This is action-space definition 1 of Figure 6, the one the paper finds
-    performs best: for the (VF, IF) default it is two heads over 7 and 5
-    classes.  Default hidden sizes are the paper's 64x64 FCNN.  Since the
-    multi-task redesign this is the one-bank special case of
-    :class:`MultiTaskPolicy`; weights and sampling are seed-identical to
-    the pre-redesign class.
-    """
-
-    def __init__(
-        self,
-        observation_dim: int,
-        space: Optional[DiscreteFactorSpace] = None,
-        hidden_sizes: Sequence[int] = (64, 64),
-        seed: int = 0,
-    ):
-        super().__init__(
-            observation_dim,
-            {DEFAULT_HEAD: space or DiscreteFactorSpace()},
-            hidden_sizes=hidden_sizes,
-            seed=seed,
-        )
-
-    @property
-    def heads(self) -> List[Dense]:
-        """The categorical heads of the single bank."""
-        return self.heads_for(None).heads
-
-    @property
-    def value_head(self) -> Dense:
-        return self.heads_for(None).value_head
-
-
-class ContinuousPolicy(MultiTaskPolicy):
-    """Gaussian policy over N continuous action values in [0, 1].
-
-    These are action-space definitions 2 and 3 of Figure 6 (one value for
-    the whole action grid, or one per dimension); the environment rounds the
-    sampled values to the nearest valid factors.  The one-bank special case
-    of :class:`MultiTaskPolicy`.
-    """
-
-    def __init__(
-        self,
-        observation_dim: int,
-        action_dims: int = 1,
-        hidden_sizes: Sequence[int] = (64, 64),
-        seed: int = 0,
-        initial_log_std: float = -0.5,
-        space: Optional[ActionSpace] = None,
-    ):
-        if action_dims < 1:
-            raise ValueError("continuous policies need at least 1 action dimension")
-        if space is None:
-            space = ContinuousJointSpace() if action_dims == 1 else ContinuousPairSpace()
-        super().__init__(
-            observation_dim,
-            {DEFAULT_HEAD: space},
-            hidden_sizes=hidden_sizes,
-            seed=seed,
-            initial_log_std=initial_log_std,
-            action_dims=action_dims,
-        )
-
-    @property
-    def action_dims(self) -> int:
-        return self.heads_for(None).action_dims
-
-    @property
-    def mean_head(self) -> Dense:
-        return self.heads_for(None).mean_head
-
-    @property
-    def value_head(self) -> Dense:
-        return self.heads_for(None).value_head
-
-    @property
-    def log_std(self) -> Parameter:
-        return self.heads_for(None).log_std
 
 
 class ConditionedPolicy(Policy):
@@ -654,13 +513,6 @@ class ConditionedPolicy(Policy):
     ):
         if not spaces:
             raise ValueError("a conditioned policy needs at least one task")
-        for name in spaces:
-            if str(name) == DEFAULT_HEAD:
-                raise ValueError(
-                    "conditioned policies key every head by task name; the "
-                    f"legacy unnamed bank ({DEFAULT_HEAD!r}) has no task to "
-                    "embed — use conditioning='banks' for it"
-                )
         if int(task_embed_dim) < 1:
             raise ValueError("task_embed_dim must be at least 1")
         self.observation_dim = observation_dim
@@ -695,8 +547,7 @@ class ConditionedPolicy(Policy):
         """The arity key deciding which head stack serves a space."""
         if isinstance(space, DiscreteFactorSpace):
             return ("discrete", tuple(space.sizes))
-        dims = 1 if isinstance(space, ContinuousJointSpace) else space.dims
-        return ("gaussian", int(dims))
+        return ("gaussian", _gaussian_width(space))
 
     def _register_task(
         self,
@@ -737,7 +588,7 @@ class ConditionedPolicy(Policy):
                 "conditioned policy: pass task=<name> to select a task "
                 f"embedding; trained tasks: {list(self.task_spaces)}"
             )
-        name = task if isinstance(task, str) else getattr(task, "name", str(task))
+        name = _task_name(task)
         if name in self.task_spaces:
             return name
         raise ValueError(
@@ -755,11 +606,6 @@ class ConditionedPolicy(Policy):
         """Ordered ``task name -> ActionSpace`` mapping (the task's own
         space, even when several tasks share one head stack)."""
         return OrderedDict(self.task_spaces)
-
-    @property
-    def space(self) -> ActionSpace:
-        """The single task's action space (single-task policies only)."""
-        return self.space_for(None)
 
     def space_for(self, task=None) -> ActionSpace:
         """The action space of the task ``task`` (its own menus — tasks
@@ -780,8 +626,8 @@ class ConditionedPolicy(Policy):
         stream of the construction seed, so transfer runs are seed-stable.
         Returns the new embedding row.
         """
-        name = str(name) if isinstance(name, str) else getattr(name, "name", str(name))
-        space_class = _KIND_SPACE_CLASSES[self.policy_kind]
+        name = _task_name(name)
+        space_class = _SPACE_KINDS[self.policy_kind]
         if not isinstance(space, space_class):
             raise ValueError(
                 f"{self.policy_kind} policies need a {space_class.__name__}; "
@@ -830,21 +676,22 @@ class ConditionedPolicy(Policy):
         stacks sample.  RNG draws are flat in row order, so batched
         sampling stays byte-identical to serial ``act`` calls."""
         rows = _as_observation_matrix(observations)
-        count = rows.shape[0]
-        if tasks is None:
-            names = [self._resolve_name(task)] * count
-        else:
-            names = [
-                self._resolve_name(entry)
-                for entry in _row_task_names(count, None, tasks)
-            ]
-        if count == 0:
+        names = [
+            self._resolve_name(name)
+            for name in _row_task_names(rows.shape[0], task, tasks)
+        ]
+        if not names:
             return []
-        hidden = _trunk_forward(self.trunk, rows)
-        embeds = np.stack([self.task_embeddings[name].data for name in names])
-        features = np.concatenate([hidden, embeds], axis=1)
+        features = self.head_features(rows, names)
         stacks = [self.head_stacks[self._stack_keys[name]] for name in names]
         return _grouped_act(stacks, features, self.rng, deterministic)
+
+    def head_features(self, rows: np.ndarray, tasks: Sequence[str]) -> np.ndarray:
+        """What the head stacks read for ``rows``: the trunk output with
+        each row's task embedding (``tasks``, one name per row) appended."""
+        hidden = _trunk_forward(self.trunk, rows)
+        embeds = np.stack([self.task_embeddings[name].data for name in tasks])
+        return np.concatenate([hidden, embeds], axis=1)
 
     def evaluate(
         self, observations: np.ndarray, actions: np.ndarray, task: Optional[str] = None
@@ -863,11 +710,12 @@ class ConditionedPolicy(Policy):
 
 def _kind_for_space(space: ActionSpace) -> str:
     """The ``make_policy`` kind string a space class corresponds to."""
-    if isinstance(space, DiscreteFactorSpace):
-        return "discrete"
-    if isinstance(space, ContinuousJointSpace):
-        return "continuous1"
-    return "continuous2"
+    return next(kind for kind, cls in _SPACE_KINDS.items() if isinstance(space, cls))
+
+
+def _task_name(task) -> str:
+    """A task id as a name (task objects carry their own ``name``)."""
+    return task if isinstance(task, str) else getattr(task, "name", str(task))
 
 
 def _as_observation_matrix(observations) -> np.ndarray:
@@ -896,94 +744,61 @@ def _row_task_names(
     return names
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    exps = np.exp(shifted)
-    return exps / exps.sum()
-
-
-_KIND_SPACE_CLASSES = {
-    "discrete": DiscreteFactorSpace,
-    "continuous1": ContinuousJointSpace,
-    "continuous2": ContinuousPairSpace,
-}
-
-
 def make_policy(
     kind: str,
     observation_dim: int,
     hidden_sizes: Sequence[int] = (64, 64),
     seed: int = 0,
-    space: Optional[ActionSpace] = None,
     spaces: Optional[Mapping[str, ActionSpace]] = None,
     conditioning: Optional[str] = None,
     task_embed_dim: int = 8,
 ) -> Policy:
     """Factory for the three action-space variants of Figure 6.
 
-    ``space`` carries a task's own menus into a single-task policy;
-    without it the paper's (VF, IF) defaults are used.  ``spaces`` (an
-    ordered ``task name -> ActionSpace`` mapping, every space of the same
-    ``kind``) builds a multi-task policy instead.
+    ``spaces`` is an ordered ``task name -> ActionSpace`` mapping, every
+    space of the same ``kind``; the policy decides exactly those tasks.
+    Without it the policy decides the default task alone — the paper's
+    (VF, IF) vectorization, ``{task.name: task.action_space(kind)}``.
 
-    ``conditioning`` selects the multi-task architecture:
+    ``conditioning`` selects the architecture:
 
     * ``"embedding"`` — a :class:`ConditionedPolicy`: a learned task-
       embedding table concatenated onto the shared trunk, one head stack
       per action arity (``task_embed_dim`` sets the embedding width).
-    * ``"banks"`` — the legacy :class:`MultiTaskPolicy` with one discrete
-      head bank per task.
-    * ``None`` (default) — ``"embedding"`` for a genuinely joint ``spaces``
-      mapping (two or more tasks), ``"banks"`` for a single entry, keeping
-      single-task construction byte-identical to the pre-conditioning
-      wiring.
+    * ``"banks"`` — a :class:`MultiTaskPolicy` with one head bank per task.
+    * ``None`` (default) — ``"embedding"`` for two or more tasks,
+      ``"banks"`` for one, keeping single-task construction byte-identical
+      to the pre-conditioning wiring.
     """
-    if kind not in _KIND_SPACE_CLASSES:
+    space_class = _SPACE_KINDS.get(kind)
+    if space_class is None:
         raise ValueError(f"unknown policy kind {kind!r}")
     if conditioning not in (None, "banks", "embedding"):
         raise ValueError(
             f"unknown conditioning {conditioning!r}; pick 'banks' or 'embedding'"
         )
-    space_class = _KIND_SPACE_CLASSES[kind]
-    if spaces is not None:
-        if space is not None:
-            raise ValueError("pass either space or spaces, not both")
-        for name, task_space in spaces.items():
-            if not isinstance(task_space, space_class):
-                raise ValueError(
-                    f"{kind} policies need a {space_class.__name__}; task "
-                    f"{name!r} supplied a {type(task_space).__name__}"
-                )
-        mode = conditioning or ("embedding" if len(spaces) > 1 else "banks")
-        if mode == "embedding":
-            return ConditionedPolicy(
-                observation_dim,
-                spaces=OrderedDict(spaces),
-                hidden_sizes=hidden_sizes,
-                seed=seed,
-                task_embed_dim=task_embed_dim,
-                policy_kind=kind,
+    if spaces is None:
+        task = resolve_task(None)
+        spaces = {task.name: task.action_space(kind)}
+    for name, task_space in spaces.items():
+        if not isinstance(task_space, space_class):
+            raise ValueError(
+                f"{kind} policies need a {space_class.__name__}; task "
+                f"{name!r} supplied a {type(task_space).__name__}"
             )
-        return MultiTaskPolicy(
+    mode = conditioning or ("embedding" if len(spaces) > 1 else "banks")
+    if mode == "embedding":
+        return ConditionedPolicy(
             observation_dim,
             spaces=OrderedDict(spaces),
             hidden_sizes=hidden_sizes,
             seed=seed,
+            task_embed_dim=task_embed_dim,
+            policy_kind=kind,
         )
-    if conditioning == "embedding":
-        raise ValueError(
-            "conditioning='embedding' needs a spaces= mapping (task name -> "
-            "ActionSpace); the single-space path has no task name to embed"
-        )
-    if space is not None and not isinstance(space, space_class):
-        raise ValueError(f"{kind} policies need a {space_class.__name__}")
-    if kind == "discrete":
-        return DiscretePolicy(
-            observation_dim, space=space, hidden_sizes=hidden_sizes, seed=seed
-        )
-    if kind == "continuous1":
-        return ContinuousPolicy(observation_dim, action_dims=1,
-                                hidden_sizes=hidden_sizes, seed=seed, space=space)
-    dims = space.dims if space is not None else 2
-    return ContinuousPolicy(observation_dim, action_dims=dims,
-                            hidden_sizes=hidden_sizes, seed=seed, space=space)
+    return MultiTaskPolicy(
+        observation_dim,
+        spaces=OrderedDict(spaces),
+        hidden_sizes=hidden_sizes,
+        seed=seed,
+    )

@@ -5,13 +5,13 @@ the task's menus) and rewards through the environment's task-aware cache
 path, so the identical trainer optimizes vectorization factors, Polly
 tile/fusion choices, or any other registered task.
 
-Multi-task aware: over a :class:`repro.rl.env.MultiTaskEnv` with a
-:class:`repro.rl.policy.MultiTaskPolicy`, every collected step carries its
-task id, minibatches are grouped by task so each update applies the right
-head bank's log-probs/entropy/value, and :class:`IterationStats` reports
-per-task reward means alongside the joint mean.  A single-task run is the
-one-group special case — minibatch composition, RNG consumption and
-gradients are identical to the pre-redesign trainer.
+Multi-task aware: every sample the :class:`repro.rl.env.MultiTaskEnv`
+serves carries its task id, minibatches are grouped by task so each
+update applies the right head bank's log-probs/entropy/value, and
+:class:`IterationStats` reports per-task reward means alongside the joint
+mean.  A single-task run is the one-group special case — minibatch
+composition, RNG consumption and gradients are identical to the
+pre-redesign trainer.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.nn.optim import Adam
-from repro.rl.env import VectorizationEnv
+from repro.rl.env import EnvSample, MultiTaskEnv
 from repro.rl.fused_update import FusedUpdater
 from repro.rl.policy import Policy
 
@@ -179,16 +179,17 @@ class _RunningMoments:
 
 
 class PPOTrainer:
-    """Single-process PPO trainer over a :class:`VectorizationEnv` or a
-    :class:`repro.rl.env.MultiTaskEnv`.
+    """Single-process PPO trainer over a :class:`repro.rl.env.MultiTaskEnv`.
 
     Episodes are single-step (contextual bandit), so the advantage of an
     action is simply ``reward - value_estimate`` and there is no bootstrapping
     or discounting to do.
 
-    The env hands out rollout chunks with ``next_batch`` and adopts the
-    policy's per-task action spaces with ``set_action_spaces``; the policy
-    acts on a chunk with one ``act_batch`` call.  Every minibatch step is
+    The env hands out rollout chunks of :class:`repro.rl.env.EnvSample`
+    with ``next_batch`` and adopts the policy's per-task action spaces
+    with ``set_action_spaces``; the policy acts on a chunk with one
+    ``act_batch`` call, each row routed by its sample's task name.  Every
+    minibatch step is
     :meth:`repro.rl.fused_update.FusedUpdater.update_minibatch`, so the
     policy must be a :class:`repro.rl.policy.MultiTaskPolicy` or
     :class:`repro.rl.policy.ConditionedPolicy` with that class's own
@@ -203,7 +204,7 @@ class PPOTrainer:
 
     def __init__(
         self,
-        env: VectorizationEnv,
+        env: MultiTaskEnv,
         policy: Policy,
         config: Optional[PPOConfig] = None,
         trainable_parameters=None,
@@ -269,16 +270,16 @@ class PPOTrainer:
             # them with ONE batched forward (rows grouped by task id inside
             # act_batch).  Site order and RNG consumption match the serial
             # loop exactly, so rollouts are byte-identical either way.
-            entries = self.env.next_batch(min(chunk_size, batch_size - collected))
-            outputs = self._act_chunk(entries)
+            samples = self.env.next_batch(min(chunk_size, batch_size - collected))
+            outputs = self._act_chunk(samples)
             pairs = []
-            for (sample, observation, task_name), output in zip(entries, outputs):
+            for sample, output in zip(samples, outputs):
                 pairs.append((sample, output.action))
-                observations.append(observation)
+                observations.append(sample.observation)
                 actions.append(np.asarray(output.action, dtype=np.float64))
                 log_probs.append(output.log_prob)
                 values.append(output.value)
-                task_names.append(task_name)
+                task_names.append(sample.task_name)
             futures.append(evaluator.submit(pairs))
             collected += len(pairs)
         for future in futures:
@@ -306,11 +307,11 @@ class PPOTrainer:
             task_names,
         )
 
-    def _act_chunk(self, entries):
+    def _act_chunk(self, samples: Sequence[EnvSample]):
         """Sample actions for a whole chunk with one batched forward."""
         return self.policy.act_batch(
-            np.stack([observation for _, observation, _ in entries]),
-            tasks=[task_name for _, _, task_name in entries],
+            np.stack([sample.observation for sample in samples]),
+            tasks=[sample.task_name for sample in samples],
         )
 
     # -- optimisation ---------------------------------------------------------------

@@ -7,21 +7,21 @@ configuration" workflow — generalized over optimization tasks, so the same
 grid can sweep ``tasks=[...]`` combinations (single-task vs joint
 multi-task training) alongside the paper's axes.
 
-Policies are always built from the environment's own task(s): each swept
-configuration trains with the action space (menus) of the env's task — or
-one head bank per task for a :class:`repro.rl.env.MultiTaskEnv` — never
-with the (VF, IF) defaults a task-less policy would fall back to.
+Every configuration trains on a :class:`repro.rl.env.MultiTaskEnv` with a
+policy built from the env's own tasks — one head bank (or task embedding)
+per task, with that task's menus — never with the (VF, IF) defaults a
+task-less policy would fall back to.  A grid key the runner does not know
+is rejected rather than silently trained as the default.
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.rl.env import VectorizationEnv
+from repro.rl.env import MultiTaskEnv
 from repro.rl.policy import Policy, make_policy
 from repro.rl.ppo import PPOConfig, PPOTrainer, TrainingHistory
 
@@ -94,32 +94,27 @@ def _make_environment(make_env: Callable, parameters: Dict[str, object]):
 
 
 def _make_experiment_policy(
-    env, policy_kind: str, hidden_sizes, seed: int, conditioning=None
+    env: MultiTaskEnv, policy_kind: str, hidden_sizes, seed: int, conditioning=None
 ) -> Policy:
-    """A policy shaped by the env's own task(s) — never the (VF, IF) default."""
-    if hasattr(env, "lanes"):  # a MultiTaskEnv: one head per task
-        spaces = OrderedDict(
-            (task.name, task.action_space(policy_kind)) for task in env.tasks
-        )
-        return make_policy(
-            policy_kind,
-            env.observation_dim,
-            hidden_sizes=hidden_sizes,
-            seed=seed,
-            spaces=spaces,
-            conditioning=conditioning,
-        )
+    """A policy shaped by the env's own tasks — never the (VF, IF) default."""
     return make_policy(
         policy_kind,
         env.observation_dim,
         hidden_sizes=hidden_sizes,
         seed=seed,
-        space=env.task.action_space(policy_kind),
+        spaces={
+            name: task.action_space(policy_kind) for name, task in env.tasks.items()
+        },
+        conditioning=conditioning,
     )
 
 
+#: Grid keys that shape the env or policy rather than :class:`PPOConfig`.
+_POLICY_KEYS = ("conditioning", "hidden_sizes", "policy", "tasks")
+
+
 def run_experiments(
-    make_env: Callable[..., VectorizationEnv],
+    make_env: Callable[..., MultiTaskEnv],
     parameter_grid: Dict[str, Sequence],
     total_steps: int,
     base_config: Optional[PPOConfig] = None,
@@ -129,35 +124,42 @@ def run_experiments(
 
     Recognised parameter keys:
 
-    * ``learning_rate``, ``train_batch_size``, ``minibatch_size``,
-      ``entropy_coefficient`` — forwarded to :class:`PPOConfig`,
+    * any :class:`PPOConfig` field (``learning_rate``,
+      ``train_batch_size``, ``minibatch_size``, ``entropy_coefficient``,
+      ...) — forwarded to the config,
     * ``hidden_sizes`` — the FCNN architecture (tuple of layer widths),
     * ``policy`` — ``"discrete"``, ``"continuous1"`` or ``"continuous2"``
       (the Figure 6 action-space study),
     * ``tasks`` — a tuple of registered task names trained jointly for
       this configuration (the Figure 5/6 study generalized to multi-task);
-      ``make_env`` must accept a ``tasks=`` keyword for this axis.
+      ``make_env`` must accept a ``tasks=`` keyword for this axis,
+    * ``conditioning`` — ``"banks"`` or ``"embedding"``, the policy
+      architecture (see :func:`repro.rl.policy.make_policy`).
 
-    Every experiment's policy is built from the environment's task menus
-    (and, for joint configurations, gets one head bank per task).
+    Any other key raises a ``ValueError`` naming it.  Every experiment's
+    policy is built from the environment's task menus, one head bank (or
+    task embedding) per task.
     """
+    config_keys = [entry.name for entry in fields(PPOConfig)]
+    unknown = sorted(set(parameter_grid) - set(config_keys) - set(_POLICY_KEYS))
+    if unknown:
+        raise ValueError(
+            f"unknown parameter grid key(s) {unknown}; recognised keys: "
+            f"{sorted(config_keys + list(_POLICY_KEYS))}"
+        )
     base_config = base_config or PPOConfig()
     results: List[ExperimentResult] = []
     for parameters in grid_search(parameter_grid):
         env = _make_environment(make_env, parameters)
         config_overrides = {
-            key: value
-            for key, value in parameters.items()
-            if key in PPOConfig().__dict__
+            key: value for key, value in parameters.items() if key in config_keys
         }
         config = base_config.scaled(**config_overrides)
         hidden_sizes = tuple(parameters.get("hidden_sizes", (64, 64)))
         policy_kind = str(parameters.get("policy", "discrete"))
-        # A "conditioning" grid axis sweeps head banks vs the embedding-
-        # conditioned head on joint (MultiTaskEnv) configurations.
-        conditioning = parameters.get("conditioning")
         policy = _make_experiment_policy(
-            env, policy_kind, hidden_sizes, seed, conditioning=conditioning
+            env, policy_kind, hidden_sizes, seed,
+            conditioning=parameters.get("conditioning"),
         )
         trainer = PPOTrainer(env, policy, config)
         history = trainer.train(total_steps)

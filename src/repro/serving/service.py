@@ -44,7 +44,7 @@ from repro.serving.schema import (
     ServingError,
 )
 from repro.serving.stats import ServingReport, ServingStats
-from repro.tasks import OptimizationTask, resolve_task, resolve_tasks
+from repro.tasks import OptimizationTask, resolve_tasks
 
 
 class CompileService:
@@ -56,8 +56,7 @@ class CompileService:
     embedding of a :class:`repro.rl.policy.ConditionedPolicy` — with an
     action space matching the task's menus, validated at construction,
     not on the first mismatched request.  When omitted, the policy's own
-    trained tasks decide the line-up (a legacy unnamed single bank
-    serves the default task).
+    trained tasks decide the line-up.
 
     ``max_batch_size`` / ``max_wait_us`` tune the coalescing window,
     ``max_queue_depth`` bounds admission (load shedding), ``slo_ms`` sets
@@ -78,23 +77,11 @@ class CompileService:
         observation_memo_size: int = 512,
         slo_ms: Optional[float] = None,
     ):
-        from repro.rl.policy import DEFAULT_HEAD
-
         if embedding_model is None:
             raise ValueError("the compile service needs an embedding model")
         self._policy = policy
         self._embedding_model = embedding_model
-        if tasks is None:
-            trained = [
-                name
-                for name in getattr(policy, "task_names", [])
-                if name != DEFAULT_HEAD
-            ]
-            resolved = (
-                resolve_tasks(trained) if trained else [resolve_task(None)]
-            )
-        else:
-            resolved = resolve_tasks(tasks)
+        resolved = resolve_tasks(policy.task_names if tasks is None else tasks)
         self._tasks: "OrderedDict[str, OptimizationTask]" = OrderedDict(
             (task.name, task) for task in resolved
         )

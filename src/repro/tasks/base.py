@@ -8,7 +8,7 @@ phase orders.  :class:`OptimizationTask` is the seam: it owns the action
 menus, maps kernels to decision sites, embeds each site for the agent, and
 turns a chosen action back into a measured program.
 
-Everything downstream — :class:`repro.rl.env.VectorizationEnv`, the agents,
+Everything downstream — :class:`repro.rl.env.MultiTaskEnv`, the agents,
 the :class:`repro.cache.RewardCache` key schema, the distributed evaluation
 workers — talks to the task through this interface and never mentions VF or
 IF by name.

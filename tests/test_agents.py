@@ -14,7 +14,7 @@ from repro.agents import (
 )
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
-from repro.rl.policy import DiscretePolicy
+from repro.rl.policy import make_policy
 from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
 from repro.tasks import resolve_task
 
@@ -205,7 +205,7 @@ class TestSearchAndBaselineAgents:
         assert BaselineAgent().select_factors(np.zeros(4)).as_tuple() == (1, 1)
 
     def test_policy_agent_decodes_with_policy_space(self):
-        policy = DiscretePolicy(observation_dim=6, seed=0)
+        policy = make_policy("discrete", 6, seed=0)
         agent = PolicyAgent(policy)
         decision = agent.select_factors(np.zeros(6))
         vf, interleave = decision.action

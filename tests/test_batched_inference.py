@@ -25,12 +25,7 @@ from hypothesis import strategies as st
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.frontend.cache import FrontendCache, frontend_cache
-from repro.rl.policy import (
-    ContinuousPolicy,
-    DiscretePolicy,
-    MultiTaskPolicy,
-    Policy,
-)
+from repro.rl.policy import MultiTaskPolicy, Policy, make_policy
 from repro.rl.spaces import (
     ContinuousPairSpace,
     DiscreteFactorSpace,
@@ -65,9 +60,9 @@ class TestActBatchIdentity:
     @given(count=st.integers(1, 12), seed=st.integers(0, 2**16))
     def test_categorical_heads(self, count, seed):
         observations = _observations(count, seed)
-        serial_policy = DiscretePolicy(OBS_DIM, seed=seed)
+        serial_policy = make_policy("discrete", OBS_DIM, seed=seed)
         serial = [serial_policy.act(row) for row in observations]
-        batched_policy = DiscretePolicy(OBS_DIM, seed=seed)
+        batched_policy = make_policy("discrete", OBS_DIM, seed=seed)
         batched = batched_policy.act_batch(observations)
         _assert_outputs_identical(serial, batched)
 
@@ -75,9 +70,9 @@ class TestActBatchIdentity:
     @given(count=st.integers(1, 12), seed=st.integers(0, 2**16))
     def test_gaussian_heads(self, count, seed):
         observations = _observations(count, seed)
-        serial_policy = ContinuousPolicy(OBS_DIM, action_dims=2, seed=seed)
+        serial_policy = make_policy("continuous2", OBS_DIM, seed=seed)
         serial = [serial_policy.act(row) for row in observations]
-        batched_policy = ContinuousPolicy(OBS_DIM, action_dims=2, seed=seed)
+        batched_policy = make_policy("continuous2", OBS_DIM, seed=seed)
         batched = batched_policy.act_batch(observations)
         _assert_outputs_identical(serial, batched)
 
@@ -127,9 +122,9 @@ class TestActBatchIdentity:
     @given(count=st.integers(1, 12), seed=st.integers(0, 2**16))
     def test_deterministic_mode(self, count, seed):
         observations = _observations(count, seed)
-        serial_policy = DiscretePolicy(OBS_DIM, seed=seed)
+        serial_policy = make_policy("discrete", OBS_DIM, seed=seed)
         serial = [serial_policy.act(row, deterministic=True) for row in observations]
-        batched_policy = DiscretePolicy(OBS_DIM, seed=seed)
+        batched_policy = make_policy("discrete", OBS_DIM, seed=seed)
         batched = batched_policy.act_batch(observations, deterministic=True)
         _assert_outputs_identical(serial, batched)
         # Deterministic inference must not consume the sampling stream.
@@ -138,7 +133,7 @@ class TestActBatchIdentity:
         )
 
     def test_empty_batch(self):
-        policy = DiscretePolicy(OBS_DIM, seed=0)
+        policy = make_policy("discrete", OBS_DIM, seed=0)
         assert policy.act_batch(np.empty((0, OBS_DIM))) == []
 
     def test_base_policy_fallback_is_serial(self):
@@ -165,9 +160,9 @@ class TestActBatchIdentity:
         # Splitting one workload into a batched chunk and serial leftovers
         # must land on the same stream state as all-serial.
         observations = _observations(8, 3)
-        reference = DiscretePolicy(OBS_DIM, seed=3)
+        reference = make_policy("discrete", OBS_DIM, seed=3)
         expected = [reference.act(row) for row in observations]
-        split = DiscretePolicy(OBS_DIM, seed=3)
+        split = make_policy("discrete", OBS_DIM, seed=3)
         first = split.act_batch(observations[:5])
         rest = [split.act(row) for row in observations[5:]]
         _assert_outputs_identical(expected, first + rest)
@@ -207,27 +202,28 @@ def _kernels():
 
 def _collect(batch_size, service=None, serial_policy=False):
     from repro.core.framework import build_embedding_model
-    from repro.rl.env import VectorizationEnv, build_samples
+    from repro.rl.env import MultiTaskEnv, build_samples
     from repro.rl.ppo import PPOConfig, PPOTrainer
 
     kernels = _kernels()
     pipeline = CompileAndMeasure()
     embedding = build_embedding_model(kernels)
     samples = build_samples(kernels, embedding, pipeline)
-    env = VectorizationEnv(
-        samples,
+    env = MultiTaskEnv(
+        ["vectorization"],
+        {"vectorization": samples},
         pipeline=pipeline,
         seed=0,
         shuffle=False,
         evaluation_service=service,
     )
-    policy = DiscretePolicy(env.observation_dim, seed=0)
+    policy = make_policy("discrete", env.observation_dim, seed=0)
     trainer = PPOTrainer(env, policy, PPOConfig(async_chunk_size=4))
     if serial_policy:
         # Force the pre-refactor per-site path for the reference rollout.
-        trainer._act_chunk = lambda entries: [
-            policy.act(observation, task=task_name)
-            for _, observation, task_name in entries
+        trainer._act_chunk = lambda samples: [
+            policy.act(sample.observation, task=sample.task_name)
+            for sample in samples
         ]
     return trainer.collect_batch(batch_size)
 

@@ -20,7 +20,7 @@ from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
 from repro.evaluation.report import format_cache_stats_table
 from repro.machine.description import MachineDescription
-from repro.rl.env import VectorizationEnv, build_samples
+from repro.rl.env import COMPILE_TIME_PENALTY, MultiTaskEnv, build_samples
 from repro.tasks import get_task
 
 VECTORIZATION = get_task("vectorization")
@@ -237,12 +237,15 @@ class TestEnvBatchEvaluation:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline)
-        return VectorizationEnv(samples, pipeline=pipeline, shuffle=False, seed=0)
+        return MultiTaskEnv(
+            ["vectorization"], {"vectorization": samples},
+            pipeline=pipeline, shuffle=False, seed=0,
+        )
 
     def test_evaluate_batch_matches_step(self, env):
         sample = env.samples[0]
         direct_reward, _ = env.evaluate_action(sample, (8, 2))
-        action = env.action_space.encode((8, 2))
+        action = env.action_spaces["vectorization"].encode((8, 2))
         results = env.evaluate_batch([(sample, action)] * 3)
         assert [r.reward for r in results] == [direct_reward] * 3
         assert all(r.info["cached"] == 1.0 for r in results)
@@ -250,7 +253,8 @@ class TestEnvBatchEvaluation:
     def test_evaluate_batch_counts_steps(self, env):
         before = env.total_steps
         sample = env.samples[0]
-        env.evaluate_batch([(sample, env.action_space.encode((4, 1)))] * 4)
+        action = env.action_spaces["vectorization"].encode((4, 1))
+        env.evaluate_batch([(sample, action)] * 4)
         assert env.total_steps == before + 4
 
     def test_factors_batch_mixes_samples(self, env):
@@ -268,22 +272,22 @@ class TestEnvBatchEvaluation:
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline)
         shared = RewardCache()
-        lenient = VectorizationEnv(
-            samples, pipeline=pipeline, reward_cache=shared, shuffle=False
+        lenient = MultiTaskEnv(
+            ["vectorization"], {"vectorization": samples},
+            pipeline=pipeline, reward_cache=shared, shuffle=False,
         )
-        strict = VectorizationEnv(
-            samples,
+        strict = MultiTaskEnv(
+            ["vectorization"], {"vectorization": samples},
             pipeline=pipeline,
             reward_cache=shared,
             shuffle=False,
             compile_time_limit=0.0001,
-            compile_time_penalty=-9.0,
         )
         lenient.evaluate_action(samples[0], (64, 16))
         reward, info = strict.evaluate_action(samples[0], (64, 16))
         # The measurement is shared, but each env derives its own reward.
         assert info.get("cached") == 1.0
-        assert reward == -9.0
+        assert reward == COMPILE_TIME_PENALTY
 
 
 class TestStatsReport:

@@ -417,14 +417,15 @@ class TestEvaluationService:
 class TestAsyncEvaluator:
     @staticmethod
     def _env(service=None, pipeline=None):
-        from repro.rl.env import VectorizationEnv, build_samples
+        from repro.rl.env import MultiTaskEnv, build_samples
 
         kernels = [add_kernel(), scale_kernel()]
         embedding = build_embedding_model(kernels)
         pipeline = pipeline or CompileAndMeasure()
         samples = build_samples(kernels, embedding, pipeline)
-        return VectorizationEnv(
-            samples,
+        return MultiTaskEnv(
+            ["vectorization"],
+            {"vectorization": samples},
             pipeline=pipeline,
             seed=0,
             shuffle=False,

@@ -26,6 +26,44 @@ from repro.fleet import FleetEvaluationService, FleetStats, WorkerFaults
 from repro.fleet.protocol import decode_entries, encode_entries
 from repro.tasks import get_task
 
+ALL_TASKS = ("vectorization", "polly-tiling", "unrolling")
+
+
+def rollout_env(tasks, seed=0, shuffle=True, service=None):
+    """A ``MultiTaskEnv`` over the add/scale kernels for ``tasks``."""
+    from repro.core.framework import build_embedding_model
+    from repro.rl.env import MultiTaskEnv, build_samples
+    from repro.tasks import resolve_task
+
+    kernels = [add_kernel(), scale_kernel()]
+    embedding = build_embedding_model(kernels)
+    pipeline = CompileAndMeasure()
+    resolved = [resolve_task(name) for name in tasks]
+    return MultiTaskEnv(
+        resolved,
+        {
+            task.name: build_samples(kernels, embedding, pipeline, task=task)
+            for task in resolved
+        },
+        pipeline=pipeline,
+        seed=seed,
+        shuffle=shuffle,
+        evaluation_service=service,
+    )
+
+
+def task_policy(env, conditioning=None):
+    """A discrete policy over ``env``'s tasks, as the trainer builds it."""
+    from repro.rl.policy import make_policy
+
+    return make_policy(
+        "discrete",
+        env.observation_dim,
+        seed=0,
+        spaces={name: task.action_space("discrete") for name, task in env.tasks.items()},
+        conditioning=conditioning,
+    )
+
 
 # ---------------------------------------------------------------------------
 # Wire protocol
@@ -280,32 +318,72 @@ class TestFleetPrefetch:
             service.settle()
             assert service.stats.prefetch_issued == len(fresh)
 
-    def test_prefetcher_speculates_policy_top_actions(self):
-        from repro.core.framework import build_embedding_model
+    @staticmethod
+    def _speculate(tasks):
         from repro.fleet.prefetch import SpeculativePrefetcher
-        from repro.rl.env import VectorizationEnv, build_samples
-        from repro.rl.policy import make_policy
 
-        kernels = [add_kernel(), scale_kernel()]
-        embedding = build_embedding_model(kernels)
-        pipeline = CompileAndMeasure()
-        samples = build_samples(kernels, embedding, pipeline)
         with start_workers(2) as workers:
             with fleet_service(workers, prefetch_top_k=4) as service:
-                env = VectorizationEnv(
-                    samples,
-                    pipeline=pipeline,
-                    seed=0,
-                    shuffle=False,
-                    evaluation_service=service,
-                )
-                policy = make_policy("discrete", env.observation_dim, seed=0)
+                env = rollout_env(tasks, shuffle=False, service=service)
+                policy = task_policy(env)
                 prefetcher = SpeculativePrefetcher(env, policy, service)
                 issued = prefetcher.prefetch()
-                assert 0 < issued <= 4 * len(samples)
+                assert 0 < issued <= 4 * len(env.samples)
                 assert service.stats.prefetch_issued == issued
                 service.settle()
                 assert service.stats.completed == issued
+
+    def test_prefetcher_speculates_policy_top_actions(self):
+        self._speculate(("vectorization",))
+
+    def test_prefetcher_speculates_policy_top_actions_over_joint_env(self):
+        self._speculate(ALL_TASKS)
+
+    @pytest.mark.parametrize("conditioning", ["embedding", "banks"])
+    def test_top_speculation_is_the_greedy_action(self, conditioning):
+        # Regression: the prefetcher fed the bare trunk output to heads that
+        # read trunk output plus the task-embedding row, so an embedding-
+        # conditioned policy (the joint-training default) crashed it.
+        from repro.fleet.prefetch import SpeculativePrefetcher
+
+        class RecordingService:
+            workers = 1
+            prefetch_top_k = 2
+            prefetch_horizon = None
+
+            def __init__(self):
+                self.requests = []
+
+            def prefetch(self, requests, task):
+                self.requests.extend(
+                    (task.name, kernel.name, site, action)
+                    for kernel, site, action in requests
+                )
+                return len(requests)
+
+        env = rollout_env(ALL_TASKS, shuffle=False)
+        policy = task_policy(env, conditioning=conditioning)
+        service = RecordingService()
+        upcoming = env.peek_upcoming(len(env.samples))
+        issued = SpeculativePrefetcher(
+            env, policy, service, top_k=1, horizon=len(env.samples)
+        ).prefetch()
+        assert issued == len(upcoming) == len(env.samples)
+        outputs = policy.act_batch(
+            [sample.observation for sample in upcoming],
+            deterministic=True,
+            tasks=[sample.task_name for sample in upcoming],
+        )
+        greedy = [
+            (
+                sample.task_name,
+                sample.kernel.name,
+                sample.loop_index,
+                env.action_spaces[sample.task_name].decode(output.action),
+            )
+            for sample, output in zip(upcoming, outputs)
+        ]
+        assert sorted(service.requests) == sorted(greedy)
 
 
 # ---------------------------------------------------------------------------
@@ -350,23 +428,19 @@ class TestMeasureApplications:
 
 
 class TestPeekUpcoming:
-    @staticmethod
-    def _env(seed: int = 3, shuffle: bool = True):
-        from repro.core.framework import build_embedding_model
-        from repro.rl.env import VectorizationEnv, build_samples
+    """Over a one-task env; :class:`TestPeekUpcomingJoint` reruns every
+    case over one env holding all three tasks."""
 
-        kernels = [add_kernel(), scale_kernel()]
-        embedding = build_embedding_model(kernels)
-        pipeline = CompileAndMeasure()
-        samples = build_samples(kernels, embedding, pipeline)
-        return VectorizationEnv(samples, pipeline=pipeline, seed=seed, shuffle=shuffle)
+    TASKS = ("vectorization",)
+
+    def _env(self, seed: int = 3, shuffle: bool = True):
+        return rollout_env(self.TASKS, seed=seed, shuffle=shuffle)
 
     def test_peek_matches_next_batch_without_advancing(self):
         env = self._env(shuffle=False)
         peeked = env.peek_upcoming(2)
         assert env.peek_upcoming(2) == peeked  # idempotent, no cursor motion
-        served = [entry[0] for entry in env.next_batch(2)]
-        assert served == peeked
+        assert env.next_batch(2) == peeked
 
     def test_interleaved_peeks_leave_rollout_order_unchanged(self):
         with_peeks = self._env()
@@ -374,15 +448,25 @@ class TestPeekUpcoming:
         served, expected = [], []
         for _ in range(3):
             with_peeks.peek_upcoming(5)
-            served.extend(entry[0].loop_index for entry in with_peeks.next_batch(2))
+            served.extend(
+                (sample.task_name, sample.kernel.name, sample.loop_index)
+                for sample in with_peeks.next_batch(2)
+            )
             with_peeks.peek_upcoming(1)
-            expected.extend(entry[0].loop_index for entry in reference.next_batch(2))
+            expected.extend(
+                (sample.task_name, sample.kernel.name, sample.loop_index)
+                for sample in reference.next_batch(2)
+            )
         assert served == expected
 
     def test_epoch_boundary_serves_stable_stand_in(self):
         env = self._env(shuffle=False)
         env.next_batch(len(env.samples))  # exhaust the epoch
         assert env.peek_upcoming(2) == env.samples[:2]
+
+
+class TestPeekUpcomingJoint(TestPeekUpcoming):
+    TASKS = ALL_TASKS
 
 
 # ---------------------------------------------------------------------------

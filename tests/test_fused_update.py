@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.nn import Tensor, ops
 from repro.rl.fused_update import FusedUpdater, graph_update_minibatch
-from repro.rl.policy import DiscretePolicy, make_policy
+from repro.rl.policy import MultiTaskPolicy, make_policy
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.spaces import (
     ContinuousJointSpace,
@@ -170,11 +170,14 @@ class TestFusedUpdateByteIdentity:
             def parameters(self):
                 return []
 
-        class Reweighted(DiscretePolicy):
+        class Reweighted(MultiTaskPolicy):
             def evaluate(self, observations, actions, task=None):
                 return super().evaluate(observations, actions, task=task)
 
-        for policy in (Opaque(), Reweighted(6, hidden_sizes=(8,), seed=0)):
+        reweighted = Reweighted(
+            6, {"vectorization": DiscreteFactorSpace()}, hidden_sizes=(8,), seed=0
+        )
+        for policy in (Opaque(), reweighted):
             with pytest.raises(ValueError, match=type(policy).__name__):
                 PPOTrainer(_NullEnv(), policy, PPOConfig())
 

@@ -3,8 +3,8 @@
 Pins the joint-training contract end to end:
 
 * a ``MultiTaskPolicy`` is a shared trunk plus one head bank per task, and
-  the single-task classes are its one-bank special case (seed-identical
-  weights and sampling),
+  a single-task policy is its one-bank special case, named for its task
+  (seed-identical weights and sampling),
 * joint runs are seeded-deterministic, and ``workers=2`` evaluation is
   byte-identical to serial through ``NeuroVectorizer.train``,
 * updating on one task's minibatches leaves every other task's head bank
@@ -30,13 +30,8 @@ from repro.core.framework import (
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.evaluation.figures import figure_convergence
-from repro.rl.env import MultiTaskEnv, VectorizationEnv, build_samples
-from repro.rl.policy import (
-    ContinuousPolicy,
-    DiscretePolicy,
-    MultiTaskPolicy,
-    make_policy,
-)
+from repro.rl.env import MultiTaskEnv, build_samples
+from repro.rl.policy import MultiTaskPolicy, make_policy
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.spaces import ContinuousPairSpace, DiscreteFactorSpace
 from repro.rl.tune import best_experiment, grid_search, run_experiments
@@ -115,14 +110,16 @@ class TestMultiTaskPolicy:
             (name, get_task(name).action_space("discrete")) for name in JOINT_TASKS
         )
 
-    def test_single_task_classes_are_one_bank_special_cases(self):
-        assert isinstance(DiscretePolicy(8), MultiTaskPolicy)
-        assert isinstance(ContinuousPolicy(8), MultiTaskPolicy)
+    def test_single_task_policies_are_one_bank_special_cases(self):
+        for kind in ("discrete", "continuous1", "continuous2"):
+            policy = make_policy(kind, 8)
+            assert isinstance(policy, MultiTaskPolicy)
+            assert policy.task_names == ["vectorization"]
 
     def test_one_bank_policy_weights_match_named_construction(self):
-        # The same seed builds byte-identical weights whether the bank is
-        # the legacy unnamed one or a task-conditioned single entry.
-        legacy = DiscretePolicy(12, seed=3)
+        # The same seed builds byte-identical weights whether the default
+        # task's bank is implied or spelled out as a single entry.
+        legacy = make_policy("discrete", 12, seed=3)
         named = make_policy(
             "discrete", 12, seed=3,
             spaces={"vectorization": DiscreteFactorSpace()},
@@ -148,13 +145,16 @@ class TestMultiTaskPolicy:
         with pytest.raises(ValueError, match="polly"):
             policy.act(np.zeros(10), task="polly-tiling")
 
-    def test_single_task_policy_serves_any_task_id(self):
-        # The one-head special case: a legacy unnamed policy answers
-        # whatever task id the env tags observations with.
-        policy = DiscretePolicy(10, seed=0)
+    def test_single_task_policy_serves_only_its_task(self):
+        # The one-bank special case answers its own task's id and requests
+        # that name no task; another task's id is refused, not decoded
+        # with this bank's menus.
+        policy = make_policy("discrete", 10, seed=0)
         tagged = policy.act(np.zeros(10), deterministic=True, task="vectorization")
         plain = policy.act(np.zeros(10), deterministic=True)
         assert np.array_equal(tagged.action, plain.action)
+        with pytest.raises(ValueError, match="unrolling"):
+            policy.act(np.zeros(10), task="unrolling")
 
     def test_policy_agent_over_joint_policy_needs_a_task(self):
         # Regression: an unpinned agent over a multi-bank policy must fail
@@ -223,7 +223,7 @@ class TestMultiTaskEnv:
         seen = []
         for _ in range(4):
             env.reset()
-            seen.append(env.current_task_name)
+            seen.append(env.current_sample().task_name)
             env.current_sample()  # leaves the episode open; no measuring
             env._current = None
         assert seen == ["vectorization", "unrolling", "vectorization", "unrolling"]
@@ -232,11 +232,11 @@ class TestMultiTaskEnv:
         _, pipeline, tasks, samples = joint_env_parts
         env = MultiTaskEnv(tasks, samples, pipeline=pipeline, seed=0)
         env.reset()
-        assert env.current_task_name == "vectorization"
+        assert env.current_sample().task_name == "vectorization"
         result = env.step((0, 0))  # scalar (VF=1, IF=1)
         assert {"vf", "interleave"} <= set(result.info)
         env.reset()
-        assert env.current_task_name == "unrolling"
+        assert env.current_sample().task_name == "unrolling"
         result = env.step((0,))  # unroll_count(1)
         assert "unroll" in result.info and "vf" not in result.info
 
@@ -244,9 +244,9 @@ class TestMultiTaskEnv:
         _, pipeline, tasks, samples = joint_env_parts
         env = MultiTaskEnv(tasks, samples, pipeline=pipeline, seed=0)
         requests = []
-        for tagged in env.samples:
-            arity = len(env.lanes[tagged.task_name].task.menus)
-            requests.append((tagged, (1,) * arity))
+        for sample in env.samples:
+            arity = len(env.tasks[sample.task_name].menus)
+            requests.append((sample, (1,) * arity))
         env.evaluate_actions_batch(requests)
         task_tags = {key.task for key in env.reward_cache._entries}
         assert set(JOINT_TASKS) <= task_tags
@@ -271,12 +271,12 @@ class TestMultiTaskEnv:
             ),
         )
         PPOTrainer(env, policy, PPOConfig())
-        for name, lane in env.lanes.items():
-            assert lane.action_space.menus == get_task(name).menus
+        for name, space in env.action_spaces.items():
+            assert space.menus == get_task(name).menus
 
     def test_single_bank_for_wrong_task_rejected(self, joint_env_parts):
-        # Regression: a one-lane env must not silently adopt a bank named
-        # for a *different* task (only the legacy unnamed bank passes).
+        # Regression: a one-task env must not silently adopt a bank named
+        # for a *different* task.
         _, pipeline, tasks, samples = joint_env_parts
         env = MultiTaskEnv(
             ["vectorization"],
@@ -290,37 +290,52 @@ class TestMultiTaskEnv:
         )
         with pytest.raises(ValueError, match="unrolling"):
             PPOTrainer(env, unrolling_policy, PPOConfig())
-        legacy_policy = DiscretePolicy(env.observation_dim, seed=0)
-        PPOTrainer(env, legacy_policy, PPOConfig())  # unnamed bank: accepted
+        default_policy = make_policy("discrete", env.observation_dim, seed=0)
+        PPOTrainer(env, default_policy, PPOConfig())  # its own task: accepted
 
-    def test_multi_task_policy_on_single_task_env_rejected(self, joint_env_parts):
-        kernels, pipeline, tasks, samples = joint_env_parts
-        env = VectorizationEnv(
-            samples["vectorization"], pipeline=pipeline, seed=0
-        )
+    def test_multi_task_policy_on_single_task_env_trains_only_that_bank(
+        self, joint_env_parts
+    ):
+        # A policy with more banks than the env has tasks (fine_tune's
+        # shape) trains the env's task's bank and the trunk; every other
+        # bank keeps its exact bytes.
+        _, pipeline, tasks, samples = joint_env_parts
+        env = MultiTaskEnv(["vectorization"], samples, pipeline=pipeline, seed=0)
         policy = make_policy(
             "discrete", env.observation_dim,
             spaces=OrderedDict(
                 (task.name, task.action_space("discrete")) for task in tasks
             ),
+            conditioning="banks",
         )
-        with pytest.raises(ValueError, match="MultiTaskEnv"):
-            PPOTrainer(env, policy, PPOConfig())
+        trunk_before = parameter_snapshot(policy.trunk)
+        vec_before = parameter_snapshot(policy.task_heads["vectorization"])
+        unroll_before = parameter_snapshot(policy.task_heads["unrolling"])
+        history = PPOTrainer(
+            env, policy, PPOConfig(learning_rate=1e-2, train_batch_size=8,
+                                   minibatch_size=4, epochs_per_batch=2),
+        ).train(16, batch_size=8)
+        assert set(history.task_names()) == {"vectorization"}
+        assert not snapshots_equal(trunk_before, parameter_snapshot(policy.trunk))
+        assert not snapshots_equal(
+            vec_before, parameter_snapshot(policy.task_heads["vectorization"])
+        )
+        assert snapshots_equal(
+            unroll_before, parameter_snapshot(policy.task_heads["unrolling"])
+        )
 
     def test_named_bank_for_wrong_task_on_plain_env_rejected(self, joint_env_parts):
         # Regression: a single bank *named* for another task must not have
-        # its space silently assigned to a VectorizationEnv running a
-        # different task (same arity would decode as silent garbage).
+        # its space silently assigned to a plain one-task env running a
+        # different task — same arity would decode as silent garbage.
         _, pipeline, tasks, samples = joint_env_parts
-        env = VectorizationEnv(samples["vectorization"], pipeline=pipeline, seed=0)
+        env = MultiTaskEnv(["unrolling"], samples, pipeline=pipeline, seed=0)
+        same_arity = get_task("unrolling").action_space("discrete")
         mismatched = make_policy(
-            "discrete", env.observation_dim,
-            spaces={"unrolling": get_task("unrolling").action_space("discrete")},
+            "discrete", env.observation_dim, spaces={"vectorization": same_arity}
         )
-        with pytest.raises(ValueError, match="unrolling"):
+        with pytest.raises(ValueError, match="vectorization"):
             PPOTrainer(env, mismatched, PPOConfig())
-        legacy = DiscretePolicy(env.observation_dim, seed=0)
-        PPOTrainer(env, legacy, PPOConfig())  # unnamed bank: accepted
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +502,8 @@ class TestJointTraining:
 
     def test_single_task_config_trains_identically_to_seed_wiring(self):
         # TrainingConfig(task=...) must remain byte-identical to the
-        # pre-joint single-task stage-2 wiring: VectorizationEnv +
-        # make_policy(space=task menus) + PPOTrainer.
+        # single-task stage-2 wiring spelled out by hand: a one-task env +
+        # a policy over the task's menus + PPOTrainer.
         kernels = joint_kernels()
         config = TrainingConfig(
             task="vectorization", rl_total_steps=24, rl_batch_size=12,
@@ -505,10 +520,10 @@ class TestJointTraining:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels, config.embedding)
         samples = build_samples(kernels, embedding, pipeline, task=task)
-        env = VectorizationEnv(samples, pipeline=pipeline, seed=5, task=task)
+        env = MultiTaskEnv([task], {task.name: samples}, pipeline=pipeline, seed=5)
         policy = make_policy(
             "discrete", env.observation_dim, seed=5,
-            space=task.action_space("discrete"),
+            spaces={task.name: task.action_space("discrete")},
         )
         trainer = PPOTrainer(
             env, policy,
@@ -546,15 +561,8 @@ class TestTune:
         }
 
         def make_env(tasks=None):
-            if not tasks:
-                tasks = ("unrolling",)
-            if len(tasks) == 1:
-                only = resolve_task(tasks[0])
-                return VectorizationEnv(
-                    samples[only.name], pipeline=pipeline, seed=0, task=only
-                )
             return MultiTaskEnv(
-                [resolve_task(name) for name in tasks],
+                [resolve_task(name) for name in tasks or ("unrolling",)],
                 samples,
                 pipeline=pipeline,
                 seed=0,
@@ -573,7 +581,7 @@ class TestTune:
         unrolling = get_task("unrolling")
         for result in results:
             assert result.policy is not None
-            assert result.policy.space.menus == unrolling.menus
+            assert result.policy.space_for("unrolling").menus == unrolling.menus
 
     def test_grid_sweeps_task_combinations(self, env_factory):
         results = run_experiments(
@@ -604,6 +612,19 @@ class TestTune:
         single, joint = results
         assert set(single.history.task_names()) == {"unrolling"}
         assert set(joint.history.task_names()) == set(JOINT_TASKS)
+
+    def test_conditioning_axis_applies_to_single_task_configs(self, env_factory):
+        # Regression: the axis used to be ignored when the env held one task.
+        results = run_experiments(
+            env_factory, {"conditioning": ["banks", "embedding"]}, total_steps=8,
+            base_config=PPOConfig(train_batch_size=8, minibatch_size=8,
+                                  epochs_per_batch=1),
+        )
+        assert [type(result.policy).__name__ for result in results] == [
+            "MultiTaskPolicy", "ConditionedPolicy",
+        ]
+        for result in results:
+            assert result.policy.task_names == ["unrolling"]
 
     def test_tasks_sweep_needs_a_tasks_aware_factory(self, env_factory):
         def legacy_factory():
@@ -656,7 +677,7 @@ class TestFigureConvergence:
         samples = build_samples(kernels, embedding, pipeline, task=task)
 
         def make_env():
-            return VectorizationEnv(samples, pipeline=pipeline, seed=0, task=task)
+            return MultiTaskEnv([task], {task.name: samples}, pipeline=pipeline, seed=0)
 
         results = run_experiments(
             make_env, {"learning_rate": [1e-3, 1e-4]}, total_steps=8,

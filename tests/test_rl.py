@@ -6,8 +6,8 @@ import pytest
 from repro.core.framework import build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
-from repro.rl.env import VectorizationEnv, build_samples
-from repro.rl.policy import ContinuousPolicy, DiscretePolicy, make_policy
+from repro.rl.env import COMPILE_TIME_PENALTY, MultiTaskEnv, build_samples
+from repro.rl.policy import MultiTaskPolicy, make_policy
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.spaces import (
     ContinuousJointSpace,
@@ -49,7 +49,9 @@ def tiny_env():
     pipeline = CompileAndMeasure()
     embedding = build_embedding_model(kernels)
     samples = build_samples(kernels, embedding, pipeline)
-    return VectorizationEnv(samples, pipeline=pipeline, seed=0)
+    return MultiTaskEnv(
+        ["vectorization"], {"vectorization": samples}, pipeline=pipeline, seed=0
+    )
 
 
 class TestActionSpaces:
@@ -166,7 +168,10 @@ class TestEnvironment:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline)
-        env = VectorizationEnv(samples, pipeline=pipeline, shuffle=False, seed=0)
+        env = MultiTaskEnv(
+            ["vectorization"], {"vectorization": samples},
+            pipeline=pipeline, shuffle=False, seed=0,
+        )
         names = set()
         for _ in range(len(samples)):
             env.reset()
@@ -189,34 +194,35 @@ class TestEnvironment:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline)
-        env = VectorizationEnv(
-            samples, pipeline=pipeline, compile_time_limit=2.0, compile_time_penalty=-9.0
+        env = MultiTaskEnv(
+            ["vectorization"], {"vectorization": samples},
+            pipeline=pipeline, compile_time_limit=2.0,
         )
         reward, info = env.evaluate_action(samples[0], (64, 16))
-        assert reward == -9.0
+        assert reward == COMPILE_TIME_PENALTY == -9.0
         assert info.get("compile_time_exceeded") == 1.0
 
     def test_env_requires_samples(self):
         with pytest.raises(ValueError):
-            VectorizationEnv([])
+            MultiTaskEnv(["vectorization"], {"vectorization": []})
 
 
 class TestPolicies:
     def test_discrete_policy_act_shapes(self):
-        policy = DiscretePolicy(observation_dim=16, seed=0)
+        policy = make_policy("discrete", 16, seed=0)
         output = policy.act(np.zeros(16))
         assert output.action.shape == (2,)
         assert isinstance(output.log_prob, float)
 
     def test_discrete_policy_deterministic_is_argmax(self):
-        policy = DiscretePolicy(observation_dim=8, seed=0)
+        policy = make_policy("discrete", 8, seed=0)
         observation = np.random.default_rng(0).normal(size=8)
         first = policy.act(observation, deterministic=True).action
         second = policy.act(observation, deterministic=True).action
         assert np.array_equal(first, second)
 
     def test_discrete_policy_evaluate_shapes(self):
-        policy = DiscretePolicy(observation_dim=8, seed=0)
+        policy = make_policy("discrete", 8, seed=0)
         observations = np.zeros((5, 8))
         actions = np.zeros((5, 2))
         log_probs, entropy, values = policy.evaluate(observations, actions)
@@ -225,26 +231,28 @@ class TestPolicies:
         assert values.shape == (5,)
 
     def test_continuous_policy_action_in_unit_interval(self):
-        policy = ContinuousPolicy(observation_dim=8, action_dims=2, seed=0)
+        policy = make_policy("continuous2", 8, seed=0)
         output = policy.act(np.zeros(8))
         assert np.all(output.action >= 0.0) and np.all(output.action <= 1.0)
 
     def test_make_policy_factory(self):
-        assert isinstance(make_policy("discrete", 8), DiscretePolicy)
-        assert make_policy("continuous1", 8).action_dims == 1
-        assert make_policy("continuous2", 8).action_dims == 2
+        discrete = make_policy("discrete", 8)
+        assert isinstance(discrete, MultiTaskPolicy)
+        assert discrete.task_names == ["vectorization"]
+        assert make_policy("continuous1", 8).heads_for(None).action_dims == 1
+        assert make_policy("continuous2", 8).heads_for(None).action_dims == 2
         with pytest.raises(ValueError):
             make_policy("bogus", 8)
 
     def test_policy_hidden_sizes_configurable(self):
-        small = DiscretePolicy(observation_dim=8, hidden_sizes=(32, 32))
-        large = DiscretePolicy(observation_dim=8, hidden_sizes=(128, 128))
+        small = make_policy("discrete", 8, hidden_sizes=(32, 32))
+        large = make_policy("discrete", 8, hidden_sizes=(128, 128))
         assert large.num_parameters() > small.num_parameters()
 
 
 class TestPPO:
     def test_training_improves_greedy_reward(self, tiny_env):
-        policy = DiscretePolicy(tiny_env.observation_dim, seed=1)
+        policy = make_policy("discrete", tiny_env.observation_dim, seed=1)
         before = float(np.mean(tiny_env.greedy_rewards(policy)))
         trainer = PPOTrainer(
             tiny_env,
@@ -258,7 +266,7 @@ class TestPPO:
         assert after > before
 
     def test_history_reward_curve_monotone_steps(self, tiny_env):
-        policy = DiscretePolicy(tiny_env.observation_dim, seed=2)
+        policy = make_policy("discrete", tiny_env.observation_dim, seed=2)
         trainer = PPOTrainer(tiny_env, policy, PPOConfig(train_batch_size=24,
                                                          minibatch_size=12,
                                                          epochs_per_batch=2,
@@ -280,7 +288,7 @@ class TestPPO:
     def test_trainer_sets_env_action_space(self, tiny_env):
         policy = make_policy("continuous2", tiny_env.observation_dim, seed=0)
         PPOTrainer(tiny_env, policy, PPOConfig())
-        assert isinstance(tiny_env.action_space, ContinuousPairSpace)
+        assert isinstance(tiny_env.action_spaces["vectorization"], ContinuousPairSpace)
         # restore the discrete space for other tests in this module
         PPOTrainer(tiny_env, make_policy("discrete", tiny_env.observation_dim), PPOConfig())
 
@@ -332,3 +340,16 @@ class TestTune:
         assert all(result.history.iterations for result in results)
         best = best_experiment(results)
         assert best.final_reward_mean == max(r.final_reward_mean for r in results)
+
+    def test_run_experiments_rejects_unknown_grid_keys(self, tiny_env):
+        # A misspelt key used to train the default config once per candidate.
+        with pytest.raises(ValueError) as raised:
+            run_experiments(
+                lambda: tiny_env,
+                {"learning_rte": [1e-3, 1e-2], "policy": ["discrete"]},
+                total_steps=24,
+            )
+        message = str(raised.value)
+        assert "['learning_rte']" in message
+        for recognised in ("learning_rate", "train_batch_size", "policy", "tasks"):
+            assert recognised in message

@@ -31,7 +31,7 @@ from repro.distributed import (
     PersistentRewardStore,
 )
 from repro.distributed.store import SCHEMA_NAME
-from repro.rl.env import VectorizationEnv, build_samples
+from repro.rl.env import MultiTaskEnv, build_samples
 from repro.rl.spaces import DiscreteFactorSpace, default_action_space
 from repro.tasks import (
     OptimizationTask,
@@ -173,8 +173,10 @@ class TestBackwardCompat:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline)
-        env = VectorizationEnv(samples, pipeline=pipeline, shuffle=False)
-        assert env.task.name == "vectorization"
+        assert {sample.task_name for sample in samples} == {"vectorization"}
+        env = MultiTaskEnv(
+            ["vectorization"], {"vectorization": samples}, pipeline=pipeline, shuffle=False
+        )
         env.reset()
         result = env.step((2, 1))
         assert result.info["vf"] == 4.0
@@ -336,8 +338,8 @@ class TestPollyTilingTask:
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline, task=task)
         assert len(samples) == 2
-        env = VectorizationEnv(
-            samples, pipeline=pipeline, shuffle=False, task=task
+        env = MultiTaskEnv(
+            [task], {task.name: samples}, pipeline=pipeline, shuffle=False
         )
         env.reset()
         result = env.step((3, 1))  # menu indices -> tile 32, fuse 1
@@ -691,7 +693,7 @@ class TestCustomTask:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline, task=task)
-        env = VectorizationEnv(samples, pipeline=pipeline, shuffle=False, task=task)
+        env = MultiTaskEnv([task], {task.name: samples}, pipeline=pipeline, shuffle=False)
         env.reset()
         result = env.step((0,))
         assert result.info["scalar"] == 0.0
