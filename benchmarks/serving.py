@@ -22,8 +22,8 @@ appends one labelled entry to ``BENCH_serving.json``:
   it, i.e. what the wire adds.  A Nagle/delayed-ACK stall shows here as
   ~40 ms; ``--check`` fails above :data:`MAX_TCP_OVERHEAD_MS`.  Entries
   written by v1 code predate the section and simply lack the key.
-* **warm store** — a brand-new service on a reopened
-  :class:`~repro.distributed.store.DiskBackedRewardCache` answers the whole
+* **warm store** — a brand-new service on a cache over the reopened
+  :class:`~repro.distributed.store.PersistentRewardStore` answers the whole
   unique-kernel set with **zero** ``Simulator.simulate`` calls (the
   ``store`` tier end to end).
 
@@ -311,12 +311,13 @@ def bench_tcp(framework, kernels, workload: Dict[str, object],
 def bench_warm_store(framework, kernels, workload: Dict[str, object],
                      store_dir: Path) -> Dict[str, object]:
     """Fully warm persistent store: zero simulator calls for the whole set."""
-    from repro.distributed import DiskBackedRewardCache
+    from repro.cache import RewardCache
+    from repro.distributed import PersistentRewardStore
 
     stream = _request_stream(workload, kernels)
     unique = {request.fingerprint(): request for request in stream}
 
-    cold_cache = DiskBackedRewardCache.open(str(store_dir))
+    cold_cache = RewardCache(PersistentRewardStore(str(store_dir)))
     with _fresh_service(framework, workload, cold_cache,
                         max_batch_size=int(workload["max_batch_size"]),
                         max_wait_us=0) as service:
@@ -326,7 +327,7 @@ def bench_warm_store(framework, kernels, workload: Dict[str, object],
                 raise RuntimeError(f"store warm-up failed: {response.error}")
     cold_cache.close()
 
-    warm_cache = DiskBackedRewardCache.open(str(store_dir))
+    warm_cache = RewardCache(PersistentRewardStore(str(store_dir)))
     warm_service = _fresh_service(framework, workload, warm_cache,
                                   max_batch_size=int(workload["max_batch_size"]),
                                   max_wait_us=0)

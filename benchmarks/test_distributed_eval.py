@@ -11,9 +11,10 @@ Two acceptance properties of the evaluation service, measured on PolyBench:
 
 from __future__ import annotations
 
+from repro.cache import RewardCache
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.polybench import polybench_suite
-from repro.distributed import DiskBackedRewardCache, EvaluationService
+from repro.distributed import EvaluationService, PersistentRewardStore
 from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
 from repro.simulator.engine import Simulator
 
@@ -47,7 +48,7 @@ def test_populated_store_eliminates_simulation_on_second_run(tmp_path, monkeypat
     assert len(requests) >= 100, "polybench grid should be a real workload"
 
     # Run 1: cold, populating the on-disk store.
-    cold_cache = DiskBackedRewardCache.open(str(tmp_path))
+    cold_cache = RewardCache(PersistentRewardStore(str(tmp_path)))
     cold_service = EvaluationService(CompileAndMeasure(), cold_cache, workers=0)
     cold_outcomes = cold_service.evaluate(requests)
     cold_cache.close()
@@ -64,7 +65,7 @@ def test_populated_store_eliminates_simulation_on_second_run(tmp_path, monkeypat
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(Simulator, "simulate", counting)
-    warm_cache = DiskBackedRewardCache.open(str(tmp_path))
+    warm_cache = RewardCache(PersistentRewardStore(str(tmp_path)))
     warm_service = EvaluationService(CompileAndMeasure(), warm_cache, workers=0)
     warm_outcomes = warm_service.evaluate(requests)
     warm_cache.close()

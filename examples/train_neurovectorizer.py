@@ -72,7 +72,7 @@ def main() -> None:
             print(
                 f"evaluation service: {arguments.workers} worker(s), "
                 f"store={arguments.cache_dir or 'memory-only'}, "
-                f"{getattr(framework.reward_cache, 'preloaded', 0)} "
+                f"{framework.reward_cache.preloaded} "
                 "measurement(s) warm-started from disk"
             )
         curve = [round(value, 3) for value in artifacts.history.reward_curve()]

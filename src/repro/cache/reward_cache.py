@@ -9,6 +9,9 @@ instead of recompiled.  This module is that subsystem for the reproduction:
   the machine description, so two kernels with identical code share entries
   and editing a kernel or changing the machine model invalidates nothing it
   shouldn't.  Every agent and environment in a run can share one instance.
+  Handed a :class:`repro.distributed.store.PersistentRewardStore`, it
+  preloads the store's records and appends every new measurement, so a
+  second run over the same kernels recompiles nothing.
 * :class:`EvaluationBatcher` — collects pending ``(kernel, site, action)``
   requests, deduplicates them against each other and against the cache, and
   evaluates only the unique misses in one pass.  Rollout collection and
@@ -28,13 +31,13 @@ serves environments with different penalty settings without cross-talk.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # imported lazily to avoid package import cycles
     from repro.core.pipeline import CompileAndMeasure
     from repro.datasets.kernels import LoopKernel
+    from repro.distributed.store import PersistentRewardStore
     from repro.machine.description import MachineDescription
     from repro.tasks.base import OptimizationTask
 
@@ -118,7 +121,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     batch_deduplicated: int = 0
-    evictions: int = 0
 
     @property
     def lookups(self) -> int:
@@ -138,7 +140,6 @@ class CacheStats:
             "hits": float(self.hits),
             "misses": float(self.misses),
             "batch_deduplicated": float(self.batch_deduplicated),
-            "evictions": float(self.evictions),
             "hit_rate": self.hit_rate,
             "compiles_avoided": float(self.compiles_avoided),
         }
@@ -147,22 +148,27 @@ class CacheStats:
 class RewardCache:
     """Content-keyed store of ``(kernel, machine, task, action)`` measurements.
 
-    ``max_entries`` bounds memory with FIFO eviction; the default (unbounded)
-    is right for training runs, where the number of unique pairs is
-    ``sites x actions`` and small compared to the number of steps.
+    Entries are never evicted: in a training run the number of unique
+    pairs is ``sites x actions``, small next to the number of steps.  With
+    a ``store`` the cache starts from every record on disk (``preloaded``
+    counts them) and appends each new or changed measurement to it;
+    :meth:`close` closes the store.
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
-        if max_entries is not None and max_entries <= 0:
-            raise ValueError("max_entries must be positive or None")
-        self.max_entries = max_entries
+    def __init__(self, store: Optional["PersistentRewardStore"] = None):
+        self.store = store
         self.stats = CacheStats()
-        self._entries: "OrderedDict[RewardKey, CachedMeasurement]" = OrderedDict()
+        self._entries: Dict[RewardKey, CachedMeasurement] = (
+            {} if store is None else store.load()
+        )
+        self.preloaded = len(self._entries)
         # Fingerprints are memoised per object identity.  The memo stores the
         # object itself so the id() keys cannot be recycled by a later
-        # allocation, and identity is re-checked on every lookup (a kernel
-        # whose ``source`` was reassigned in place re-hashes).
-        self._kernel_fingerprints: Dict[int, Tuple["LoopKernel", str, str]] = {}
+        # allocation, and every field the fingerprint hashes is re-checked
+        # on each lookup (a kernel edited in place re-hashes).
+        self._kernel_fingerprints: Dict[
+            int, Tuple["LoopKernel", str, str, Dict[str, int], str]
+        ] = {}
         self._machine_fingerprints: Dict[int, Tuple["MachineDescription", str]] = {}
 
     #: Entry cap for the fingerprint memos (they pin their objects alive).
@@ -180,14 +186,21 @@ class RewardCache:
         if (
             kernel_memo is not None
             and kernel_memo[0] is kernel
-            and kernel_memo[1] == kernel.source
+            and kernel_memo[1:4]
+            == (kernel.source, kernel.function_name, kernel.bindings)
         ):
-            kernel_hash = kernel_memo[2]
+            kernel_hash = kernel_memo[4]
         else:
             kernel_hash = kernel_fingerprint(kernel)
             if len(self._kernel_fingerprints) >= self.MAX_FINGERPRINT_MEMO:
                 self._kernel_fingerprints.clear()
-            self._kernel_fingerprints[id(kernel)] = (kernel, kernel.source, kernel_hash)
+            self._kernel_fingerprints[id(kernel)] = (
+                kernel,
+                kernel.source,
+                kernel.function_name,
+                dict(kernel.bindings),
+                kernel_hash,
+            )
         machine_memo = self._machine_fingerprints.get(id(machine))
         if machine_memo is not None and machine_memo[0] is machine:
             machine_hash = machine_memo[1]
@@ -274,11 +287,10 @@ class RewardCache:
         return self._entries.get(key)
 
     def put(self, key: RewardKey, measurement: CachedMeasurement) -> None:
-        if key not in self._entries and self.max_entries is not None:
-            while len(self._entries) >= self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
+        existing = self._entries.get(key)
         self._entries[key] = measurement
+        if self.store is not None and existing != measurement:
+            self.store.append(key, measurement)
 
     def items(self) -> List[Tuple[RewardKey, CachedMeasurement]]:
         """Snapshot of every ``(key, measurement)`` entry, insertion-ordered.
@@ -293,8 +305,8 @@ class RewardCache:
         """Adopt ``(key, measurement)`` entries measured elsewhere.
 
         peek() not get(): merging shipped entries is plumbing, not a
-        lookup, and skipping already-present keys keeps a disk-backed
-        store from appending duplicate records.
+        lookup.  Already-present keys keep their entry, so the store never
+        records a second value for them.
         """
         for key, measurement in entries:
             if self.peek(key) is None:
@@ -304,6 +316,18 @@ class RewardCache:
         self._entries.clear()
         self._kernel_fingerprints.clear()
         self._machine_fingerprints.clear()
+
+    def close(self) -> None:
+        """Close the store's open segment, if there is one (a later
+        ``put`` reopens it)."""
+        if self.store is not None:
+            self.store.close()
+
+    def __enter__(self) -> "RewardCache":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # -- measurement --------------------------------------------------------
 
@@ -483,23 +507,21 @@ class EvaluationBatcher:
                 self.cache.stats.misses -= 1
                 self.cache.stats.batch_deduplicated += 1
                 continue
-        # Keep this pass's results in a local map too: a bounded cache may
-        # evict them before the outcome loop reads them back.
-        measured: Dict[RewardKey, CachedMeasurement] = {}
         for key, leader in first_seen.items():
             request = pending[leader]
             result = self.task.evaluate(
                 self.pipeline, request.kernel, request.site_index, request.action
             )
-            measurement = CachedMeasurement(
-                cycles=result.cycles, compile_seconds=result.compile_seconds
+            self.cache.put(
+                key,
+                CachedMeasurement(
+                    cycles=result.cycles, compile_seconds=result.compile_seconds
+                ),
             )
-            measured[key] = measurement
-            self.cache.put(key, measurement)
         for ticket, request in enumerate(pending):
             if outcomes[ticket] is None:
                 outcomes[ticket] = BatchOutcome(
-                    measured[request.key], first_seen.get(request.key) != ticket
+                    self.cache.peek(request.key), first_seen.get(request.key) != ticket
                 )
         return outcomes  # type: ignore[return-value]
 

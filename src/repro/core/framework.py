@@ -111,14 +111,6 @@ class TrainingConfig:
     #: prefetch).
     fleet_workers: Sequence[str] = ()
     fleet_prefetch_top_k: int = 8
-    #: Store-compaction policy applied by ``NeuroVectorizer.close()``: when
-    #: enabled and the cache directory holds at least ``compact_min_segments``
-    #: segment files (optionally also at least ``compact_min_bytes`` in
-    #: total), the segments are merged into one.  Enable only when the
-    #: directory is private to this run — compaction is offline maintenance.
-    compact_on_close: bool = False
-    compact_min_segments: int = 2
-    compact_min_bytes: Optional[int] = None
 
     def resolved_tasks(self) -> Tuple[OptimizationTask, ...]:
         """The task objects this config trains (``tasks``, else ``(task,)``).
@@ -217,7 +209,6 @@ class NeuroVectorizer:
         reward_cache: Optional[RewardCache] = None,
         evaluation_service=None,
         task: Optional[OptimizationTask] = None,
-        compaction=None,
         tasks: Optional[Sequence] = None,
         kernel_split=None,
         training_kernel_names: Optional[Sequence[str]] = None,
@@ -260,14 +251,12 @@ class NeuroVectorizer:
             )
         # An optional repro.distributed.EvaluationService owning the run's
         # worker pool; its cache is adopted as the run-wide cache unless one
-        # was passed explicitly.  close() shuts the service (and any
-        # disk-backed store) down.
+        # was passed explicitly.  close() shuts the service and the cache's
+        # store down.
         self.evaluation_service = evaluation_service
         # The run-wide measurement cache: shared with the training env and
         # any cache-aware agent so every consumer sees each other's work.
         self.reward_cache = resolve_cache(reward_cache, evaluation_service)
-        # Optional repro.distributed.CompactionPolicy consulted by close().
-        self.compaction = compaction
         # Transfer-protocol provenance, recorded by train(): the train/test
         # kernel split (when holdout_kernels was set), the names of the
         # kernels the policy actually trained on (for leakage checks in
@@ -283,26 +272,14 @@ class NeuroVectorizer:
     # -- service lifecycle ------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down the evaluation service and flush/close the disk store.
+        """Shut down the evaluation service and flush/close the cache's store.
 
-        With a :class:`repro.distributed.CompactionPolicy` attached (see
-        ``TrainingConfig.compact_on_close``), a fragmented persistent store
-        is compacted into a single segment first — this process is the last
-        writer at close time, which is exactly when compaction is safe for a
-        run-private cache directory.
+        Compacting a run-private store is one explicit call after this:
+        ``framework.reward_cache.store.compact()``.
         """
         if self.evaluation_service is not None:
             self.evaluation_service.close()
-        store = getattr(self.reward_cache, "store", None)
-        if (
-            store is not None
-            and self.compaction is not None
-            and self.compaction.should_compact(store)
-        ):
-            store.compact()
-        closer = getattr(self.reward_cache, "close", None)
-        if closer is not None:
-            closer()
+        self.reward_cache.close()
 
     def __enter__(self) -> "NeuroVectorizer":
         return self
@@ -346,18 +323,18 @@ class NeuroVectorizer:
         """Per-worker dispatch statistics of the evaluation service.
 
         Returns ``None`` when no service is attached; includes persistent
-        store statistics when the cache is disk-backed, and the robustness
+        store statistics when the cache has a store, and the robustness
         + prefetch counters when the service is fleet-backed.
         """
         from repro.evaluation.report import format_service_stats_table
 
         if self.evaluation_service is None:
             return None
-        store = getattr(self.reward_cache, "store", None)
+        store = self.reward_cache.store
         return format_service_stats_table(
             self.evaluation_service.stats,
             store_stats=store.stats if store is not None else None,
-            preloaded=getattr(self.reward_cache, "preloaded", 0),
+            preloaded=self.reward_cache.preloaded,
             title=title,
         )
 
@@ -409,7 +386,7 @@ class NeuroVectorizer:
         (for vectorization it injects pragmas, for Polly tiling it rewrites
         the IR).  ``task`` selects one of a jointly-trained framework's
         tasks.  Both the baseline and the applied measurement go through
-        the run's reward cache, so with a disk-backed cache a repeat run
+        the run's reward cache, so with a store-backed cache a repeat run
         over the same kernels and decisions simulates nothing.
         """
         task = self._member_task(task)
@@ -588,7 +565,9 @@ class NeuroVectorizer:
         ``TrainingConfig(conditioning="embedding")`` (the joint-run
         default) first.
         """
+        from repro.agents.policy_agent import PolicyAgent
         from repro.rl.env import MultiTaskEnv, build_samples
+        from repro.rl.policy import ConditionedPolicy
         from repro.rl.ppo import PPOConfig, PPOTrainer
 
         if task is None:
@@ -599,8 +578,8 @@ class NeuroVectorizer:
                 )
             task = self.holdout_task
         target = resolve_task(task)
-        policy = getattr(self.agent, "policy", None)
-        if policy is None or not hasattr(policy, "transfer_parameters"):
+        policy = self.agent.policy if isinstance(self.agent, PolicyAgent) else None
+        if not isinstance(policy, ConditionedPolicy):
             raise ValueError(
                 "fine_tune() transfers an embedding-conditioned policy "
                 "(repro.rl.policy.ConditionedPolicy); this framework's "
@@ -755,16 +734,10 @@ class NeuroVectorizer:
 
         # Evaluation service: persistent store and/or worker pool per config.
         evaluation_service = None
-        compaction = None
         if config.cache_dir:
-            from repro.distributed.store import CompactionPolicy, DiskBackedRewardCache
+            from repro.distributed.store import PersistentRewardStore
 
-            reward_cache: RewardCache = DiskBackedRewardCache.open(config.cache_dir)
-            compaction = CompactionPolicy(
-                enabled=config.compact_on_close,
-                min_segments=config.compact_min_segments,
-                min_total_bytes=config.compact_min_bytes,
-            )
+            reward_cache = RewardCache(PersistentRewardStore(config.cache_dir))
         else:
             reward_cache = RewardCache()
         if config.fleet_workers:
@@ -868,9 +841,7 @@ class NeuroVectorizer:
         except BaseException:
             if evaluation_service is not None:
                 evaluation_service.close()
-            closer = getattr(reward_cache, "close", None)
-            if closer is not None:
-                closer()
+            reward_cache.close()
             raise
 
         framework = cls(
@@ -883,7 +854,6 @@ class NeuroVectorizer:
             reward_cache,
             evaluation_service=evaluation_service,
             task=task,
-            compaction=compaction,
             tasks=tasks,
             kernel_split=kernel_split,
             training_kernel_names=[kernel.name for kernel in training_kernels],

@@ -2,8 +2,9 @@
 
 The scaling layer over :mod:`repro.cache`:
 
-* :class:`PersistentRewardStore` / :class:`DiskBackedRewardCache` — reuse
-  measurements **across runs** via an append-only on-disk store,
+* :class:`PersistentRewardStore` — reuse measurements **across runs** via
+  an append-only on-disk store, held by a
+  :class:`~repro.cache.RewardCache` as ``RewardCache(store)``,
 * :class:`EvaluationService` — the one batched reward-query service:
   dedup, dispatch and drain written once over a transport backend (none:
   serial in-process; a worker-process pool; the :mod:`repro.fleet` TCP
@@ -12,26 +13,17 @@ The scaling layer over :mod:`repro.cache`:
   simulation with policy inference.
 """
 
-from repro.distributed.config import EvaluationServiceConfig
 from repro.distributed.service import (
     EvaluationFuture,
     EvaluationService,
     ServiceStats,
 )
-from repro.distributed.store import (
-    CompactionPolicy,
-    DiskBackedRewardCache,
-    PersistentRewardStore,
-    StoreStats,
-)
+from repro.distributed.store import PersistentRewardStore, StoreStats
 
 __all__ = [
-    "EvaluationServiceConfig",
     "EvaluationFuture",
     "EvaluationService",
     "ServiceStats",
-    "CompactionPolicy",
-    "DiskBackedRewardCache",
     "PersistentRewardStore",
     "StoreStats",
 ]

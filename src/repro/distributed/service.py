@@ -46,7 +46,6 @@ from repro.cache.reward_cache import (
     normalize_requests,
 )
 from repro.distributed.backends import EvaluationBackend, ProcessPoolBackend
-from repro.distributed.config import EvaluationServiceConfig
 from repro.distributed.worker import PRIORITY_DEMAND, PRIORITY_PREFETCH, run_job
 
 if TYPE_CHECKING:
@@ -249,32 +248,6 @@ class EvaluationService:
             self._backend = ProcessPoolBackend(
                 self.pipeline.machine, self.pipeline.default_symbol_value, workers
             )
-
-    @classmethod
-    def from_config(
-        cls,
-        pipeline: "CompileAndMeasure",
-        config: EvaluationServiceConfig,
-        cache: Optional[RewardCache] = None,
-    ) -> "EvaluationService":
-        """Build the service (and its cache/store) from one config object."""
-        if cache is None:
-            if config.cache_dir:
-                from repro.distributed.store import DiskBackedRewardCache
-
-                cache = DiskBackedRewardCache.open(
-                    config.cache_dir,
-                    max_entries=config.max_entries,
-                    flush_every=config.flush_every,
-                )
-            else:
-                cache = RewardCache(max_entries=config.max_entries)
-        return cls(
-            pipeline,
-            cache,
-            workers=config.workers,
-            result_timeout=config.result_timeout,
-        )
 
     # -- lifecycle ---------------------------------------------------------
 

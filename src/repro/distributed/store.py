@@ -1,19 +1,20 @@
 """Disk persistence for reward measurements: cross-run cache reuse.
 
-The in-memory :class:`repro.cache.RewardCache` dies with its process; this
-module gives it a durable backing so a second run over the same kernels
-recompiles nothing at all.
+The in-memory :class:`repro.cache.RewardCache` dies with its process; a
+:class:`PersistentRewardStore` handed to it (``RewardCache(store)``) is its
+durable backing, so a second run over the same kernels recompiles nothing
+at all.  The cache preloads the store on construction and appends every
+new measurement, which keeps the disk layer transparent to every consumer
+of the cache API.
 
-* :class:`PersistentRewardStore` — an append-only directory of JSONL
-  *segment* files.  Every writer appends to its **own** segment (named with
-  its pid plus a random token), so concurrent runs sharing one ``cache_dir``
-  merge on load instead of clobbering each other.  Segments carry a schema
-  header; loading tolerates truncated tails and corrupt lines (a crash
-  mid-append loses at most the final record) and skips whole segments
-  written by a newer incompatible schema.
-* :class:`DiskBackedRewardCache` — a :class:`RewardCache` that preloads the
-  store on construction and appends every new measurement, making the disk
-  layer transparent to every existing consumer of the cache API.
+The store is an append-only directory of JSONL *segment* files.  Every
+writer appends to its **own** segment (named with its pid plus a random
+token), so concurrent runs sharing one ``cache_dir`` merge on load instead
+of clobbering each other.  Segments carry a schema header; loading
+tolerates truncated tails and corrupt lines (a crash mid-append loses at
+most the final record) and skips whole segments written by a newer
+incompatible schema.  :meth:`PersistentRewardStore.compact` merges a
+directory's segments into one, as an explicit offline step.
 
 Records are keyed by the same content fingerprints as the in-memory cache
 (kernel source hash x machine hash x loop x factors), so a store is safely
@@ -27,9 +28,9 @@ import json
 import os
 import uuid
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
-from repro.cache.reward_cache import CachedMeasurement, RewardCache, RewardKey
+from repro.cache.reward_cache import CachedMeasurement, RewardKey
 
 #: Bump when the record layout changes incompatibly.  Loaders skip segments
 #: whose header declares any version not in ``_COMPATIBLE_VERSIONS`` —
@@ -104,67 +105,20 @@ def _decode_record(line: str) -> Optional[tuple]:
     return key, measurement
 
 
-@dataclass
-class CompactionPolicy:
-    """When a run should compact its persistent store on close.
-
-    Long-lived cache directories accumulate one segment per writer process;
-    loading merges them all, so a heavily reused directory pays an
-    ever-growing startup cost and disk footprint for records that one
-    compacted segment could hold.  The policy triggers
-    :meth:`PersistentRewardStore.compact` from ``NeuroVectorizer.close()``
-    when the directory looks fragmented:
-
-    * ``min_segments`` — compact when at least this many segment files
-      exist (the count includes this run's own segment),
-    * ``min_total_bytes`` — additionally require the segments to total at
-      least this size (``None`` = size does not gate compaction).
-
-    Compaction is offline maintenance: enable it only when the cache
-    directory is private to the closing run (no concurrent writers).
-    """
-
-    enabled: bool = False
-    min_segments: int = 2
-    min_total_bytes: Optional[int] = None
-
-    def should_compact(self, store: "PersistentRewardStore") -> bool:
-        if not self.enabled:
-            return False
-        paths = store.segment_paths()
-        if len(paths) < max(self.min_segments, 1):
-            return False
-        if self.min_total_bytes is not None:
-            total = 0
-            for path in paths:
-                try:
-                    total += os.path.getsize(path)
-                except OSError:
-                    continue
-            if total < self.min_total_bytes:
-                return False
-        return True
-
-
 class PersistentRewardStore:
     """Append-only, merge-on-load JSONL store of reward measurements.
 
-    ``flush_every`` trades durability for throughput: flush the OS buffer
-    after every N appended records (1 = flush each record, the default).
+    Every appended record is flushed to the OS at once.
     """
 
-    def __init__(self, directory: str, flush_every: int = 1):
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
+    def __init__(self, directory: str):
         self.directory = str(directory)
-        self.flush_every = flush_every
         self.stats = StoreStats()
         os.makedirs(self.directory, exist_ok=True)
         # This writer's private segment; created lazily on first append so
         # read-only consumers never litter the directory with empty files.
         self._segment_name = f"segment-{os.getpid()}-{uuid.uuid4().hex[:8]}.jsonl"
         self._handle: Optional[io.TextIOWrapper] = None
-        self._unflushed = 0
 
     # -- paths -------------------------------------------------------------
 
@@ -250,16 +204,12 @@ class PersistentRewardStore:
                 )
         self._handle.write(_encode_record(key, measurement) + "\n")
         self.stats.appended += 1
-        self._unflushed += 1
-        if self._unflushed >= self.flush_every:
-            self._handle.flush()
-            self._unflushed = 0
+        self._handle.flush()
 
     def sync(self) -> None:
         if self._handle is not None:
             self._handle.flush()
             os.fsync(self._handle.fileno())
-            self._unflushed = 0
 
     def close(self) -> None:
         if self._handle is not None:
@@ -312,58 +262,3 @@ class PersistentRewardStore:
                 except OSError:
                     pass
         return len(merged)
-
-
-class DiskBackedRewardCache(RewardCache):
-    """A :class:`RewardCache` transparently persisted to a store.
-
-    Construction preloads every on-disk measurement; ``put`` appends new or
-    changed entries to this process's segment.  Eviction (under
-    ``max_entries``) only trims memory — the disk remains the superset and a
-    future run reloads everything.  Keys already durable are tracked in a
-    side set so re-measuring an evicted key (deterministic, same value)
-    never appends a duplicate record.
-    """
-
-    def __init__(
-        self,
-        store: PersistentRewardStore,
-        max_entries: Optional[int] = None,
-        preload: bool = True,
-    ):
-        super().__init__(max_entries=max_entries)
-        self.store = store
-        self.preloaded = 0
-        self._persisted: Set[RewardKey] = set()
-        if preload:
-            for key, measurement in store.load().items():
-                RewardCache.put(self, key, measurement)
-                self._persisted.add(key)
-                self.preloaded += 1
-
-    @classmethod
-    def open(
-        cls, directory: str, max_entries: Optional[int] = None, flush_every: int = 1
-    ) -> "DiskBackedRewardCache":
-        """Open (creating if needed) the store at ``directory`` and preload it."""
-        return cls(
-            PersistentRewardStore(directory, flush_every=flush_every),
-            max_entries=max_entries,
-        )
-
-    def put(self, key: RewardKey, measurement: CachedMeasurement) -> None:
-        existing = self.peek(key)
-        super().put(key, measurement)
-        changed = existing is not None and existing != measurement
-        if key not in self._persisted or changed:
-            self.store.append(key, measurement)
-            self._persisted.add(key)
-
-    def close(self) -> None:
-        self.store.close()
-
-    def __enter__(self) -> "DiskBackedRewardCache":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()

@@ -93,7 +93,6 @@ def format_cache_stats_table(
         )
     table.add_row(["misses", stats.misses])
     table.add_row(["batch deduplicated", stats.batch_deduplicated])
-    table.add_row(["evictions", stats.evictions])
     table.add_row(["hit rate", stats.hit_rate])
     table.add_row(["compiles avoided", stats.compiles_avoided])
     if fleet is not None:

@@ -11,8 +11,8 @@ paths* the serial batcher runs, so fleet answers are byte-identical to
 serial ones.
 
 The worker holds one worker-local reward cache shared by all connections.
-With ``store_dir`` it is a :class:`~repro.distributed.store.DiskBackedRewardCache`
-over the shared :class:`~repro.distributed.store.PersistentRewardStore`
+With ``store_dir`` that cache holds a
+:class:`~repro.distributed.store.PersistentRewardStore` over the shared
 directory — the fleet-wide cache: the store's append-only multi-writer
 segments mean many workers (and the coordinator itself) write the same
 directory safely, and a worker restarted against it comes back warm.
@@ -154,9 +154,9 @@ class FleetWorker:
             return self
         if self.cache is None:
             if self._store_dir is not None:
-                from repro.distributed.store import DiskBackedRewardCache
+                from repro.distributed.store import PersistentRewardStore
 
-                self.cache = DiskBackedRewardCache.open(self._store_dir)
+                self.cache = RewardCache(PersistentRewardStore(self._store_dir))
             else:
                 self.cache = RewardCache()
         self._listener = Listener(
@@ -178,6 +178,9 @@ class FleetWorker:
             # die() is called from a session's own evaluator thread.
             if session.evaluator is not current:
                 session.evaluator.join(timeout=5.0)
+        if self.cache is not None:
+            with self._cache_lock:
+                self.cache.close()
 
     def die(self) -> None:
         """Abrupt full-worker death: every socket closed, nothing sent."""

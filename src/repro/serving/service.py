@@ -10,8 +10,8 @@ the leader's computation), runs **one** shared-trunk
 decision site of every unique kernel in the tick — mixed tasks included —
 and answers each request through a three-tier path:
 
-* ``store`` — every measurement came from the warm reward cache (e.g. a
-  preloaded :class:`repro.distributed.store.DiskBackedRewardCache`):
+* ``store`` — every measurement came from the warm reward cache (e.g. one
+  preloaded from a :class:`repro.distributed.store.PersistentRewardStore`):
   **zero** simulator calls.
 * ``frontend`` — the service's observation memo hit, skipping parse → AST →
   embedding entirely; only the measurement simulated.
@@ -126,18 +126,19 @@ class CompileService:
         """Adopt a (trained) :class:`repro.core.framework.NeuroVectorizer`.
 
         The service serves every task the framework was trained for and
-        shares its pipeline, reward cache (so a disk-backed store warms the
+        shares its pipeline, reward cache (so a store-backed cache warms the
         ``store`` tier), embedding model and evaluation service.
         """
-        policy = getattr(framework.agent, "policy", None)
-        if policy is None:
+        from repro.agents.policy_agent import PolicyAgent  # keeps agents off the import path
+
+        if not isinstance(framework.agent, PolicyAgent):
             raise ValueError(
                 "the framework's agent has no policy to serve; train one "
                 "(NeuroVectorizer.train) or wire a PolicyAgent"
             )
         knobs.setdefault("tasks", list(framework.tasks))
         return cls(
-            policy,
+            framework.agent.policy,
             framework.embedding_model,
             pipeline=framework.pipeline,
             reward_cache=framework.reward_cache,

@@ -18,6 +18,7 @@ from repro.core.framework import build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
+from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
 from repro.evaluation.report import format_cache_stats_table
 from repro.machine.description import MachineDescription
 from repro.rl.env import COMPILE_TIME_PENALTY, MultiTaskEnv, build_samples
@@ -104,21 +105,6 @@ class TestRewardCache:
         assert not was_hit
         assert second.cycles != first.cycles
 
-    def test_max_entries_evicts_fifo(self):
-        cache = RewardCache(max_entries=2)
-        machine = MachineDescription()
-        keys = [cache.key_for(SAXPY, machine, 0, (vf, 1), "vectorization") for vf in (1, 2, 4)]
-        for key in keys:
-            cache.put(key, CachedMeasurement(cycles=1.0, compile_seconds=0.1))
-        assert len(cache) == 2
-        assert cache.peek(keys[0]) is None
-        assert cache.peek(keys[2]) is not None
-        assert cache.stats.evictions == 1
-
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            RewardCache(max_entries=0)
-
     def test_discarded_kernels_never_alias_fingerprints(self):
         # id() of a freed kernel is recycled immediately by CPython; the memo
         # must pin objects / identity-check so a new kernel at the same
@@ -138,6 +124,27 @@ class TestRewardCache:
         kernel = SAXPY.with_source(SAXPY.source)
         before = cache.key_for(kernel, machine, 0, (4, 2), "vectorization").kernel_hash
         kernel.source = kernel.source.replace("2048", "64")
+        after = cache.key_for(kernel, machine, 0, (4, 2), "vectorization").kernel_hash
+        assert before != after
+
+    def test_in_place_bindings_edit_remeasures(self, pipeline):
+        # The memo must recheck every field the fingerprint hashes, not
+        # just the source: a stale hit here served the old extent's cycles.
+        kernel = generate_synthetic_dataset(SyntheticDatasetConfig(count=1, seed=0))[0]
+        cache = RewardCache()
+        cache.measure_action(pipeline, VECTORIZATION, kernel, 0, (4, 2))
+        kernel.bindings["n"] = 4096
+        edited, was_hit = cache.measure_action(pipeline, VECTORIZATION, kernel, 0, (4, 2))
+        fresh, _ = RewardCache().measure_action(pipeline, VECTORIZATION, kernel, 0, (4, 2))
+        assert not was_hit
+        assert edited == fresh
+
+    def test_function_name_reassignment_rehashes(self):
+        cache = RewardCache()
+        machine = MachineDescription()
+        kernel = SAXPY.with_source(SAXPY.source)
+        before = cache.key_for(kernel, machine, 0, (4, 2), "vectorization").kernel_hash
+        kernel.function_name = "other"
         after = cache.key_for(kernel, machine, 0, (4, 2), "vectorization").kernel_hash
         assert before != after
 
@@ -172,19 +179,6 @@ class TestEvaluationBatcher:
         assert cache.stats.batch_deduplicated == 4
         assert not outcomes[0].was_cached
         assert all(o.was_cached for o in outcomes[1:])
-
-    def test_bounded_cache_smaller_than_batch_still_answers(self, pipeline):
-        # Eviction during a flush must not lose this pass's measurements.
-        cache = RewardCache(max_entries=2)
-        batcher = EvaluationBatcher(pipeline, cache)
-        grid = [(1, 1), (2, 1), (4, 1), (8, 1)]
-        for vf, interleave in grid:
-            batcher.add_action(SAXPY, 0, (vf, interleave))
-        outcomes = batcher.flush()
-        assert len(outcomes) == 4
-        assert all(o.measurement.cycles > 0 for o in outcomes)
-        assert len(cache) == 2
-        assert cache.stats.evictions == 2
 
     def test_flush_drains_pending(self, pipeline):
         batcher = EvaluationBatcher(pipeline, RewardCache())
@@ -307,7 +301,6 @@ class TestStatsReport:
             "hits",
             "misses",
             "batch_deduplicated",
-            "evictions",
             "hit_rate",
             "compiles_avoided",
         }

@@ -19,12 +19,7 @@ from repro.core.framework import NeuroVectorizer, build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
-from repro.distributed import (
-    DiskBackedRewardCache,
-    EvaluationService,
-    EvaluationServiceConfig,
-    PersistentRewardStore,
-)
+from repro.distributed import EvaluationService, PersistentRewardStore
 from repro.distributed.async_api import AsyncEvaluator
 from repro.distributed.store import SCHEMA_NAME
 from repro.evaluation.report import Table
@@ -193,22 +188,22 @@ class TestPersistentRewardStore:
 
 
 # ---------------------------------------------------------------------------
-# DiskBackedRewardCache
+# RewardCache over a PersistentRewardStore
 # ---------------------------------------------------------------------------
 
 
-class TestDiskBackedRewardCache:
+class TestStoreBackedRewardCache:
     def test_put_persists_and_second_cache_preloads(self, tmp_path):
-        cache = DiskBackedRewardCache.open(str(tmp_path))
+        cache = RewardCache(PersistentRewardStore(str(tmp_path)))
         cache.put(sample_key(), CachedMeasurement(42.0, 0.25))
         cache.close()
 
-        warm = DiskBackedRewardCache.open(str(tmp_path))
+        warm = RewardCache(PersistentRewardStore(str(tmp_path)))
         assert warm.preloaded == 1
         assert warm.peek(sample_key()) == CachedMeasurement(42.0, 0.25)
 
     def test_unchanged_put_is_not_reappended(self, tmp_path):
-        cache = DiskBackedRewardCache.open(str(tmp_path))
+        cache = RewardCache(PersistentRewardStore(str(tmp_path)))
         measurement = CachedMeasurement(42.0, 0.25)
         cache.put(sample_key(), measurement)
         cache.put(sample_key(), measurement)
@@ -217,36 +212,16 @@ class TestDiskBackedRewardCache:
         assert cache.store.stats.appended == 2
         cache.close()
 
-    def test_eviction_does_not_lose_disk_entries(self, tmp_path):
-        cache = DiskBackedRewardCache.open(str(tmp_path), max_entries=2)
-        for index in range(4):
-            cache.put(sample_key(index), CachedMeasurement(float(index), 0.0))
-        assert len(cache) == 2
-        cache.close()
-        warm = DiskBackedRewardCache.open(str(tmp_path))
-        assert warm.preloaded == 4
-
-    def test_reputting_evicted_key_does_not_duplicate_records(self, tmp_path):
-        # A bounded cache re-measures evicted keys; the (deterministic)
-        # identical result must not grow the segment file.
-        cache = DiskBackedRewardCache.open(str(tmp_path), max_entries=2)
-        for index in range(4):
-            cache.put(sample_key(index), CachedMeasurement(float(index), 0.0))
-        assert cache.peek(sample_key(0)) is None  # evicted from memory
-        cache.put(sample_key(0), CachedMeasurement(0.0, 0.0))
-        assert cache.store.stats.appended == 4
-        cache.close()
-
     def test_measure_through_cache_persists(self, tmp_path):
         pipeline = CompileAndMeasure()
-        cache = DiskBackedRewardCache.open(str(tmp_path))
+        cache = RewardCache(PersistentRewardStore(str(tmp_path)))
         measurement, was_hit = cache.measure_action(
             pipeline, get_task("vectorization"), add_kernel(), 0, (4, 2)
         )
         assert not was_hit
         cache.close()
 
-        warm = DiskBackedRewardCache.open(str(tmp_path))
+        warm = RewardCache(PersistentRewardStore(str(tmp_path)))
         cached, was_hit = warm.measure_action(
             CompileAndMeasure(), get_task("vectorization"), add_kernel(), 0, (4, 2)
         )
@@ -284,7 +259,7 @@ class TestDiskBackedRewardCache:
             site_key: CachedMeasurement(131.62, 0.05808),
             baseline_key: CachedMeasurement(247.74, 0.05808),
         }
-        with DiskBackedRewardCache.open(str(tmp_path)) as warm:
+        with RewardCache(PersistentRewardStore(str(tmp_path))) as warm:
             assert warm.preloaded == 2
             assert warm.measure_action(
                 pipeline, get_task("vectorization"), kernel, 0, (8, 2)
@@ -354,14 +329,6 @@ class TestEvaluationService:
             assert all(outcome.was_cached for outcome in outcomes)
             assert service.stats.dispatched == dispatched
 
-    def test_from_config_builds_disk_backed_cache(self, tmp_path):
-        config = EvaluationServiceConfig(workers=0, cache_dir=str(tmp_path))
-        service = EvaluationService.from_config(CompileAndMeasure(), config)
-        assert isinstance(service.cache, DiskBackedRewardCache)
-        service.evaluate(grid_requests(add_kernel()))
-        assert service.cache.store.stats.appended > 0
-        service.cache.close()
-
     def test_mismatched_consumer_is_rejected(self):
         from repro.cache.reward_cache import evaluate_requests
         from repro.machine.description import MachineDescription
@@ -405,8 +372,6 @@ class TestEvaluationService:
     def test_rejects_negative_workers(self):
         with pytest.raises(ValueError):
             EvaluationService(CompileAndMeasure(), workers=-1)
-        with pytest.raises(ValueError):
-            EvaluationServiceConfig(workers=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +440,7 @@ class TestFrameworkWarmStart:
 
         def run(count_calls: bool):
             pipeline = CompileAndMeasure()
-            cache = DiskBackedRewardCache.open(str(tmp_path))
+            cache = RewardCache(PersistentRewardStore(str(tmp_path)))
             agent = BruteForceAgent(pipeline, reward_cache=cache)
             framework = NeuroVectorizer(
                 embedding, agent, pipeline, reward_cache=cache
@@ -537,7 +502,7 @@ class TestFrameworkStatsReports:
 
     def test_service_stats_report_with_store(self, tmp_path):
         pipeline = CompileAndMeasure()
-        cache = DiskBackedRewardCache.open(str(tmp_path))
+        cache = RewardCache(PersistentRewardStore(str(tmp_path)))
         service = EvaluationService(pipeline, cache, workers=0)
         framework = self._framework(evaluation_service=service)
         service.evaluate(grid_requests(add_kernel()))

@@ -25,7 +25,7 @@ from repro.agents.nns import NearestNeighborAgent
 from repro.core.framework import NeuroVectorizer, TrainingConfig, compare_agents
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
-from repro.distributed import DiskBackedRewardCache, EvaluationService
+from repro.distributed import EvaluationService, PersistentRewardStore
 from repro.evaluation import (
     ComparisonRunner,
     TaskComparison,
@@ -353,13 +353,13 @@ class TestWarmStoreRerun:
         kernels = [two_loop_kernel(), stream_kernel()]
         cache_dir = str(tmp_path / task_name)
 
-        cold_cache = DiskBackedRewardCache.open(cache_dir)
+        cold_cache = RewardCache(PersistentRewardStore(cache_dir))
         cold_runner = ComparisonRunner(task=task_name, reward_cache=cold_cache)
         cold = cold_runner.run(cold_runner.default_agents(seed=0), kernels)
         cold_cache.close()
         assert cold.cache_misses > 0
 
-        warm_cache = DiskBackedRewardCache.open(cache_dir)
+        warm_cache = RewardCache(PersistentRewardStore(cache_dir))
         assert warm_cache.preloaded > 0
         warm_runner = ComparisonRunner(task=task_name, reward_cache=warm_cache)
         warm, simulations = count_simulations(
@@ -375,12 +375,12 @@ class TestWarmStoreRerun:
         # "no evaluations" table for runs that measured nothing at all.
         kernels = [stream_kernel()]
         cache_dir = str(tmp_path / "warm")
-        cold_cache = DiskBackedRewardCache.open(cache_dir)
+        cold_cache = RewardCache(PersistentRewardStore(cache_dir))
         cold_runner = ComparisonRunner(task="unrolling", reward_cache=cold_cache)
         cold_runner.run(cold_runner.default_agents(seed=0), kernels)
         cold_cache.close()
 
-        warm_cache = DiskBackedRewardCache.open(cache_dir)
+        warm_cache = RewardCache(PersistentRewardStore(cache_dir))
         warm_runner = ComparisonRunner(task="unrolling", reward_cache=warm_cache)
         warm = warm_runner.run(warm_runner.default_agents(seed=0), kernels)
         warm_cache.close()

@@ -17,7 +17,7 @@ from fleet_utils import (
 )
 from repro.cache.reward_cache import CachedMeasurement, RewardCache, RewardKey
 from repro.core.pipeline import CompileAndMeasure
-from repro.distributed import DiskBackedRewardCache, EvaluationService
+from repro.distributed import EvaluationService, PersistentRewardStore
 from repro.evaluation.report import (
     format_cache_stats_table,
     format_service_stats_table,
@@ -140,13 +140,30 @@ class TestFleetSharding:
         with start_workers(1, store_dir=str(tmp_path)) as workers:
             with fleet_service(workers) as service:
                 expected = outcome_tuples(service.evaluate(requests))
-        warm = DiskBackedRewardCache.open(str(tmp_path))
+        warm = RewardCache(PersistentRewardStore(str(tmp_path)))
         assert warm.preloaded >= len(requests)
         service = EvaluationService(CompileAndMeasure(), warm, workers=0)
         outcomes = service.evaluate(requests)
         assert all(outcome.was_cached for outcome in outcomes)
         assert outcome_tuples(outcomes) == expected
         warm.close()
+
+    def test_stop_closes_the_store_segment_and_restart_reopens_it(self, tmp_path):
+        requests = grid_requests(add_kernel())
+        with start_workers(1, store_dir=str(tmp_path)) as (worker,):
+            with fleet_service([worker]) as service:
+                service.evaluate(requests[:4])
+            store = worker.cache.store
+            assert store._handle is not None
+            worker.stop()
+            assert store._handle is None
+            worker.start()
+            with fleet_service([worker]) as service:
+                service.evaluate(requests)
+            assert store._handle is not None
+        assert store._handle is None
+        assert len(store.segment_paths()) == 1
+        assert len(PersistentRewardStore(str(tmp_path)).load()) == len(requests)
 
 
 # ---------------------------------------------------------------------------

@@ -270,13 +270,14 @@ class TestRewardStoreRoundTripProperties:
     def test_disk_backed_cache_round_trip(self, records):
         import tempfile
 
-        from repro.distributed import DiskBackedRewardCache
+        from repro.cache.reward_cache import RewardCache
+        from repro.distributed import PersistentRewardStore
 
         with tempfile.TemporaryDirectory() as directory:
-            with DiskBackedRewardCache.open(directory) as cache:
+            with RewardCache(PersistentRewardStore(directory)) as cache:
                 for key, measurement in records:
                     cache.put(key, measurement)
-            with DiskBackedRewardCache.open(directory) as reloaded:
+            with RewardCache(PersistentRewardStore(directory)) as reloaded:
                 assert reloaded.preloaded == len(dict(records))
                 for key, measurement in dict(records).items():
                     assert reloaded.peek(key) == measurement

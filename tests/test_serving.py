@@ -25,9 +25,10 @@ import time
 
 import pytest
 
+from repro.cache.reward_cache import RewardCache
 from repro.core.framework import NeuroVectorizer, TrainingConfig
 from repro.datasets.kernels import LoopKernel
-from repro.distributed import DiskBackedRewardCache
+from repro.distributed import PersistentRewardStore
 from repro.serving import (
     TIER_COLD,
     TIER_FRONTEND,
@@ -130,13 +131,13 @@ class TestTiers:
         cache_dir = str(tmp_path / "store")
         request = CompileRequest(source=REDUCTION_SOURCE, task="unrolling")
 
-        cold_cache = DiskBackedRewardCache.open(cache_dir)
+        cold_cache = RewardCache(PersistentRewardStore(cache_dir))
         with fresh_service(trained, reward_cache=cold_cache) as cold_service:
             cold = cold_service.optimize(request)
         cold_cache.close()
         assert cold.ok and cold.tier == TIER_COLD
 
-        warm_cache = DiskBackedRewardCache.open(cache_dir)
+        warm_cache = RewardCache(PersistentRewardStore(cache_dir))
         assert warm_cache.preloaded > 0
         # A brand-new service: empty observation memo, fresh pipeline —
         # only the persisted measurements are warm.

@@ -24,12 +24,7 @@ from repro.core.framework import (
 from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
-from repro.distributed import (
-    CompactionPolicy,
-    DiskBackedRewardCache,
-    EvaluationService,
-    PersistentRewardStore,
-)
+from repro.distributed import EvaluationService, PersistentRewardStore
 from repro.distributed.store import SCHEMA_NAME
 from repro.rl.env import MultiTaskEnv, build_samples
 from repro.rl.spaces import DiscreteFactorSpace, default_action_space
@@ -553,7 +548,7 @@ class TestStoreSchemaVersioning:
 
     def test_disk_cache_over_stale_store_preloads_nothing(self, tmp_path):
         self._write_v1_segment(str(tmp_path))
-        cache = DiskBackedRewardCache.open(str(tmp_path))
+        cache = RewardCache(PersistentRewardStore(str(tmp_path)))
         assert cache.preloaded == 0
         # The stale key shape can never be looked up: every v2 key carries a
         # task tag and action tuple, so no query maps onto the old record.
@@ -580,90 +575,6 @@ class TestStoreSchemaVersioning:
         (loaded_key,) = reloaded
         assert loaded_key.task == "polly-tiling"
         assert loaded_key.action == (32, 1)
-
-
-# ---------------------------------------------------------------------------
-# Compaction on close
-# ---------------------------------------------------------------------------
-
-
-class TestCompactOnClose:
-    @staticmethod
-    def _fragment(directory: str, segments: int = 3) -> None:
-        for index in range(segments):
-            store = PersistentRewardStore(directory)
-            key = RewardKey(
-                kernel_hash=f"{index:02d}" + "0" * 38,
-                machine_hash="m" * 40,
-                loop_index=0,
-                action=(4, 2),
-                task="vectorization",
-                default_symbol_value=256,
-            )
-            store.append(key, CachedMeasurement(float(index), 0.0))
-            store.close()
-
-    @staticmethod
-    def _framework(cache, compaction=None) -> NeuroVectorizer:
-        kernels = [stream_kernel()]
-        from repro.agents.baseline import BaselineAgent
-
-        pipeline = CompileAndMeasure()
-        return NeuroVectorizer(
-            build_embedding_model(kernels),
-            BaselineAgent(pipeline),
-            pipeline,
-            reward_cache=cache,
-            compaction=compaction,
-        )
-
-    def test_fragmented_store_shrinks_on_close(self, tmp_path):
-        self._fragment(str(tmp_path), segments=3)
-        cache = DiskBackedRewardCache.open(str(tmp_path))
-        framework = self._framework(
-            cache, CompactionPolicy(enabled=True, min_segments=2)
-        )
-        assert len(cache.store.segment_paths()) == 3
-        framework.close()
-        assert len(cache.store.segment_paths()) == 1
-        assert len(PersistentRewardStore(str(tmp_path)).load()) == 3
-
-    def test_disabled_policy_leaves_segments_alone(self, tmp_path):
-        self._fragment(str(tmp_path), segments=3)
-        cache = DiskBackedRewardCache.open(str(tmp_path))
-        framework = self._framework(cache, CompactionPolicy(enabled=False))
-        framework.close()
-        assert len(cache.store.segment_paths()) == 3
-
-    def test_size_gate_blocks_small_stores(self, tmp_path):
-        self._fragment(str(tmp_path), segments=3)
-        cache = DiskBackedRewardCache.open(str(tmp_path))
-        framework = self._framework(
-            cache,
-            CompactionPolicy(enabled=True, min_segments=2, min_total_bytes=1 << 30),
-        )
-        framework.close()
-        assert len(cache.store.segment_paths()) == 3
-
-    def test_training_config_threads_compaction_policy(self, tmp_path):
-        kernels = [stream_kernel()]
-        config = TrainingConfig(
-            rl_total_steps=12,
-            rl_batch_size=12,
-            pretrain_epochs=0,
-            cache_dir=str(tmp_path),
-            compact_on_close=True,
-            compact_min_segments=2,
-        )
-        framework, _ = NeuroVectorizer.train(kernels, config)
-        assert framework.compaction is not None
-        assert framework.compaction.enabled
-        framework.close()
-        # Two fresh runs leave two segments; a third with the policy active
-        # compacts the directory back to one on close.
-        framework, _ = NeuroVectorizer.train(kernels, config)
-        framework.close()
-        assert len(PersistentRewardStore(str(tmp_path)).segment_paths()) == 1
 
 
 # ---------------------------------------------------------------------------
