@@ -43,9 +43,8 @@ def trained_agents():
         ),
     )
     runner = ComparisonRunner(
-        pipeline=framework.pipeline,
+        evaluation_service=framework.evaluation_service,
         embedding_model=framework.embedding_model,
-        reward_cache=framework.reward_cache,
     )
     yield framework, fit_supervised_agents(runner, kernels, seed=0)
     framework.close()

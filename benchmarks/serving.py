@@ -153,13 +153,15 @@ def _request_stream(workload: Dict[str, object], kernels) -> list:
 def _fresh_service(framework, workload: Dict[str, object], reward_cache,
                    max_batch_size: int, max_wait_us: int):
     """A service with its own observation memo on a shared reward cache."""
+    from repro.core.pipeline import CompileAndMeasure
+    from repro.distributed import EvaluationService
     from repro.serving import CompileService
 
     return CompileService(
         framework.agent.policy,
         framework.embedding_model,
         tasks=list(workload["tasks"]),
-        reward_cache=reward_cache,
+        evaluation_service=EvaluationService(CompileAndMeasure(), reward_cache),
         max_batch_size=max_batch_size,
         max_wait_us=max_wait_us,
     )

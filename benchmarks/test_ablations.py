@@ -18,6 +18,7 @@ from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.llvm_suite import llvm_vectorizer_suite
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
+from repro.distributed import EvaluationService
 from repro.embedding.ast_paths import extract_path_contexts
 from repro.embedding.vocab import normalize_identifiers
 from repro.machine.description import avx2_machine, avx512_machine
@@ -93,7 +94,7 @@ def test_ablation_compile_time_penalty(benchmark):
         capped, uncapped = (
             MultiTaskEnv(
                 ["vectorization"], {"vectorization": samples},
-                pipeline=pipeline, compile_time_limit=limit,
+                evaluation_service=EvaluationService(pipeline), compile_time_limit=limit,
             )
             for limit in (2.0, 1e9)
         )

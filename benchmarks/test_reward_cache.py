@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 
-from repro.cache import EvaluationBatcher, RewardCache
+from repro.cache import EvaluationBatcher, RewardCache, evaluate_requests
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.polybench import polybench_suite
 from repro.evaluation.report import format_cache_stats_table
@@ -103,7 +103,7 @@ def test_identical_source_shares_cache_entries():
     pipeline = CompileAndMeasure()
     cache = RewardCache()
     task = get_task("vectorization")
-    cache.measure_action(pipeline, task, kernel, 0, (4, 2))
-    _, was_hit = cache.measure_action(pipeline, task, clone, 0, (4, 2))
+    evaluate_requests(pipeline, cache, [(kernel, 0, (4, 2))], task=task)
+    was_hit = evaluate_requests(pipeline, cache, [(clone, 0, (4, 2))], task=task)[0].was_cached
     # Content-keyed: a renamed kernel with byte-identical source hits.
     assert was_hit

@@ -10,6 +10,7 @@ would need to label the same training loops.
 from repro.core.framework import build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
+from repro.distributed import EvaluationService
 from repro.rl.env import MultiTaskEnv, build_samples
 from repro.rl.policy import make_policy
 from repro.rl.ppo import PPOConfig, PPOTrainer
@@ -21,7 +22,10 @@ def test_sample_efficiency_vs_bruteforce(benchmark):
     embedding = build_embedding_model(kernels)
     samples = build_samples(kernels, embedding, pipeline)
     env = MultiTaskEnv(
-        ["vectorization"], {"vectorization": samples}, pipeline=pipeline, seed=1
+        ["vectorization"],
+        {"vectorization": samples},
+        evaluation_service=EvaluationService(pipeline),
+        seed=1,
     )
     policy = make_policy("discrete", env.observation_dim, seed=1)
     trainer = PPOTrainer(

@@ -20,6 +20,7 @@ from repro.core.framework import NeuroVectorizer, build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
+from repro.distributed import EvaluationService
 from repro.tasks import available_tasks, resolve_task
 
 USER_SOURCE = """
@@ -52,12 +53,12 @@ def main() -> None:
     arguments = parser.parse_args()
 
     task = resolve_task(arguments.task)
-    pipeline = CompileAndMeasure()
     # The embedding vocabulary only needs some representative loops; the
     # motivating kernel is enough for this tiny example.
     embedding = build_embedding_model([dot_product_kernel()])
-    agent = BruteForceAgent(pipeline, task=task)
-    framework = NeuroVectorizer(embedding, agent, pipeline, task=task)
+    service = EvaluationService(CompileAndMeasure())
+    agent = BruteForceAgent(evaluation_service=service, task=task)
+    framework = NeuroVectorizer(embedding, agent, evaluation_service=service, task=task)
 
     kernel = LoopKernel(
         name="user_kernel",

@@ -80,10 +80,8 @@ def main() -> None:
 
         print("fitting NNS / decision tree on brute-force labels ...")
         runner = ComparisonRunner(
-            pipeline=framework.pipeline,
-            embedding_model=framework.embedding_model,
-            reward_cache=framework.reward_cache,
             evaluation_service=framework.evaluation_service,
+            embedding_model=framework.embedding_model,
         )
         supervised = fit_supervised_agents(runner, kernels, seed=arguments.seed)
 
@@ -99,10 +97,8 @@ def main() -> None:
 
         print()
         print(framework.cache_stats_report().render())
-        service_report = framework.service_stats_report()
-        if service_report is not None:
-            print()
-            print(service_report.render())
+        print()
+        print(framework.service_stats_report().render())
 
 
 if __name__ == "__main__":

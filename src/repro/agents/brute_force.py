@@ -7,9 +7,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.agents.base import AgentDecision, VectorizationAgent
-from repro.cache.reward_cache import RewardCache, evaluate_requests, resolve_cache
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed.service import EvaluationService
 from repro.tasks import OptimizationTask, resolve_task
 
 
@@ -21,12 +21,11 @@ class BruteForceAgent(VectorizationAgent):
     per menu combination (35 for the (VF, IF) default), which is exactly why
     the paper trains a policy instead of shipping this.
 
-    All measurements go through a shared :class:`RewardCache` (pass the
-    run's instance to share work with the environment and other agents), so
-    repeat queries — and actions the RL env already evaluated — cost a
-    lookup instead of a compile.  With an ``evaluation_service`` the grid's
-    unique misses are evaluated by its sharded worker pool instead of
-    in-process.
+    Every grid is one batch on ``evaluation_service`` (pass the run's
+    shared one, so repeat queries — and actions the RL env already
+    evaluated — cost a lookup instead of a compile, and a pooled service
+    evaluates the unique misses on its workers); without one the agent
+    measures through a private serial service.
     """
 
     name = "brute_force"
@@ -34,14 +33,11 @@ class BruteForceAgent(VectorizationAgent):
 
     def __init__(
         self,
-        pipeline: Optional[CompileAndMeasure] = None,
-        reward_cache: Optional[RewardCache] = None,
-        evaluation_service=None,
+        *,
+        evaluation_service: Optional[EvaluationService] = None,
         task: Optional[OptimizationTask] = None,
     ):
-        self.pipeline = pipeline or CompileAndMeasure()
-        self.evaluation_service = evaluation_service
-        self.reward_cache = resolve_cache(reward_cache, evaluation_service)
+        self.evaluation_service = evaluation_service or EvaluationService(CompileAndMeasure())
         self.task = resolve_task(task)
 
     def select_factors(
@@ -53,12 +49,8 @@ class BruteForceAgent(VectorizationAgent):
         if kernel is None:
             raise ValueError("BruteForceAgent needs the kernel to search")
         grid = self.task.action_space("discrete").all_actions()
-        outcomes = evaluate_requests(
-            self.pipeline,
-            self.reward_cache,
-            [(kernel, loop_index, action) for action in grid],
-            service=self.evaluation_service,
-            task=self.task,
+        outcomes = self.evaluation_service.evaluate(
+            [(kernel, loop_index, action) for action in grid], task=self.task
         )
         best_action: Tuple[int, ...] = self.task.default_action()
         best_cycles = float("inf")

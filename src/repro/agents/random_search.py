@@ -7,14 +7,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.agents.base import AgentDecision, VectorizationAgent
-from repro.cache.reward_cache import (
-    RewardCache,
-    evaluate_requests,
-    kernel_fingerprint,
-    resolve_cache,
-)
-from repro.core.pipeline import CompileAndMeasure
+from repro.cache.reward_cache import kernel_fingerprint
 from repro.datasets.kernels import LoopKernel
+from repro.distributed.service import EvaluationService
 from repro.tasks import OptimizationTask, resolve_task
 
 
@@ -25,11 +20,10 @@ class RandomSearchAgent(VectorizationAgent):
     structure and not from the action space itself: "Random search performed
     much worse than the baseline" (§4).
 
-    With ``candidates > 1`` (and a pipeline) the agent becomes best-of-N
-    random search: it draws N candidate actions and keeps the fastest, with
-    every measurement routed through the shared :class:`RewardCache` (or
-    the sharded ``evaluation_service`` when one is attached) so repeated
-    draws cost a lookup instead of a compile.
+    With ``candidates > 1`` the agent becomes best-of-N random search: it
+    draws N candidate actions and keeps the fastest, measuring them as one
+    batch on ``evaluation_service`` (required then) so repeated draws cost
+    a lookup instead of a compile.
 
     **Determinism.** Queries that carry a kernel derive their random stream
     from ``(seed, kernel content hash, site_index)``, so the decision for a
@@ -46,20 +40,22 @@ class RandomSearchAgent(VectorizationAgent):
         self,
         seed: int = 0,
         candidates: int = 1,
-        pipeline: Optional[CompileAndMeasure] = None,
-        reward_cache: Optional[RewardCache] = None,
-        evaluation_service=None,
+        *,
+        evaluation_service: Optional[EvaluationService] = None,
         task: Optional[OptimizationTask] = None,
     ):
         if candidates < 1:
             raise ValueError("candidates must be at least 1")
+        if candidates > 1 and not evaluation_service:
+            raise ValueError(
+                "best-of-N random search (candidates > 1) measures its draws; "
+                "pass the evaluation_service to measure them with"
+            )
         self.task = resolve_task(task)
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
         self.candidates = candidates
-        self.pipeline = pipeline
         self.evaluation_service = evaluation_service
-        self.reward_cache = resolve_cache(reward_cache, evaluation_service)
 
     def _rng_for(self, kernel: Optional[LoopKernel], loop_index: int):
         """The random stream for one query — content-derived when possible."""
@@ -81,18 +77,12 @@ class RandomSearchAgent(VectorizationAgent):
     ) -> AgentDecision:
         rng = self._rng_for(kernel, loop_index)
         draws = [self._draw(rng)]
-        if self.candidates == 1 or kernel is None or (
-            self.pipeline is None and self.evaluation_service is None
-        ):
+        if self.candidates == 1 or kernel is None:
             return AgentDecision(action=draws[0])
         for _ in range(self.candidates - 1):
             draws.append(self._draw(rng))
-        outcomes = evaluate_requests(
-            self.pipeline,
-            self.reward_cache,
-            [(kernel, loop_index, candidate) for candidate in draws],
-            service=self.evaluation_service,
-            task=self.task,
+        outcomes = self.evaluation_service.evaluate(
+            [(kernel, loop_index, candidate) for candidate in draws], task=self.task
         )
         best_action = draws[0]
         best_cycles = float("inf")

@@ -12,13 +12,11 @@ from repro.cache.reward_cache import (
     kernel_fingerprint,
     machine_fingerprint,
     normalize_requests,
-    resolve_cache,
 )
 
 __all__ = [
     "evaluate_requests",
     "normalize_requests",
-    "resolve_cache",
     "CachedMeasurement",
     "CacheStats",
     "EvaluationBatcher",

@@ -16,6 +16,9 @@ instead of recompiled.  This module is that subsystem for the reproduction:
   requests, deduplicates them against each other and against the cache, and
   evaluates only the unique misses in one pass.  Rollout collection and
   brute-force sweeps submit whole batches instead of compiling per step.
+  :func:`evaluate_requests` runs one batch through it; reward consumers
+  reach it through the serial :class:`repro.distributed.EvaluationService`
+  they hold, never directly.
 
 Since the task redesign a key's action part is a *generic tuple* tagged
 with the owning :class:`repro.tasks.OptimizationTask` name — ``(vf, if)``
@@ -222,8 +225,8 @@ class RewardCache:
     ) -> RewardKey:
         """Build the cache key for one measurement of ``task``'s ``action``.
 
-        Nothing here checks ``action`` against the task's menus:
-        :meth:`measure_action` and the batcher canonicalize it through
+        Nothing here checks ``action`` against the task's menus: the
+        batcher and the evaluation service canonicalize it through
         ``task.cache_key`` before they build a key.
         """
         kernel_hash, machine_hash = self._fingerprints(kernel, machine)
@@ -342,22 +345,6 @@ class RewardCache:
         )
         self.put(key, entry)
         return entry, False
-
-    def measure_action(
-        self,
-        pipeline: "CompileAndMeasure",
-        task: "OptimizationTask",
-        kernel: "LoopKernel",
-        site_index: int,
-        action: Tuple[int, ...],
-    ) -> Tuple[CachedMeasurement, bool]:
-        """Cached single-site evaluation of one task action; returns
-        (measurement, was_hit)."""
-        action = task.cache_key(action)
-        return self._measure_cached(
-            self.site_key(pipeline, task, kernel, site_index, action),
-            lambda: task.evaluate(pipeline, kernel, site_index, action),
-        )
 
     def measure_application(
         self,
@@ -526,55 +513,18 @@ class EvaluationBatcher:
         return outcomes  # type: ignore[return-value]
 
 
-def resolve_cache(
-    reward_cache: Optional[RewardCache], evaluation_service=None
-) -> RewardCache:
-    """The run-wide cache for a consumer: the explicit one, else the
-    attached service's, else a fresh private instance.  (``is None`` checks
-    throughout — an empty cache is falsy via ``__len__``.)"""
-    if reward_cache is not None:
-        return reward_cache
-    if evaluation_service is not None:
-        return evaluation_service.cache
-    return RewardCache()
-
-
 def evaluate_requests(
     pipeline: "CompileAndMeasure",
     cache: RewardCache,
     requests,
-    service=None,
     task: Optional["OptimizationTask"] = None,
 ) -> List[BatchOutcome]:
-    """Route reward requests to the right evaluator: a
-    :class:`repro.distributed.EvaluationService` when attached (sharded
-    workers / persistent store), a plain :class:`EvaluationBatcher`
-    otherwise.  The single front door every batched consumer shares.
+    """Evaluate ``(kernel, site_index, action)`` requests serially through
+    one :class:`EvaluationBatcher` (``task`` defaults to vectorization).
 
-    Requests are ``(kernel, site_index, action)`` triples; ``task`` defaults
-    to the vectorization task.
-
-    A service measuring under a different machine model (or writing to a
-    different cache) than the caller would silently mix inconsistent
-    measurements within one run, so that mismatch is rejected here."""
-    if service is not None:
-        if service.cache is not cache:
-            raise ValueError(
-                "evaluation service uses a different RewardCache than the "
-                "caller; share one cache (e.g. pass service.cache)"
-            )
-        # A consumer may have no in-process pipeline at all (service-only
-        # wiring) — then the service's pipeline is trivially authoritative.
-        if pipeline is not None and service.pipeline is not pipeline and (
-            service.pipeline.machine != pipeline.machine
-            or service.pipeline.default_symbol_value != pipeline.default_symbol_value
-        ):
-            raise ValueError(
-                "evaluation service pipeline disagrees with the caller's "
-                "(machine model or default_symbol_value); build both from "
-                "the same machine description"
-            )
-        return service.evaluate(requests, task=task)
+    The in-process evaluator behind a serial
+    :class:`repro.distributed.EvaluationService`, which is how every
+    reward consumer reaches it."""
     batcher = EvaluationBatcher(pipeline, cache, task=task)
     for kernel, site_index, action in normalize_requests(requests):
         batcher.add_action(kernel, site_index, action)

@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cache.reward_cache import RewardCache, resolve_cache
+from repro.cache.reward_cache import RewardCache
 from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompilationResult, CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed.service import EvaluationService
 from repro.embedding.ast_paths import PathContext, extract_path_contexts
 from repro.embedding.code2vec import Code2VecConfig, Code2VecModel
 from repro.embedding.vocab import build_vocabularies, normalize_identifiers
@@ -159,11 +160,9 @@ def compare_agents(
     kernels: Sequence[LoopKernel],
     agents=None,
     task=None,
-    machine: Optional[MachineDescription] = None,
     pipeline: Optional[CompileAndMeasure] = None,
     embedding_model: Optional[Code2VecModel] = None,
     reward_cache: Optional[RewardCache] = None,
-    evaluation_service=None,
     seed: int = 0,
 ):
     """Agents x kernels x task → the paper's speedup-over-baseline matrix.
@@ -174,18 +173,18 @@ def compare_agents(
     :class:`TaskComparison` — per-kernel speedups, per-site decision logs,
     and cache-traffic accounting.  ``agents`` is a name → agent mapping;
     when omitted the training-free baseline/random/brute-force trio runs.
-    All measurements share ``reward_cache`` (or the ``evaluation_service``'s
-    cache), so a warm persistent store makes a rerun simulate nothing.
+    Every measurement runs on ``pipeline`` through ``reward_cache`` (fresh
+    ones by default), held by one serial evaluation service, so a warm
+    persistent store makes a rerun simulate nothing.
     """
     from repro.evaluation.comparison import ComparisonRunner
 
     runner = ComparisonRunner(
         task=task,
-        pipeline=pipeline,
-        machine=machine,
+        evaluation_service=EvaluationService(
+            CompileAndMeasure() if pipeline is None else pipeline, reward_cache
+        ),
         embedding_model=embedding_model,
-        reward_cache=reward_cache,
-        evaluation_service=evaluation_service,
     )
     return runner.run(agents or runner.default_agents(seed=seed), kernels)
 
@@ -198,24 +197,31 @@ class NeuroVectorizer:
     brute force or the compiler baseline slot in identically (§3.5).
     ``task`` selects what is being decided per site (vectorization factors
     by default, Polly tile/fusion choices with ``"polly-tiling"``).
+
+    ``evaluation_service`` is the run's one reward-evaluation handle (a
+    private serial one by default); ``pipeline``, ``machine`` and
+    ``reward_cache`` are read off it.
     """
 
     def __init__(
         self,
         embedding_model: Code2VecModel,
         agent,
-        pipeline: Optional[CompileAndMeasure] = None,
-        machine: Optional[MachineDescription] = None,
-        reward_cache: Optional[RewardCache] = None,
-        evaluation_service=None,
+        *,
+        evaluation_service: Optional[EvaluationService] = None,
         task: Optional[OptimizationTask] = None,
         tasks: Optional[Sequence] = None,
         kernel_split=None,
         training_kernel_names: Optional[Sequence[str]] = None,
         holdout_task: Optional[str] = None,
     ):
-        self.machine = machine or MachineDescription()
-        self.pipeline = pipeline or CompileAndMeasure(machine=self.machine)
+        # close() shuts the service and its cache's store down.
+        self.evaluation_service = evaluation_service or EvaluationService(CompileAndMeasure())
+        self.pipeline = self.evaluation_service.pipeline
+        self.machine = self.pipeline.machine
+        # The run-wide measurement cache: shared with the training env and
+        # every cache-aware agent so each consumer sees the others' work.
+        self.reward_cache = self.evaluation_service.cache
         self.embedding_model = embedding_model
         self.agent = agent
         # ``tasks`` is the joint-training surface: every task the (shared)
@@ -249,14 +255,6 @@ class NeuroVectorizer:
                 f"framework runs task(s) {[t.name for t in self.tasks]}; "
                 f"construct the agent with one of those tasks"
             )
-        # An optional repro.distributed.EvaluationService owning the run's
-        # worker pool; its cache is adopted as the run-wide cache unless one
-        # was passed explicitly.  close() shuts the service and the cache's
-        # store down.
-        self.evaluation_service = evaluation_service
-        # The run-wide measurement cache: shared with the training env and
-        # any cache-aware agent so every consumer sees each other's work.
-        self.reward_cache = resolve_cache(reward_cache, evaluation_service)
         # Transfer-protocol provenance, recorded by train(): the train/test
         # kernel split (when holdout_kernels was set), the names of the
         # kernels the policy actually trained on (for leakage checks in
@@ -277,8 +275,7 @@ class NeuroVectorizer:
         Compacting a run-private store is one explicit call after this:
         ``framework.reward_cache.store.compact()``.
         """
-        if self.evaluation_service is not None:
-            self.evaluation_service.close()
+        self.evaluation_service.close()
         self.reward_cache.close()
 
     def __enter__(self) -> "NeuroVectorizer":
@@ -304,7 +301,7 @@ class NeuroVectorizer:
         stats = self.reward_cache.stats
         if stats.lookups == 0 and stats.batch_deduplicated == 0:
             return format_no_evaluations_table(title=title)
-        service = self.evaluation_service
+        service_stats = self.evaluation_service.stats
         return format_cache_stats_table(
             stats,
             title=title,
@@ -312,24 +309,19 @@ class NeuroVectorizer:
             frontend=frontend_cache().stats.as_dict(),
             # A fleet-backed service's stats carry the speculative-prefetch
             # ledger; split those hits out from demand-earned ones.
-            fleet=(
-                service.stats
-                if service is not None and service.stats.remote
-                else None
-            ),
+            fleet=service_stats if service_stats.remote else None,
         )
 
     def service_stats_report(self, title: Optional[str] = None):
-        """Per-worker dispatch statistics of the evaluation service.
+        """Dispatch statistics of the evaluation service: per worker, or
+        the serial batch and request counts of a serial run.
 
-        Returns ``None`` when no service is attached; includes persistent
-        store statistics when the cache has a store, and the robustness
-        + prefetch counters when the service is fleet-backed.
+        Includes persistent store statistics when the cache has a store,
+        and the robustness + prefetch counters when the service is
+        fleet-backed.
         """
         from repro.evaluation.report import format_service_stats_table
 
-        if self.evaluation_service is None:
-            return None
         store = self.reward_cache.store
         return format_service_stats_table(
             self.evaluation_service.stats,
@@ -426,13 +418,9 @@ class NeuroVectorizer:
         """
         from repro.evaluation.comparison import ComparisonRunner
 
-        task = self._member_task(task)
+        task, service = self._member_task(task), self.evaluation_service
         runner = ComparisonRunner(
-            task=task,
-            pipeline=self.pipeline,
-            embedding_model=self.embedding_model,
-            reward_cache=self.reward_cache,
-            evaluation_service=self.evaluation_service,
+            task=task, evaluation_service=service, embedding_model=self.embedding_model
         )
         if agents is None:
             agent = self._agent_for_task(task)
@@ -588,16 +576,12 @@ class NeuroVectorizer:
             )
         if target.name not in policy.task_names:
             policy.add_task(target.name, target.action_space(policy.policy_kind))
+        service = self.evaluation_service
         samples = build_samples(
-            kernels, self.embedding_model, self.pipeline, task=target
+            kernels, self.embedding_model, service.pipeline, task=target
         )
         env = MultiTaskEnv(
-            [target],
-            {target.name: samples},
-            pipeline=self.pipeline,
-            seed=seed,
-            reward_cache=self.reward_cache,
-            evaluation_service=self.evaluation_service,
+            [target], {target.name: samples}, seed=seed, evaluation_service=service
         )
         trainer = PPOTrainer(
             env,
@@ -646,7 +630,11 @@ class NeuroVectorizer:
         pipeline = CompileAndMeasure(machine=machine)
         corpus = generate_synthetic_dataset(SyntheticDatasetConfig(count=50, seed=0))
         embedding_model = build_embedding_model(list(corpus))
-        return cls(embedding_model, BaselineAgent(pipeline), pipeline, machine)
+        return cls(
+            embedding_model,
+            BaselineAgent(pipeline),
+            evaluation_service=EvaluationService(pipeline),
+        )
 
     @classmethod
     def train(
@@ -733,7 +721,6 @@ class NeuroVectorizer:
         pipeline = CompileAndMeasure(machine=machine)
 
         # Evaluation service: persistent store and/or worker pool per config.
-        evaluation_service = None
         if config.cache_dir:
             from repro.distributed.store import PersistentRewardStore
 
@@ -753,9 +740,7 @@ class NeuroVectorizer:
                 fallback_workers=config.workers,
                 prefetch_top_k=config.fleet_prefetch_top_k,
             )
-        elif config.workers > 0:
-            from repro.distributed.service import EvaluationService
-
+        else:
             evaluation_service = EvaluationService(
                 pipeline, reward_cache, workers=config.workers
             )
@@ -813,9 +798,7 @@ class NeuroVectorizer:
             env = MultiTaskEnv(
                 tasks,
                 samples_by_task,
-                pipeline=pipeline,
                 seed=config.seed,
-                reward_cache=reward_cache,
                 evaluation_service=evaluation_service,
             )
             policy = make_policy(
@@ -839,8 +822,7 @@ class NeuroVectorizer:
                 config.rl_total_steps, batch_size=config.rl_batch_size
             )
         except BaseException:
-            if evaluation_service is not None:
-                evaluation_service.close()
+            evaluation_service.close()
             reward_cache.close()
             raise
 
@@ -849,9 +831,6 @@ class NeuroVectorizer:
             # Pinned to the primary task; per-task surfaces re-pin it via
             # _agent_for_task / PolicyAgent.for_task.
             PolicyAgent(policy, task=task),
-            pipeline,
-            machine,
-            reward_cache,
             evaluation_service=evaluation_service,
             task=task,
             tasks=tasks,

@@ -84,7 +84,7 @@ class LoopExtractor:
         for loop in ast.iter_loops(function.body):
             if not isinstance(loop, loop_types):
                 continue
-            if list(ast.iter_loops(getattr(loop, "body", None) or ast.CompoundStmt())):
+            if loop.body is not None and any(True for _ in ast.iter_loops(loop.body)):
                 continue  # not innermost
             nest_root = roots.get(id(loop), loop)
             line = loop.span.start.line if loop.span is not None else 0

@@ -5,10 +5,11 @@ The scaling layer over :mod:`repro.cache`:
 * :class:`PersistentRewardStore` — reuse measurements **across runs** via
   an append-only on-disk store, held by a
   :class:`~repro.cache.RewardCache` as ``RewardCache(store)``,
-* :class:`EvaluationService` — the one batched reward-query service:
-  dedup, dispatch and drain written once over a transport backend (none:
-  serial in-process; a worker-process pool; the :mod:`repro.fleet` TCP
-  coordinator),
+* :class:`EvaluationService` — the one batched reward-query service and
+  the one handle every reward consumer holds (it carries the run's
+  pipeline and cache): dedup, dispatch and drain written once over a
+  transport backend (none: serial in-process; a worker-process pool; the
+  :mod:`repro.fleet` TCP coordinator),
 * :class:`AsyncEvaluator` — future-based submission so training overlaps
   simulation with policy inference.
 """

@@ -5,18 +5,18 @@ computing actions (pure NumPy in the training process) and the simulator
 computing rewards (CPU-heavy, shardable).  :class:`AsyncEvaluator` lets the
 trainer submit one chunk's reward queries and immediately start acting on
 the next chunk while worker processes simulate the first — with a parallel
-:class:`EvaluationService` the two genuinely overlap; without one the API
-degrades to the plain synchronous path with identical results.
+:class:`EvaluationService` the two genuinely overlap; a serial service
+answers each submission before it returns, with identical results.
 
 Raw policy actions are decoded once by the :class:`repro.rl.env.MultiTaskEnv`
 (through each sample's own task space), and the decoded task-action tuples
-travel through the service, grouped per task, exactly as the serial path
-would send them.
+travel through the env's service, grouped per task — the one path every
+site reward takes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.rl.env import EnvSample, MultiTaskEnv, StepResult
 
@@ -33,51 +33,34 @@ class RewardFuture:
         self,
         env: MultiTaskEnv,
         requests: Sequence[Tuple[EnvSample, Tuple[int, ...]]],
-        service_future=None,
-        eager_results: Optional[List[Tuple[float, dict]]] = None,
+        service_future,
     ):
         self._env = env
         self._requests = list(requests)
         self._service_future = service_future
-        self._eager_results = eager_results
 
     def __len__(self) -> int:
         return len(self._requests)
 
     def done(self) -> bool:
-        if self._service_future is not None:
-            return self._service_future.done()
-        return self._eager_results is not None
+        return self._service_future.done()
 
     def result(self) -> List[StepResult]:
-        if self._service_future is not None:
-            outcomes = self._service_future.result()
-            return [
-                StepResult(
-                    *self._env._reward_from_measurement(
-                        sample, action, outcome.measurement, outcome.was_cached
-                    )
-                )
-                for (sample, action), outcome in zip(self._requests, outcomes)
-            ]
-        if self._eager_results is None:
-            # No service at all: evaluate on first demand through the
-            # environment's serial batched path.
-            self._eager_results = self._env.evaluate_actions_batch(self._requests)
         return [
             StepResult(reward=reward, info=info)
-            for reward, info in self._eager_results
+            for reward, info in self._env.rewards(
+                self._requests, self._service_future.result()
+            )
         ]
 
 
 class AsyncEvaluator:
     """Submit reward queries for an environment without blocking on them.
 
-    Wraps a :class:`MultiTaskEnv`; uses the environment's attached
-    :class:`EvaluationService` when it has parallel workers, and falls back
-    to deferred serial evaluation otherwise.  Bookkeeping (``total_steps``,
-    episode state) mirrors ``MultiTaskEnv.evaluate_batch`` so the two
-    paths are interchangeable.
+    Wraps a :class:`MultiTaskEnv` and submits through its
+    :class:`EvaluationService`, which overlaps when it has parallel workers.
+    Bookkeeping (``total_steps``, episode state) mirrors
+    ``MultiTaskEnv.evaluate_batch`` so the two paths are interchangeable.
     """
 
     def __init__(self, env: MultiTaskEnv, policy=None):
@@ -88,11 +71,7 @@ class AsyncEvaluator:
         # next actions after every submission — the workers evaluate them
         # while the trainer is busy inferring/updating.
         self.prefetcher = None
-        if (
-            policy is not None
-            and self.service is not None
-            and self.service.prefetch_top_k > 0
-        ):
+        if policy is not None and self.service.prefetch_top_k > 0:
             from repro.fleet.prefetch import SpeculativePrefetcher
 
             self.prefetcher = SpeculativePrefetcher(env, policy, self.service)
@@ -100,7 +79,7 @@ class AsyncEvaluator:
     @property
     def overlapping(self) -> bool:
         """Whether submissions are actually evaluated in the background."""
-        return self.service is not None and self.service.workers > 0
+        return self.service.workers > 0
 
     def submit(self, pairs: Sequence[Tuple[EnvSample, object]]) -> RewardFuture:
         """Queue ``(sample, raw_action)`` pairs for evaluation.
@@ -112,9 +91,7 @@ class AsyncEvaluator:
         requests = self.env.decode_batch(pairs)
         self.env.total_steps += len(pairs)
         self.env._current = None
-        if self.overlapping:
-            service_future = self.env.submit_requests(self.service, requests)
-            if self.prefetcher is not None:
-                self.prefetcher.prefetch()
-            return RewardFuture(self.env, requests, service_future=service_future)
-        return RewardFuture(self.env, requests)
+        future = RewardFuture(self.env, requests, self.env.submit_requests(requests))
+        if self.prefetcher is not None:
+            self.prefetcher.prefetch()
+        return future

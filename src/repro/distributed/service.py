@@ -1,8 +1,10 @@
 """One future-based reward-evaluation service over pluggable transports.
 
-:class:`EvaluationService` is the single entry point every reward consumer
-(environment, agents, the PPO trainer, comparisons, the compile service)
-routes batched queries through, and the only implementation of
+:class:`EvaluationService` is the one reward-evaluation handle every
+consumer (environment, agents, the PPO trainer, comparisons, action
+sweeps, the compile service, the framework) holds: it carries the run's
+``pipeline`` and ``cache``, so consumers take nothing beside it.  It is
+the only implementation of
 ``evaluate / submit / prefetch / settle / measure_applications``:
 
 * ``workers == 0`` — the serial in-process path: requests go through a
@@ -199,9 +201,10 @@ class _Job:
 class EvaluationService:
     """Batched reward evaluation, sharded across a backend's workers.
 
-    The service owns neither the pipeline nor the cache — both may be (and
-    usually are) shared with the rest of the run, so workers' results are
-    visible to every in-process consumer the moment they land.
+    The service owns neither the pipeline nor the cache, but it is the one
+    place a consumer finds them: every consumer of a run shares one
+    service, so workers' results are visible to all of them the moment
+    they land.  A closed service refuses new work, with or without workers.
     """
 
     #: Re-dispatches a lost worker's orphan gets before it fails, and the
@@ -258,14 +261,15 @@ class EvaluationService:
         return 0 if self._backend is None else self._backend.workers
 
     def close(self) -> None:
-        """Stop all workers.  Safe to call more than once.
+        """Stop all workers and refuse further work.  Safe to call more
+        than once.
 
         Call only after every outstanding future has been resolved; pending
         requests are abandoned, not re-run.
         """
         if self._backend is not None:
             self._backend.close()
-            self._closed = True
+        self._closed = True
 
     def _check_open(self) -> None:
         if self._closed:

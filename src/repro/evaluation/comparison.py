@@ -3,9 +3,10 @@
 One protocol: :class:`ComparisonRunner` takes any mapping of named agents,
 any kernel suite and any registered :class:`repro.tasks.OptimizationTask`
 and produces the paper's speedup matrix (Figures 7-9) as a
-:class:`TaskComparison`, with every measurement routed through the run-wide
-reward cache (and sharded evaluation service, when attached) and a per-site
-decision log recording what every agent chose where.  Two helpers complete
+:class:`TaskComparison`, with every measurement routed through the run's
+one evaluation service (its reward cache, and its worker shards when it
+has them) and a per-site decision log recording what every agent chose
+where.  Two helpers complete
 the paper's line-up on that vocabulary: :func:`fit_supervised_agents` fits
 the NNS / decision-tree baselines on the runner's own brute-force labels,
 and :func:`add_polly_columns` appends the whole-function ``polly`` and
@@ -26,11 +27,10 @@ from repro.agents.brute_force import BruteForceAgent
 from repro.agents.decision_tree import DecisionTreeAgent
 from repro.agents.nns import NearestNeighborAgent
 from repro.agents.random_search import RandomSearchAgent
-from repro.cache.reward_cache import RewardCache, resolve_cache
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed.service import EvaluationService
 from repro.embedding.code2vec import Code2VecModel
-from repro.machine.description import MachineDescription
 from repro.polly.optimizer import PollyOptimizer
 from repro.evaluation.splits import KernelSplit
 from repro.tasks import OptimizationTask, resolve_task
@@ -195,71 +195,38 @@ class GeneralizationMatrix:
 class ComparisonRunner:
     """Runs agents x kernels x one task into a :class:`TaskComparison`.
 
-    The runner owns the shared measurement plumbing: one pipeline, one
-    reward cache (adopted from the ``evaluation_service`` when one is
-    attached, so worker shards and in-process measurements see each other's
-    results), and the task whose ``decision_sites``/``apply`` define what
-    is decided and how it is measured.  Agents are passed to :meth:`run`
-    by name; :meth:`default_agents` builds the training-free trio
-    (baseline / random / brute force) wired to the runner's plumbing.
+    The runner measures through one ``evaluation_service`` (the run's
+    shared one, or a private serial service) and reads its ``pipeline``
+    and ``reward_cache`` from it, so worker shards and in-process
+    measurements see each other's results; the task's
+    ``decision_sites``/``apply`` define what is decided and how it is
+    measured.  Agents are passed to :meth:`run` by name;
+    :meth:`default_agents` builds the training-free trio (baseline /
+    random / brute force) wired to the same service.
     """
 
     def __init__(
         self,
         task: Optional[OptimizationTask] = None,
-        pipeline: Optional[CompileAndMeasure] = None,
-        machine: Optional[MachineDescription] = None,
+        *,
+        evaluation_service: Optional[EvaluationService] = None,
         embedding_model: Optional[Code2VecModel] = None,
-        reward_cache: Optional[RewardCache] = None,
-        evaluation_service=None,
     ):
         self.task = resolve_task(task)
-        self.evaluation_service = evaluation_service
-        if evaluation_service is not None:
-            # The service's workers measure under its pipeline's machine; a
-            # disagreeing explicit pipeline would silently mix measurements
-            # from two machines, so mirror evaluate_requests' guard here.
-            # (A distinct but value-equal pipeline is fine.)
-            service_pipeline = evaluation_service.pipeline
-            if pipeline is None:
-                pipeline = service_pipeline
-            elif pipeline is not service_pipeline and (
-                service_pipeline.machine != pipeline.machine
-                or service_pipeline.default_symbol_value
-                != pipeline.default_symbol_value
-            ):
-                raise ValueError(
-                    "ComparisonRunner: explicit pipeline disagrees with the "
-                    "evaluation service's (machine model or "
-                    "default_symbol_value); build both from the same "
-                    "machine description"
-                )
-        self.pipeline = pipeline or CompileAndMeasure(
-            machine=machine or MachineDescription()
-        )
-        if machine is not None and machine != self.pipeline.machine:
-            raise ValueError(
-                "ComparisonRunner: explicit machine conflicts with the "
-                "pipeline's machine; build the pipeline (or evaluation "
-                "service) from that machine instead"
-            )
-        self.machine = self.pipeline.machine
+        self.evaluation_service = evaluation_service or EvaluationService(CompileAndMeasure())
+        self.pipeline = self.evaluation_service.pipeline
+        self.reward_cache = self.evaluation_service.cache
         self.embedding_model = embedding_model
-        self.reward_cache = resolve_cache(reward_cache, evaluation_service)
 
     # -- agents -------------------------------------------------------------
 
     def default_agents(self, seed: int = 0) -> "OrderedDict[str, VectorizationAgent]":
         """The training-free reference agents, sharing this runner's plumbing."""
+        service, task = self.evaluation_service, self.task
         agents: "OrderedDict[str, VectorizationAgent]" = OrderedDict()
-        agents["baseline"] = BaselineAgent(self.pipeline, task=self.task)
-        agents["random"] = RandomSearchAgent(seed=seed, task=self.task)
-        agents["brute_force"] = BruteForceAgent(
-            self.pipeline,
-            reward_cache=self.reward_cache,
-            evaluation_service=self.evaluation_service,
-            task=self.task,
-        )
+        agents["baseline"] = BaselineAgent(service.pipeline, task=task)
+        agents["random"] = RandomSearchAgent(seed=seed, task=task)
+        agents["brute_force"] = BruteForceAgent(evaluation_service=service, task=task)
         return agents
 
     def _check_agent(self, name: str, agent: VectorizationAgent) -> None:
@@ -300,7 +267,7 @@ class ComparisonRunner:
 
         Three phases: (1) per kernel, measure the baseline once (cached)
         and let every agent decide an action per decision site (logged);
-        (2) with an attached evaluation service running workers, fan the
+        (2) when the evaluation service runs workers, fan the
         resulting whole-kernel applications out across the shards, so the
         comparison matrix measures in parallel; (3) apply every decision
         map through the reward cache — after phase 2 those are pure
@@ -362,22 +329,15 @@ class ComparisonRunner:
         # disk-backed store), making phase 3 lookup-only.  The service's
         # backend decides where — a local pool or the multi-host fleet —
         # so a comparison can span machines without code changes.
-        service = self.evaluation_service
-        if service is not None and service.workers > 0:
-            if service.cache is not self.reward_cache:
-                raise ValueError(
-                    "evaluation service uses a different RewardCache than "
-                    "the comparison runner; share one cache (e.g. pass "
-                    "service.cache)"
-                )
-            service.measure_applications(
-                self.task,
-                [
-                    (kernel, decisions)
-                    for kernel, _baseline, per_agent in plans
-                    for _name, decisions in per_agent
-                ],
-            )
+        # A serial service dispatches nothing here.
+        self.evaluation_service.measure_applications(
+            self.task,
+            [
+                (kernel, decisions)
+                for kernel, _baseline, per_agent in plans
+                for _name, decisions in per_agent
+            ],
+        )
 
         # Phase 3: the original serial apply loop, unchanged — it reports
         # exactly what the task's apply measures, whether that answer

@@ -20,6 +20,7 @@ from repro.datasets.mibench import mibench_suite
 from repro.datasets.motivating import dot_product_kernel
 from repro.datasets.polybench import polybench_suite
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
+from repro.distributed.service import EvaluationService
 from repro.evaluation.comparison import (
     ComparisonRunner,
     TaskComparison,
@@ -205,8 +206,8 @@ def _make_training_environment(
         return MultiTaskEnv(
             task_objects,
             {task.name: task_samples(task) for task in task_objects},
-            pipeline=pipeline,
             seed=seed,
+            evaluation_service=EvaluationService(pipeline),
         )
 
     return make_env
@@ -350,10 +351,8 @@ def _reference_comparison(
     """The shared body of Figures 7/8/9: one runner over the framework's
     plumbing, the paper's line-up in the paper's order, Polly appended."""
     runner = ComparisonRunner(
-        pipeline=framework.pipeline,
-        embedding_model=framework.embedding_model,
-        reward_cache=framework.reward_cache,
         evaluation_service=framework.evaluation_service,
+        embedding_model=framework.embedding_model,
     )
     if label_kernels is not None:
         supervised = fit_supervised_agents(runner, label_kernels, seed=seed)
@@ -582,34 +581,23 @@ def action_sweep(
     kernel: LoopKernel,
     task=None,
     site_index: int = 0,
-    pipeline: Optional[CompileAndMeasure] = None,
-    reward_cache=None,
-    evaluation_service=None,
+    *,
+    evaluation_service: Optional[EvaluationService] = None,
 ) -> ActionSweepResult:
     """Sweep a task's whole action menu on one decision site (Figure 1 style).
 
-    Every measurement routes through :func:`repro.cache.evaluate_requests`,
-    so a shared cache and/or a sharded evaluation service serve repeats and
-    parallelise the grid exactly as in training.
+    The menu is one batch on ``evaluation_service`` (a private serial one
+    by default), so a shared service's cache serves repeats and its
+    workers parallelise the grid exactly as in training.
     """
-    from repro.cache.reward_cache import evaluate_requests, resolve_cache
     from repro.tasks import resolve_task
 
     task = resolve_task(task)
-    if pipeline is None and evaluation_service is not None:
-        pipeline = evaluation_service.pipeline
-    # An explicit pipeline disagreeing with the service's is rejected by
-    # evaluate_requests below — never silently overridden.
-    pipeline = pipeline or CompileAndMeasure()
-    reward_cache = resolve_cache(reward_cache, evaluation_service)
-    baseline, _ = reward_cache.measure_baseline(pipeline, kernel)
+    service = evaluation_service or EvaluationService(CompileAndMeasure())
+    baseline, _ = service.cache.measure_baseline(service.pipeline, kernel)
     actions = task.action_space("discrete").all_actions()
-    outcomes = evaluate_requests(
-        pipeline,
-        reward_cache,
-        [(kernel, site_index, action) for action in actions],
-        service=evaluation_service,
-        task=task,
+    outcomes = service.evaluate(
+        [(kernel, site_index, action) for action in actions], task=task
     )
     grid = {
         action: (
@@ -634,10 +622,8 @@ def figure_task_comparison(
     kernels: Sequence[LoopKernel],
     task=None,
     agents=None,
-    machine: Optional[MachineDescription] = None,
     embedding_model=None,
     reward_cache=None,
-    evaluation_service=None,
     seed: int = 0,
     title: str = "",
 ) -> TaskComparisonFigure:
@@ -653,10 +639,8 @@ def figure_task_comparison(
         kernels,
         agents=agents,
         task=task,
-        machine=machine,
         embedding_model=embedding_model,
         reward_cache=reward_cache,
-        evaluation_service=evaluation_service,
         seed=seed,
     )
     return TaskComparisonFigure(

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 
 def _kernel_name(kernel) -> str:
     """A kernel's name — entries may be kernel objects or bare name strings."""
-    return str(getattr(kernel, "name", kernel))
+    return kernel if isinstance(kernel, str) else kernel.name
 
 
 def _rank(seed: int, name: str) -> str:

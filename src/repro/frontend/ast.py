@@ -471,7 +471,7 @@ def loop_nest_depth(loop: Node) -> int:
     """Number of loop levels contained in ``loop`` (1 for a simple loop)."""
     if not isinstance(loop, (ForStmt, WhileStmt, DoWhileStmt)):
         return 0
-    body = getattr(loop, "body", None)
+    body = loop.body
     if body is None:
         return 1
     # Recurse only on the body's outermost loops (the body itself may be one
@@ -487,8 +487,7 @@ def innermost_loops(node: Node) -> List[Stmt]:
     """All loops in the subtree that contain no further loops."""
     result: List[Stmt] = []
     for loop in iter_loops(node):
-        body = getattr(loop, "body", None)
-        has_inner = body is not None and any(True for _ in iter_loops(body))
+        has_inner = loop.body is not None and any(True for _ in iter_loops(loop.body))
         if not has_inner:
             result.append(loop)
     return result

@@ -8,9 +8,9 @@ vectorization decision.
 :class:`MultiTaskEnv` is the one environment, for one task or several.
 Every :class:`EnvSample` carries the name of its task, so a step decodes
 the raw action through that task's action space and routes the reward
-through that task's cache key — one shared reward store and evaluation
-service serve all tasks without collisions, and a task-conditioned
-policy reads the routing tag off the sample.
+through that task's cache key — the one evaluation service the env holds
+(and the reward cache inside it) serves all tasks without collisions,
+and a task-conditioned policy reads the routing tag off the sample.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.reward_cache import (
-    CachedMeasurement,
-    RewardCache,
-    evaluate_requests,
-    resolve_cache,
-)
+from repro.cache.reward_cache import BatchOutcome, CachedMeasurement
 from repro.core.loop_extractor import ExtractedLoop
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed.service import EvaluationService
 from repro.embedding.code2vec import Code2VecModel
 from repro.rl.spaces import ActionSpace
 from repro.tasks import DecisionSite, OptimizationTask, resolve_task, resolve_tasks
@@ -138,18 +134,20 @@ class MultiTaskEnv:
     the ``task name -> ActionSpace`` map (each task's discrete space until
     a trainer hands over its policy's spaces).  With one task this is the
     paper's single-task bandit.
+
+    Every reward is measured by ``evaluation_service`` — the run's shared
+    one, or a private serial ``EvaluationService(CompileAndMeasure())``.
     """
 
     def __init__(
         self,
         tasks: Sequence,
         samples_by_task: Mapping[str, Sequence[EnvSample]],
-        pipeline: Optional[CompileAndMeasure] = None,
+        *,
         compile_time_limit: float = 10.0,
         shuffle: bool = True,
         seed: int = 0,
-        reward_cache: Optional[RewardCache] = None,
-        evaluation_service=None,
+        evaluation_service: Optional[EvaluationService] = None,
     ):
         resolved = resolve_tasks(tasks)
         if not resolved:
@@ -158,15 +156,10 @@ class MultiTaskEnv:
         self.action_spaces: Dict[str, ActionSpace] = {
             name: task.action_space("discrete") for name, task in self.tasks.items()
         }
-        self.pipeline = pipeline or CompileAndMeasure()
         self.compile_time_limit = compile_time_limit
-        # An optional repro.distributed.EvaluationService: batched queries
-        # route through it (sharded workers / persistent store) instead of a
-        # per-call batcher.  Its cache is adopted unless one was given.
-        self.evaluation_service = evaluation_service
         # Shared with other envs/agents when passed in; rewards are derived
         # from cached raw measurements so each env applies its own limit.
-        self.reward_cache = resolve_cache(reward_cache, evaluation_service)
+        self.evaluation_service = evaluation_service or EvaluationService(CompileAndMeasure())
         per_task: List[List[EnvSample]] = []
         for name in self.tasks:
             samples = list(samples_by_task.get(name, ()))
@@ -280,12 +273,21 @@ class MultiTaskEnv:
         self, sample: EnvSample, action: Tuple[int, ...]
     ) -> Tuple[float, Dict[str, float]]:
         """Reward for applying ``action`` to one sample's site (cached)."""
-        task = self.tasks[sample.task_name]
-        action = task.cache_key(action)
-        measurement, was_cached = self.reward_cache.measure_action(
-            self.pipeline, task, sample.kernel, sample.loop_index, action
-        )
-        return self._reward_from_measurement(sample, action, measurement, was_cached)
+        return self.evaluate_actions_batch([(sample, action)])[0]
+
+    def rewards(
+        self,
+        requests: Sequence[Tuple[EnvSample, Tuple[int, ...]]],
+        outcomes: Sequence[BatchOutcome],
+    ) -> List[Tuple[float, Dict[str, float]]]:
+        """Apply this env's reward rule to the measured ``outcomes`` of
+        ``requests``, in request order."""
+        return [
+            self._reward_from_measurement(
+                sample, action, outcome.measurement, outcome.was_cached
+            )
+            for (sample, action), outcome in zip(requests, outcomes)
+        ]
 
     def _reward_from_measurement(
         self,
@@ -332,35 +334,12 @@ class MultiTaskEnv:
     ) -> List[Tuple[float, Dict[str, float]]]:
         """Evaluate many explicit ``(sample, action)`` requests at once.
 
-        Requests are grouped per task (its cache keys and reward rule) and
-        deduplicated against each other and the reward cache, so repeated
-        actions cost one pipeline evaluation total.  Results come back in
-        request order.  With an attached evaluation service the unique
-        misses are evaluated by its worker shards instead of in-process.
+        The synchronous form of :meth:`submit_requests`: requests are
+        grouped per task (its cache keys and reward rule) and deduplicated
+        against each other and the reward cache, so repeated actions cost
+        one pipeline evaluation total.  Results come back in request order.
         """
-        results: List[Optional[Tuple[float, Dict[str, float]]]] = [None] * len(
-            requests
-        )
-        for name, indices in self._grouped(requests).items():
-            task = self.tasks[name]
-            normalized = [
-                (requests[i][0], task.cache_key(requests[i][1])) for i in indices
-            ]
-            outcomes = evaluate_requests(
-                self.pipeline,
-                self.reward_cache,
-                [
-                    (sample.kernel, sample.loop_index, action)
-                    for sample, action in normalized
-                ],
-                service=self.evaluation_service,
-                task=task,
-            )
-            for index, (sample, action), outcome in zip(indices, normalized, outcomes):
-                results[index] = self._reward_from_measurement(
-                    sample, action, outcome.measurement, outcome.was_cached
-                )
-        return results  # type: ignore[return-value]
+        return self.rewards(requests, self.submit_requests(requests).result())
 
     def evaluate_batch(
         self, pairs: Sequence[Tuple[EnvSample, object]]
@@ -383,12 +362,13 @@ class MultiTaskEnv:
         ]
 
     def submit_requests(
-        self, service, requests: Sequence[Tuple[EnvSample, Tuple[int, ...]]]
+        self, requests: Sequence[Tuple[EnvSample, Tuple[int, ...]]]
     ) -> _GroupedFuture:
-        """Submit decoded requests per task; one reassembling future back."""
+        """Submit decoded requests to the evaluation service, one batch per
+        task; one reassembling future back."""
         parts = []
         for name, indices in self._grouped(requests).items():
-            future = service.submit(
+            future = self.evaluation_service.submit(
                 [
                     (requests[i][0].kernel, requests[i][0].loop_index, requests[i][1])
                     for i in indices

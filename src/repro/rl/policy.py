@@ -715,7 +715,7 @@ def _kind_for_space(space: ActionSpace) -> str:
 
 def _task_name(task) -> str:
     """A task id as a name (task objects carry their own ``name``)."""
-    return task if isinstance(task, str) else getattr(task, "name", str(task))
+    return task if isinstance(task, str) else task.name
 
 
 def _as_observation_matrix(observations) -> np.ndarray:

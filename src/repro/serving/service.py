@@ -30,10 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.reward_cache import RewardCache, resolve_cache
+from repro.cache.reward_cache import RewardCache
 from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed.service import EvaluationService
 from repro.serving.queue import AdmissionQueue, QueuedRequest, ResponseFuture, fail_pending
 from repro.serving.schema import (
     TIER_COLD,
@@ -58,6 +59,10 @@ class CompileService:
     not on the first mismatched request.  When omitted, the policy's own
     trained tasks decide the line-up.
 
+    Every measurement goes through ``evaluation_service`` (its pipeline
+    and reward cache; a private serial service by default), and a service
+    with workers also fans each tick's cold applications out to them.
+
     ``max_batch_size`` / ``max_wait_us`` tune the coalescing window,
     ``max_queue_depth`` bounds admission (load shedding), ``slo_ms`` sets
     the optional latency objective reported by :meth:`stats_report`.
@@ -68,9 +73,8 @@ class CompileService:
         policy,
         embedding_model,
         tasks: Optional[Sequence] = None,
-        pipeline: Optional[CompileAndMeasure] = None,
-        reward_cache: Optional[RewardCache] = None,
-        evaluation_service=None,
+        *,
+        evaluation_service: Optional[EvaluationService] = None,
         max_batch_size: int = 16,
         max_wait_us: int = 2000,
         max_queue_depth: Optional[int] = None,
@@ -96,17 +100,9 @@ class CompileService:
                     f"{space.menus!r} but the task defines {task.menus!r}"
                 )
             self._spaces[task.name] = space
-        self._pipeline = pipeline or CompileAndMeasure()
-        self._reward_cache = resolve_cache(reward_cache, evaluation_service)
-        if (
-            evaluation_service is not None
-            and evaluation_service.cache is not self._reward_cache
-        ):
-            raise ValueError(
-                "evaluation service uses a different RewardCache than the "
-                "service; share one cache (e.g. pass service.cache)"
-            )
-        self.evaluation_service = evaluation_service
+        self.evaluation_service = evaluation_service or EvaluationService(CompileAndMeasure())
+        self._pipeline = self.evaluation_service.pipeline
+        self._reward_cache = self.evaluation_service.cache
         self._queue: AdmissionQueue = AdmissionQueue(
             max_batch_size=max_batch_size,
             max_wait_us=max_wait_us,
@@ -126,8 +122,8 @@ class CompileService:
         """Adopt a (trained) :class:`repro.core.framework.NeuroVectorizer`.
 
         The service serves every task the framework was trained for and
-        shares its pipeline, reward cache (so a store-backed cache warms the
-        ``store`` tier), embedding model and evaluation service.
+        shares its evaluation service (so a store-backed reward cache warms
+        the ``store`` tier) and embedding model.
         """
         from repro.agents.policy_agent import PolicyAgent  # keeps agents off the import path
 
@@ -140,8 +136,6 @@ class CompileService:
         return cls(
             framework.agent.policy,
             framework.embedding_model,
-            pipeline=framework.pipeline,
-            reward_cache=framework.reward_cache,
             evaluation_service=framework.evaluation_service,
             **knobs,
         )
@@ -415,14 +409,14 @@ class CompileService:
 
     def _fan_out_measurements(self, jobs) -> None:
         """Run the tick's cold whole-kernel applications through the
-        attached evaluation service, grouped per task.
+        evaluation service's workers, grouped per task.
 
         Each dispatched job's ``fanned`` flag records that its simulation
         happened remotely (the tier report uses it).  Fan-out failures are
         non-fatal: the serial measure pass re-runs anything unfinished.
         """
         service = self.evaluation_service
-        if service is None or service.workers == 0:
+        if service.workers == 0:
             return
         by_task: "OrderedDict[str, List[dict]]" = OrderedDict()
         for job in jobs:

@@ -14,6 +14,7 @@ from repro.agents import (
 )
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed import EvaluationService
 from repro.rl.policy import make_policy
 from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
 from repro.tasks import resolve_task
@@ -76,20 +77,29 @@ class TestRandomSearchAgent:
     def test_best_of_n_unaffected_by_warm_cache(self):
         # A pre-warmed shared cache changes which draws are evaluated vs
         # looked up, but must not change the seeded decision.
-        from repro.cache.reward_cache import RewardCache
+        from repro.cache.reward_cache import RewardCache, evaluate_requests
 
         pipeline = CompileAndMeasure()
         cold = RandomSearchAgent(
-            seed=11, candidates=5, pipeline=pipeline, reward_cache=RewardCache()
+            seed=11, candidates=5, evaluation_service=EvaluationService(pipeline)
         ).select_factors(np.zeros(2), kernel=DOT, loop_index=0)
 
         warm_cache = RewardCache()
         for vf in DEFAULT_VF_VALUES:  # pre-populate the whole VF row
-            warm_cache.measure_action(pipeline, resolve_task(None), DOT, 0, (vf, 1))
+            evaluate_requests(pipeline, warm_cache, [(DOT, 0, (vf, 1))], task=resolve_task(None))
         warm = RandomSearchAgent(
-            seed=11, candidates=5, pipeline=pipeline, reward_cache=warm_cache
+            seed=11, candidates=5, evaluation_service=EvaluationService(pipeline, warm_cache)
         ).select_factors(np.zeros(2), kernel=DOT, loop_index=0)
         assert cold.as_tuple() == warm.as_tuple()
+
+    def test_best_of_n_without_a_service_is_rejected(self):
+        # Without a service to measure the draws, best-of-N would silently
+        # return its first draw.
+        with pytest.raises(ValueError, match="evaluation_service"):
+            RandomSearchAgent(seed=0, candidates=8)
+        # One draw needs no measuring, so no service.
+        single = RandomSearchAgent(seed=0, candidates=1)
+        assert single.select_factors(np.zeros(1), kernel=DOT, loop_index=0).as_tuple()
 
     def test_distinct_loops_get_distinct_streams(self):
         agent = RandomSearchAgent(seed=5)
@@ -180,7 +190,7 @@ class TestDecisionTree:
 
 class TestSearchAndBaselineAgents:
     def test_brute_force_matches_direct_search(self, pipeline):
-        agent = BruteForceAgent(pipeline)
+        agent = BruteForceAgent(evaluation_service=EvaluationService(pipeline))
         decision = agent.select_factors(np.zeros(4), kernel=DOT, loop_index=0)
         best = pipeline.measure_with_factors(DOT, {0: decision.as_tuple()})
         worse = pipeline.measure_with_factors(DOT, {0: (1, 1)})
@@ -191,7 +201,7 @@ class TestSearchAndBaselineAgents:
             BruteForceAgent().select_factors(np.zeros(4))
 
     def test_brute_force_caches(self, pipeline):
-        agent = BruteForceAgent(pipeline)
+        agent = BruteForceAgent(evaluation_service=EvaluationService(pipeline))
         first = agent.select_factors(np.zeros(4), kernel=DOT, loop_index=0)
         second = agent.select_factors(np.zeros(4), kernel=DOT, loop_index=0)
         assert first.as_tuple() == second.as_tuple()

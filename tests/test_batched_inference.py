@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed import EvaluationService
 from repro.frontend.cache import FrontendCache, frontend_cache
 from repro.rl.policy import MultiTaskPolicy, Policy, make_policy
 from repro.rl.spaces import (
@@ -212,7 +213,6 @@ def _collect(batch_size, service=None, serial_policy=False):
     env = MultiTaskEnv(
         ["vectorization"],
         {"vectorization": samples},
-        pipeline=pipeline,
         seed=0,
         shuffle=False,
         evaluation_service=service,
@@ -230,8 +230,6 @@ def _collect(batch_size, service=None, serial_policy=False):
 
 class TestShardedRolloutIdentity:
     def test_workers2_batched_rollout_matches_serial_reference(self):
-        from repro.distributed import EvaluationService
-
         reference = _collect(12, service=None, serial_policy=True)
         with EvaluationService(CompileAndMeasure(), workers=2) as service:
             sharded = _collect(12, service=service)
@@ -321,7 +319,7 @@ class TestSimulatorMemo:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
         framework = NeuroVectorizer(
-            embedding, BaselineAgent(pipeline), pipeline
+            embedding, BaselineAgent(pipeline), evaluation_service=EvaluationService(pipeline)
         )
         framework.optimize_kernel(kernels[0])
         rendered = framework.cache_stats_report().render()

@@ -19,6 +19,7 @@ from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
+from repro.distributed import EvaluationService
 from repro.evaluation.report import format_cache_stats_table
 from repro.machine.description import MachineDescription
 from repro.rl.env import COMPILE_TIME_PENALTY, MultiTaskEnv, build_samples
@@ -35,6 +36,12 @@ SAXPY = LoopKernel(
     ),
     function_name="saxpy",
 )
+
+
+def measure(cache, pipeline, task, kernel, site_index, action):
+    """One cached site measurement as ``(measurement, was_cached)``."""
+    (outcome,) = evaluate_requests(pipeline, cache, [(kernel, site_index, action)], task=task)
+    return outcome.measurement, outcome.was_cached
 
 
 class TestFingerprints:
@@ -63,8 +70,8 @@ class TestFingerprints:
 class TestRewardCache:
     def test_measure_records_hit_and_miss(self, pipeline):
         cache = RewardCache()
-        first, was_hit_first = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
-        second, was_hit_second = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        first, was_hit_first = measure(cache, pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        second, was_hit_second = measure(cache, pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit_first and was_hit_second
         assert second.cycles == first.cycles
         assert cache.stats.hits == 1
@@ -73,8 +80,8 @@ class TestRewardCache:
 
     def test_different_actions_are_distinct_entries(self, pipeline):
         cache = RewardCache()
-        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (1, 1))
-        _, was_hit = cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        measure(cache, pipeline, VECTORIZATION, SAXPY, 0, (1, 1))
+        _, was_hit = measure(cache, pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit
         assert len(cache) == 2
 
@@ -82,8 +89,8 @@ class TestRewardCache:
         cache = RewardCache()
         avx2 = CompileAndMeasure(machine=MachineDescription())
         avx512 = CompileAndMeasure(machine=MachineDescription(vector_bits=512))
-        cache.measure_action(avx2, VECTORIZATION, SAXPY, 0, (8, 2))
-        _, was_hit = cache.measure_action(avx512, VECTORIZATION, SAXPY, 0, (8, 2))
+        measure(cache, avx2, VECTORIZATION, SAXPY, 0, (8, 2))
+        _, was_hit = measure(cache, avx512, VECTORIZATION, SAXPY, 0, (8, 2))
         assert not was_hit
 
     def test_default_symbol_value_is_part_of_the_key(self):
@@ -100,8 +107,8 @@ class TestRewardCache:
         cache = RewardCache()
         small = CompileAndMeasure(default_symbol_value=16)
         large = CompileAndMeasure(default_symbol_value=4096)
-        first, _ = cache.measure_action(small, VECTORIZATION, symbolic, 0, (4, 2))
-        second, was_hit = cache.measure_action(large, VECTORIZATION, symbolic, 0, (4, 2))
+        first, _ = measure(cache, small, VECTORIZATION, symbolic, 0, (4, 2))
+        second, was_hit = measure(cache, large, VECTORIZATION, symbolic, 0, (4, 2))
         assert not was_hit
         assert second.cycles != first.cycles
 
@@ -132,10 +139,10 @@ class TestRewardCache:
         # just the source: a stale hit here served the old extent's cycles.
         kernel = generate_synthetic_dataset(SyntheticDatasetConfig(count=1, seed=0))[0]
         cache = RewardCache()
-        cache.measure_action(pipeline, VECTORIZATION, kernel, 0, (4, 2))
+        measure(cache, pipeline, VECTORIZATION, kernel, 0, (4, 2))
         kernel.bindings["n"] = 4096
-        edited, was_hit = cache.measure_action(pipeline, VECTORIZATION, kernel, 0, (4, 2))
-        fresh, _ = RewardCache().measure_action(pipeline, VECTORIZATION, kernel, 0, (4, 2))
+        edited, was_hit = measure(cache, pipeline, VECTORIZATION, kernel, 0, (4, 2))
+        fresh, _ = measure(RewardCache(), pipeline, VECTORIZATION, kernel, 0, (4, 2))
         assert not was_hit
         assert edited == fresh
 
@@ -150,7 +157,7 @@ class TestRewardCache:
 
     def test_clear_empties_entries(self, pipeline):
         cache = RewardCache()
-        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        measure(cache, pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         cache.clear()
         assert len(cache) == 0
 
@@ -212,7 +219,7 @@ class TestRequestShape:
         unrolling = get_task("unrolling")
         cache = RewardCache()
         with pytest.raises(ValueError, match="unrolling"):
-            cache.measure_action(pipeline, unrolling, SAXPY, 0, (4, 2))
+            measure(cache, pipeline, unrolling, SAXPY, 0, (4, 2))
         with pytest.raises(ValueError, match="unrolling"):
             EvaluationBatcher(pipeline, cache, task=unrolling).add_action(
                 SAXPY, 0, (4, 2)
@@ -232,8 +239,7 @@ class TestEnvBatchEvaluation:
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline)
         return MultiTaskEnv(
-            ["vectorization"], {"vectorization": samples},
-            pipeline=pipeline, shuffle=False, seed=0,
+            ["vectorization"], {"vectorization": samples}, shuffle=False, seed=0
         )
 
     def test_evaluate_batch_matches_step(self, env):
@@ -265,15 +271,14 @@ class TestEnvBatchEvaluation:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline)
-        shared = RewardCache()
+        shared = EvaluationService(pipeline)
         lenient = MultiTaskEnv(
             ["vectorization"], {"vectorization": samples},
-            pipeline=pipeline, reward_cache=shared, shuffle=False,
+            evaluation_service=shared, shuffle=False,
         )
         strict = MultiTaskEnv(
             ["vectorization"], {"vectorization": samples},
-            pipeline=pipeline,
-            reward_cache=shared,
+            evaluation_service=shared,
             shuffle=False,
             compile_time_limit=0.0001,
         )
@@ -287,8 +292,8 @@ class TestEnvBatchEvaluation:
 class TestStatsReport:
     def test_table_renders_all_counters(self, pipeline):
         cache = RewardCache()
-        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
-        cache.measure_action(pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        measure(cache, pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
+        measure(cache, pipeline, VECTORIZATION, SAXPY, 0, (8, 2))
         text = format_cache_stats_table(cache.stats, title="unit").render()
         assert "unit" in text
         assert "hit rate" in text

@@ -11,6 +11,7 @@ from repro.core.pipeline import CompileAndMeasure
 from repro.core.pragma_injector import inject_pragma_line, inject_pragmas, strip_loop_pragmas
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
+from repro.distributed import EvaluationService
 from repro.frontend.pragmas import LoopPragma, format_pragma, parse_pragma_text
 
 
@@ -194,8 +195,10 @@ class TestNeuroVectorizerFacade:
     def framework(self):
         kernels = [dot_product_kernel()]
         embedding = build_embedding_model(kernels)
-        pipeline = CompileAndMeasure()
-        return NeuroVectorizer(embedding, BruteForceAgent(pipeline), pipeline)
+        service = EvaluationService(CompileAndMeasure())
+        return NeuroVectorizer(
+            embedding, BruteForceAgent(evaluation_service=service), evaluation_service=service
+        )
 
     def test_vectorize_kernel_improves_over_baseline(self, framework, dot_kernel):
         result = framework.optimize_kernel(dot_kernel)
@@ -232,7 +235,9 @@ class TestNeuroVectorizerFacade:
         kernels = [dot_product_kernel()]
         embedding = build_embedding_model(kernels)
         pipeline = CompileAndMeasure()
-        framework = NeuroVectorizer(embedding, BaselineAgent(pipeline), pipeline)
+        framework = NeuroVectorizer(
+            embedding, BaselineAgent(pipeline), evaluation_service=EvaluationService(pipeline)
+        )
         result = framework.optimize_kernel(dot_kernel)
         assert result.speedup_over_baseline == pytest.approx(1.0, rel=1e-9)
 

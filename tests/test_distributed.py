@@ -14,6 +14,7 @@ from repro.cache.reward_cache import (
     EvaluationBatcher,
     RewardCache,
     RewardKey,
+    evaluate_requests,
 )
 from repro.core.framework import NeuroVectorizer, build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
@@ -54,6 +55,12 @@ def add_kernel() -> LoopKernel:
 
 def scale_kernel() -> LoopKernel:
     return LoopKernel(name="scale", source=SCALE_SOURCE, function_name="scale")
+
+
+def measure(cache, pipeline, task, kernel, site_index, action):
+    """One cached site measurement as ``(measurement, was_cached)``."""
+    (outcome,) = evaluate_requests(pipeline, cache, [(kernel, site_index, action)], task=task)
+    return outcome.measurement, outcome.was_cached
 
 
 def sample_key(index: int = 0) -> RewardKey:
@@ -215,15 +222,15 @@ class TestStoreBackedRewardCache:
     def test_measure_through_cache_persists(self, tmp_path):
         pipeline = CompileAndMeasure()
         cache = RewardCache(PersistentRewardStore(str(tmp_path)))
-        measurement, was_hit = cache.measure_action(
-            pipeline, get_task("vectorization"), add_kernel(), 0, (4, 2)
+        measurement, was_hit = measure(
+            cache, pipeline, get_task("vectorization"), add_kernel(), 0, (4, 2)
         )
         assert not was_hit
         cache.close()
 
         warm = RewardCache(PersistentRewardStore(str(tmp_path)))
-        cached, was_hit = warm.measure_action(
-            CompileAndMeasure(), get_task("vectorization"), add_kernel(), 0, (4, 2)
+        cached, was_hit = measure(
+            warm, CompileAndMeasure(), get_task("vectorization"), add_kernel(), 0, (4, 2)
         )
         assert was_hit
         assert cached == measurement
@@ -261,8 +268,8 @@ class TestStoreBackedRewardCache:
         }
         with RewardCache(PersistentRewardStore(str(tmp_path))) as warm:
             assert warm.preloaded == 2
-            assert warm.measure_action(
-                pipeline, get_task("vectorization"), kernel, 0, (8, 2)
+            assert measure(
+                warm, pipeline, get_task("vectorization"), kernel, 0, (8, 2)
             ) == (CachedMeasurement(131.62, 0.05808), True)
             assert warm.measure_baseline(pipeline, kernel) == (
                 CachedMeasurement(247.74, 0.05808),
@@ -329,27 +336,6 @@ class TestEvaluationService:
             assert all(outcome.was_cached for outcome in outcomes)
             assert service.stats.dispatched == dispatched
 
-    def test_mismatched_consumer_is_rejected(self):
-        from repro.cache.reward_cache import evaluate_requests
-        from repro.machine.description import MachineDescription
-
-        service = EvaluationService(CompileAndMeasure(), workers=0)
-        with pytest.raises(ValueError, match="different RewardCache"):
-            evaluate_requests(
-                service.pipeline,
-                RewardCache(),
-                grid_requests(add_kernel()),
-                service=service,
-            )
-        other_machine = MachineDescription(vector_bits=512)
-        with pytest.raises(ValueError, match="machine model"):
-            evaluate_requests(
-                CompileAndMeasure(machine=other_machine),
-                service.cache,
-                grid_requests(add_kernel()),
-                service=service,
-            )
-
     def test_service_only_agent_without_pipeline_works(self):
         # Regression: a best-of-N random-search agent wired only to a
         # service (no in-process pipeline) must evaluate via the service,
@@ -363,8 +349,9 @@ class TestEvaluationService:
             assert service.stats.serial_requests == 3
             assert decision.action[0] >= 1
 
-    def test_submit_after_close_raises_clearly(self):
-        service = EvaluationService(CompileAndMeasure(), workers=1)
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_submit_after_close_raises_clearly(self, workers):
+        service = EvaluationService(CompileAndMeasure(), workers=workers)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(grid_requests(add_kernel()))
@@ -381,17 +368,15 @@ class TestEvaluationService:
 
 class TestAsyncEvaluator:
     @staticmethod
-    def _env(service=None, pipeline=None):
+    def _env(service=None):
         from repro.rl.env import MultiTaskEnv, build_samples
 
         kernels = [add_kernel(), scale_kernel()]
         embedding = build_embedding_model(kernels)
-        pipeline = pipeline or CompileAndMeasure()
-        samples = build_samples(kernels, embedding, pipeline)
+        samples = build_samples(kernels, embedding, CompileAndMeasure())
         return MultiTaskEnv(
             ["vectorization"],
             {"vectorization": samples},
-            pipeline=pipeline,
             seed=0,
             shuffle=False,
             evaluation_service=service,
@@ -402,9 +387,8 @@ class TestAsyncEvaluator:
         pairs = [(sample, (2, 1)) for sample in sync_env.samples]
         expected = [step.reward for step in sync_env.evaluate_batch(pairs)]
 
-        pipeline = CompileAndMeasure()
-        with EvaluationService(pipeline, workers=2) as service:
-            async_env = self._env(service=service, pipeline=pipeline)
+        with EvaluationService(CompileAndMeasure(), workers=2) as service:
+            async_env = self._env(service=service)
             evaluator = AsyncEvaluator(async_env)
             assert evaluator.overlapping
             futures = [
@@ -414,12 +398,12 @@ class TestAsyncEvaluator:
         assert rewards == expected
         assert async_env.total_steps == len(pairs)
 
-    def test_serial_fallback_is_lazy_but_equivalent(self):
+    def test_serial_submission_is_answered_at_once_and_equivalent(self):
         env = self._env()
         evaluator = AsyncEvaluator(env)
         assert not evaluator.overlapping
         future = evaluator.submit([(env.samples[0], (2, 1))])
-        assert not future.done()
+        assert future.done()
         (step,) = future.result()
         reference_env = self._env()
         (reference,) = reference_env.evaluate_batch([(reference_env.samples[0], (2, 1))])
@@ -439,12 +423,10 @@ class TestFrameworkWarmStart:
         embedding = build_embedding_model(kernels)
 
         def run(count_calls: bool):
-            pipeline = CompileAndMeasure()
             cache = RewardCache(PersistentRewardStore(str(tmp_path)))
-            agent = BruteForceAgent(pipeline, reward_cache=cache)
-            framework = NeuroVectorizer(
-                embedding, agent, pipeline, reward_cache=cache
-            )
+            service = EvaluationService(CompileAndMeasure(), cache)
+            agent = BruteForceAgent(evaluation_service=service)
+            framework = NeuroVectorizer(embedding, agent, evaluation_service=service)
             calls = {"n": 0}
             if count_calls:
                 original = Simulator.simulate
@@ -480,8 +462,7 @@ class TestFrameworkStatsReports:
         embedding = build_embedding_model(kernels)
         from repro.agents.baseline import BaselineAgent
 
-        pipeline = CompileAndMeasure()
-        return NeuroVectorizer(embedding, BaselineAgent(pipeline), pipeline, **kwargs)
+        return NeuroVectorizer(embedding, BaselineAgent(), **kwargs)
 
     def test_cache_stats_report_before_any_evaluation(self):
         framework = self._framework()
@@ -497,8 +478,13 @@ class TestFrameworkStatsReports:
         assert "no evaluations" not in rendered
         assert "hit rate" in rendered
 
-    def test_service_stats_report_without_service_is_none(self):
-        assert self._framework().service_stats_report() is None
+    def test_default_framework_reports_its_serial_requests(self):
+        framework = self._framework()
+        requests = grid_requests(add_kernel())
+        framework.evaluation_service.evaluate(requests)
+        rows = framework.service_stats_report().rows
+        assert ["serial batches", "1"] in rows
+        assert ["serial requests", str(len(requests))] in rows
 
     def test_service_stats_report_with_store(self, tmp_path):
         pipeline = CompileAndMeasure()

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.agents.baseline import BaselineAgent
 from repro.agents.brute_force import BruteForceAgent
 from repro.agents.decision_tree import DecisionTreeAgent
 from repro.agents.nns import NearestNeighborAgent
@@ -176,7 +175,7 @@ class TestCompareAgents:
                 assert action[0] in task.menus[0]
 
     def test_mismatched_agent_task_rejected(self):
-        agents = {"brute_force": BruteForceAgent(CompileAndMeasure())}  # vectorization
+        agents = {"brute_force": BruteForceAgent()}  # vectorization
         with pytest.raises(ValueError, match="vectorization"):
             compare_agents([stream_kernel()], agents=agents, task="unrolling")
 
@@ -237,7 +236,7 @@ class TestCompareAgents:
 
     def test_agent_pinned_to_another_task_cannot_be_repinned(self):
         unrolling = get_task("unrolling")
-        pinned = BruteForceAgent(CompileAndMeasure(), task=unrolling)
+        pinned = BruteForceAgent(task=unrolling)
         assert pinned.for_task("unrolling") is pinned
         with pytest.raises(ValueError, match="cannot be re-pinned"):
             pinned.for_task("vectorization")
@@ -329,18 +328,6 @@ class TestSerialParallelIdentity:
         assert simulations == baseline_sims
         assert set(comparison.speedups) == {"work", "stream"}
 
-    def test_comparison_rejects_service_with_foreign_cache(self):
-        with EvaluationService(CompileAndMeasure(), workers=2) as service:
-            runner = ComparisonRunner(
-                task="unrolling",
-                evaluation_service=service,
-                reward_cache=service.cache,
-            )
-            runner.reward_cache = RewardCache()  # simulate a swapped cache
-            agents = {"baseline": BaselineAgent(runner.pipeline, task=runner.task)}
-            with pytest.raises(ValueError, match="different RewardCache"):
-                runner.run(agents, [stream_kernel()])
-
 
 # ---------------------------------------------------------------------------
 # Warm persistent store: rerun simulates nothing, report shows cache hits
@@ -354,14 +341,18 @@ class TestWarmStoreRerun:
         cache_dir = str(tmp_path / task_name)
 
         cold_cache = RewardCache(PersistentRewardStore(cache_dir))
-        cold_runner = ComparisonRunner(task=task_name, reward_cache=cold_cache)
+        cold_runner = ComparisonRunner(
+            task=task_name, evaluation_service=EvaluationService(CompileAndMeasure(), cold_cache)
+        )
         cold = cold_runner.run(cold_runner.default_agents(seed=0), kernels)
         cold_cache.close()
         assert cold.cache_misses > 0
 
         warm_cache = RewardCache(PersistentRewardStore(cache_dir))
         assert warm_cache.preloaded > 0
-        warm_runner = ComparisonRunner(task=task_name, reward_cache=warm_cache)
+        warm_runner = ComparisonRunner(
+            task=task_name, evaluation_service=EvaluationService(CompileAndMeasure(), warm_cache)
+        )
         warm, simulations = count_simulations(
             lambda: warm_runner.run(warm_runner.default_agents(seed=0), kernels)
         )
@@ -376,12 +367,16 @@ class TestWarmStoreRerun:
         kernels = [stream_kernel()]
         cache_dir = str(tmp_path / "warm")
         cold_cache = RewardCache(PersistentRewardStore(cache_dir))
-        cold_runner = ComparisonRunner(task="unrolling", reward_cache=cold_cache)
+        cold_runner = ComparisonRunner(
+            task="unrolling", evaluation_service=EvaluationService(CompileAndMeasure(), cold_cache)
+        )
         cold_runner.run(cold_runner.default_agents(seed=0), kernels)
         cold_cache.close()
 
         warm_cache = RewardCache(PersistentRewardStore(cache_dir))
-        warm_runner = ComparisonRunner(task="unrolling", reward_cache=warm_cache)
+        warm_runner = ComparisonRunner(
+            task="unrolling", evaluation_service=EvaluationService(CompileAndMeasure(), warm_cache)
+        )
         warm = warm_runner.run(warm_runner.default_agents(seed=0), kernels)
         warm_cache.close()
         assert warm.cache_misses == 0
@@ -524,24 +519,6 @@ class TestUnrollingEdgeCases:
         direct = pipeline.measure_with_factors(kernel, {0: (1, 8)})
         assert via_pragmas.cycles == direct.cycles
 
-    def test_runner_rejects_conflicting_pipeline_or_machine(self):
-        from repro.machine.description import MachineDescription
-
-        scalar = MachineDescription(name="scalar-ish", vector_bits=64)
-        with pytest.raises(ValueError, match="machine"):
-            ComparisonRunner(pipeline=CompileAndMeasure(), machine=scalar)
-        with EvaluationService(CompileAndMeasure(), workers=0) as service:
-            with pytest.raises(ValueError, match="pipeline"):
-                ComparisonRunner(
-                    pipeline=CompileAndMeasure(machine=scalar),
-                    evaluation_service=service,
-                )
-            # A distinct but value-equal pipeline is accepted.
-            runner = ComparisonRunner(
-                pipeline=CompileAndMeasure(), evaluation_service=service
-            )
-            assert runner.machine == service.pipeline.machine
-
     def test_apply_matches_evaluate_for_single_site(self):
         task = UnrollingTask()
         pipeline = CompileAndMeasure()
@@ -603,10 +580,11 @@ class TestActionSweep:
 
         cache = RewardCache()
         kernel = stream_kernel()
-        action_sweep(kernel, task="unrolling", reward_cache=cache)
+        service = EvaluationService(CompileAndMeasure(), cache)
+        action_sweep(kernel, task="unrolling", evaluation_service=service)
         misses_after_cold = cache.stats.misses
         _, simulations = count_simulations(
-            lambda: action_sweep(kernel, task="unrolling", reward_cache=cache)
+            lambda: action_sweep(kernel, task="unrolling", evaluation_service=service)
         )
         assert simulations == 0
         assert cache.stats.misses == misses_after_cold

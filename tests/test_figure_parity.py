@@ -25,6 +25,7 @@ from repro.datasets.llvm_suite import test_benchmarks as held_out_benchmarks
 from repro.datasets.mibench import mibench_suite
 from repro.datasets.polybench import polybench_suite
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
+from repro.distributed import EvaluationService
 from repro.evaluation import ComparisonRunner, add_polly_columns, fit_supervised_agents
 from repro.rl.policy import make_policy
 
@@ -57,7 +58,9 @@ LEGACY_SAMPLES = {
 def line_up():
     kernels = list(generate_synthetic_dataset(SyntheticDatasetConfig(count=20, seed=0)))
     model = build_embedding_model(kernels)
-    runner = ComparisonRunner(pipeline=CompileAndMeasure(), embedding_model=model)
+    runner = ComparisonRunner(
+        evaluation_service=EvaluationService(CompileAndMeasure()), embedding_model=model
+    )
     agents = runner.default_agents(seed=0)
     agents.update(fit_supervised_agents(runner, kernels, seed=0))
     agents["rl"] = PolicyAgent(

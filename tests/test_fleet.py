@@ -45,7 +45,6 @@ def rollout_env(tasks, seed=0, shuffle=True, service=None):
             task.name: build_samples(kernels, embedding, pipeline, task=task)
             for task in resolved
         },
-        pipeline=pipeline,
         seed=seed,
         shuffle=shuffle,
         evaluation_service=service,

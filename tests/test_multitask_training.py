@@ -29,6 +29,7 @@ from repro.core.framework import (
 )
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed import EvaluationService
 from repro.evaluation.figures import figure_convergence
 from repro.rl.env import MultiTaskEnv, build_samples
 from repro.rl.policy import MultiTaskPolicy, make_policy
@@ -219,7 +220,7 @@ def joint_env_parts():
 class TestMultiTaskEnv:
     def test_interleaves_tasks_round_robin_first_epoch(self, joint_env_parts):
         _, pipeline, tasks, samples = joint_env_parts
-        env = MultiTaskEnv(tasks, samples, pipeline=pipeline, seed=0)
+        env = MultiTaskEnv(tasks, samples, evaluation_service=EvaluationService(pipeline), seed=0)
         seen = []
         for _ in range(4):
             env.reset()
@@ -230,7 +231,7 @@ class TestMultiTaskEnv:
 
     def test_step_routes_rewards_through_the_right_task(self, joint_env_parts):
         _, pipeline, tasks, samples = joint_env_parts
-        env = MultiTaskEnv(tasks, samples, pipeline=pipeline, seed=0)
+        env = MultiTaskEnv(tasks, samples, evaluation_service=EvaluationService(pipeline), seed=0)
         env.reset()
         assert env.current_sample().task_name == "vectorization"
         result = env.step((0, 0))  # scalar (VF=1, IF=1)
@@ -242,27 +243,33 @@ class TestMultiTaskEnv:
 
     def test_cache_keys_shard_per_task(self, joint_env_parts):
         _, pipeline, tasks, samples = joint_env_parts
-        env = MultiTaskEnv(tasks, samples, pipeline=pipeline, seed=0)
+        env = MultiTaskEnv(tasks, samples, evaluation_service=EvaluationService(pipeline), seed=0)
         requests = []
         for sample in env.samples:
             arity = len(env.tasks[sample.task_name].menus)
             requests.append((sample, (1,) * arity))
         env.evaluate_actions_batch(requests)
-        task_tags = {key.task for key in env.reward_cache._entries}
+        task_tags = {key.task for key in env.evaluation_service.cache._entries}
         assert set(JOINT_TASKS) <= task_tags
 
     def test_duplicate_or_missing_tasks_rejected(self, joint_env_parts):
         _, pipeline, tasks, samples = joint_env_parts
         with pytest.raises(ValueError, match="duplicate"):
             MultiTaskEnv(
-                ["vectorization", "vectorization"], samples, pipeline=pipeline
+                ["vectorization", "vectorization"],
+                samples,
+                evaluation_service=EvaluationService(pipeline),
             )
         with pytest.raises(ValueError, match="samples"):
-            MultiTaskEnv(["vectorization", "polly-tiling"], samples, pipeline=pipeline)
+            MultiTaskEnv(
+                ["vectorization", "polly-tiling"],
+                samples,
+                evaluation_service=EvaluationService(pipeline),
+            )
 
     def test_trainer_distributes_policy_spaces_to_lanes(self, joint_env_parts):
         _, pipeline, tasks, samples = joint_env_parts
-        env = MultiTaskEnv(tasks, samples, pipeline=pipeline, seed=0)
+        env = MultiTaskEnv(tasks, samples, evaluation_service=EvaluationService(pipeline), seed=0)
         policy = make_policy(
             "discrete",
             env.observation_dim,
@@ -281,7 +288,7 @@ class TestMultiTaskEnv:
         env = MultiTaskEnv(
             ["vectorization"],
             {"vectorization": samples["vectorization"]},
-            pipeline=pipeline,
+            evaluation_service=EvaluationService(pipeline),
             seed=0,
         )
         unrolling_policy = make_policy(
@@ -300,7 +307,9 @@ class TestMultiTaskEnv:
         # shape) trains the env's task's bank and the trunk; every other
         # bank keeps its exact bytes.
         _, pipeline, tasks, samples = joint_env_parts
-        env = MultiTaskEnv(["vectorization"], samples, pipeline=pipeline, seed=0)
+        env = MultiTaskEnv(
+            ["vectorization"], samples, evaluation_service=EvaluationService(pipeline), seed=0
+        )
         policy = make_policy(
             "discrete", env.observation_dim,
             spaces=OrderedDict(
@@ -329,7 +338,9 @@ class TestMultiTaskEnv:
         # its space silently assigned to a plain one-task env running a
         # different task — same arity would decode as silent garbage.
         _, pipeline, tasks, samples = joint_env_parts
-        env = MultiTaskEnv(["unrolling"], samples, pipeline=pipeline, seed=0)
+        env = MultiTaskEnv(
+            ["unrolling"], samples, evaluation_service=EvaluationService(pipeline), seed=0
+        )
         same_arity = get_task("unrolling").action_space("discrete")
         mismatched = make_policy(
             "discrete", env.observation_dim, spaces={"vectorization": same_arity}
@@ -440,7 +451,7 @@ class TestJointTraining:
         # Specifically a *banks* property: the embedding-conditioned
         # default shares a head stack, so pin conditioning="banks".
         _, pipeline, tasks, samples = joint_env_parts
-        env = MultiTaskEnv(tasks, samples, pipeline=pipeline, seed=0)
+        env = MultiTaskEnv(tasks, samples, evaluation_service=EvaluationService(pipeline), seed=0)
         policy = make_policy(
             "discrete", env.observation_dim,
             spaces=OrderedDict(
@@ -520,7 +531,9 @@ class TestJointTraining:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels, config.embedding)
         samples = build_samples(kernels, embedding, pipeline, task=task)
-        env = MultiTaskEnv([task], {task.name: samples}, pipeline=pipeline, seed=5)
+        env = MultiTaskEnv(
+            [task], {task.name: samples}, evaluation_service=EvaluationService(pipeline), seed=5
+        )
         policy = make_policy(
             "discrete", env.observation_dim, seed=5,
             spaces={task.name: task.action_space("discrete")},
@@ -564,7 +577,7 @@ class TestTune:
             return MultiTaskEnv(
                 [resolve_task(name) for name in tasks or ("unrolling",)],
                 samples,
-                pipeline=pipeline,
+                evaluation_service=EvaluationService(pipeline),
                 seed=0,
             )
 
@@ -677,7 +690,12 @@ class TestFigureConvergence:
         samples = build_samples(kernels, embedding, pipeline, task=task)
 
         def make_env():
-            return MultiTaskEnv([task], {task.name: samples}, pipeline=pipeline, seed=0)
+            return MultiTaskEnv(
+                [task],
+                {task.name: samples},
+                evaluation_service=EvaluationService(pipeline),
+                seed=0,
+            )
 
         results = run_experiments(
             make_env, {"learning_rate": [1e-3, 1e-4]}, total_steps=8,

@@ -21,6 +21,7 @@ import pytest
 from repro.core.framework import NeuroVectorizer, TrainingConfig, build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed import EvaluationService
 from repro.evaluation.figures import _make_training_environment
 from repro.rl.env import COMPILE_TIME_PENALTY, MultiTaskEnv, build_samples
 from repro.rl.policy import make_policy
@@ -160,7 +161,10 @@ def experiment_digests():
     samples = build_samples(suite, build_embedding_model(suite), pipeline)
     results = run_experiments(
         lambda: MultiTaskEnv(
-            ["vectorization"], {"vectorization": samples}, pipeline=pipeline, seed=0
+            ["vectorization"],
+            {"vectorization": samples},
+            evaluation_service=EvaluationService(pipeline),
+            seed=0,
         ),
         {"policy": ["continuous1", "continuous2", "discrete"]},
         total_steps=72,
@@ -246,7 +250,10 @@ def rewards_digests():
     rewards = []
     for group, sha in [([task], one_task) for task in tasks] + [(tasks, joint)]:
         env = MultiTaskEnv(
-            group, samples, pipeline=pipeline, compile_time_limit=TIGHT_COMPILE_TIME_LIMIT
+            group,
+            samples,
+            evaluation_service=EvaluationService(pipeline),
+            compile_time_limit=TIGHT_COMPILE_TIME_LIMIT,
         )
         policy = make_policy(
             "discrete",

@@ -6,6 +6,7 @@ import pytest
 from repro.core.framework import build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed import EvaluationService
 from repro.rl.env import COMPILE_TIME_PENALTY, MultiTaskEnv, build_samples
 from repro.rl.policy import MultiTaskPolicy, make_policy
 from repro.rl.ppo import PPOConfig, PPOTrainer
@@ -50,7 +51,10 @@ def tiny_env():
     embedding = build_embedding_model(kernels)
     samples = build_samples(kernels, embedding, pipeline)
     return MultiTaskEnv(
-        ["vectorization"], {"vectorization": samples}, pipeline=pipeline, seed=0
+        ["vectorization"],
+        {"vectorization": samples},
+        evaluation_service=EvaluationService(pipeline),
+        seed=0,
     )
 
 
@@ -145,7 +149,7 @@ class TestEnvironment:
 
     def test_baseline_action_gives_zero_reward(self, tiny_env):
         sample = tiny_env.samples[0]
-        pipeline = tiny_env.pipeline
+        pipeline = tiny_env.evaluation_service.pipeline
         baseline = pipeline.measure_baseline(sample.kernel)
         factors = baseline.factors[sample.loop_index]
         reward, _ = tiny_env.evaluate_action(sample, factors)
@@ -170,7 +174,7 @@ class TestEnvironment:
         samples = build_samples(kernels, embedding, pipeline)
         env = MultiTaskEnv(
             ["vectorization"], {"vectorization": samples},
-            pipeline=pipeline, shuffle=False, seed=0,
+            evaluation_service=EvaluationService(pipeline), shuffle=False, seed=0,
         )
         names = set()
         for _ in range(len(samples)):
@@ -196,7 +200,7 @@ class TestEnvironment:
         samples = build_samples(kernels, embedding, pipeline)
         env = MultiTaskEnv(
             ["vectorization"], {"vectorization": samples},
-            pipeline=pipeline, compile_time_limit=2.0,
+            evaluation_service=EvaluationService(pipeline), compile_time_limit=2.0,
         )
         reward, info = env.evaluate_action(samples[0], (64, 16))
         assert reward == COMPILE_TIME_PENALTY == -9.0

@@ -27,8 +27,9 @@ import pytest
 
 from repro.cache.reward_cache import RewardCache
 from repro.core.framework import NeuroVectorizer, TrainingConfig
+from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
-from repro.distributed import PersistentRewardStore
+from repro.distributed import EvaluationService, PersistentRewardStore
 from repro.serving import (
     TIER_COLD,
     TIER_FRONTEND,
@@ -132,7 +133,9 @@ class TestTiers:
         request = CompileRequest(source=REDUCTION_SOURCE, task="unrolling")
 
         cold_cache = RewardCache(PersistentRewardStore(cache_dir))
-        with fresh_service(trained, reward_cache=cold_cache) as cold_service:
+        with fresh_service(
+            trained, evaluation_service=EvaluationService(CompileAndMeasure(), cold_cache)
+        ) as cold_service:
             cold = cold_service.optimize(request)
         cold_cache.close()
         assert cold.ok and cold.tier == TIER_COLD
@@ -141,7 +144,9 @@ class TestTiers:
         assert warm_cache.preloaded > 0
         # A brand-new service: empty observation memo, fresh pipeline —
         # only the persisted measurements are warm.
-        with fresh_service(trained, reward_cache=warm_cache) as warm_service:
+        with fresh_service(
+            trained, evaluation_service=EvaluationService(CompileAndMeasure(), warm_cache)
+        ) as warm_service:
             warm, simulations = count_simulations(
                 lambda: warm_service.optimize(request)
             )

@@ -173,11 +173,10 @@ def test_sharded_service_writes_the_serial_records(tmp_path):
 
 def test_optimize_kernel_through_a_store(tmp_path):
     suite = kernels()
-    pipeline = CompileAndMeasure()
-    cache = store_cache(tmp_path)
-    agent = BruteForceAgent(pipeline, reward_cache=cache)
+    service = EvaluationService(CompileAndMeasure(), store_cache(tmp_path))
+    agent = BruteForceAgent(evaluation_service=service)
     framework = NeuroVectorizer(
-        build_embedding_model(suite), agent, pipeline, reward_cache=cache
+        build_embedding_model(suite), agent, evaluation_service=service
     )
     with framework:
         rows = [

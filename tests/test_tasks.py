@@ -170,7 +170,10 @@ class TestBackwardCompat:
         samples = build_samples(kernels, embedding, pipeline)
         assert {sample.task_name for sample in samples} == {"vectorization"}
         env = MultiTaskEnv(
-            ["vectorization"], {"vectorization": samples}, pipeline=pipeline, shuffle=False
+            ["vectorization"],
+            {"vectorization": samples},
+            evaluation_service=EvaluationService(pipeline),
+            shuffle=False,
         )
         env.reset()
         result = env.step((2, 1))
@@ -334,7 +337,10 @@ class TestPollyTilingTask:
         samples = build_samples(kernels, embedding, pipeline, task=task)
         assert len(samples) == 2
         env = MultiTaskEnv(
-            [task], {task.name: samples}, pipeline=pipeline, shuffle=False
+            [task],
+            {task.name: samples},
+            evaluation_service=EvaluationService(pipeline),
+            shuffle=False,
         )
         env.reset()
         result = env.step((3, 1))  # menu indices -> tile 32, fuse 1
@@ -406,19 +412,17 @@ class TestPollyEndToEnd:
         # A vectorization brute-force agent under a polly framework would
         # silently apply (VF, IF) choices as (tile, fuse) — both are 2-dim.
         kernels = [stream_kernel()]
-        pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
-        agent = BruteForceAgent(pipeline)  # defaults to vectorization
+        agent = BruteForceAgent()  # defaults to vectorization
         with pytest.raises(ValueError, match="vectorization"):
-            NeuroVectorizer(
-                embedding, agent, pipeline, task=PollyTilingTask()
-            )
+            NeuroVectorizer(embedding, agent, task=PollyTilingTask())
 
     def test_brute_force_agent_searches_polly_grid(self):
         task = PollyTilingTask()
-        pipeline = CompileAndMeasure()
         cache = RewardCache()
-        agent = BruteForceAgent(pipeline, reward_cache=cache, task=task)
+        agent = BruteForceAgent(
+            evaluation_service=EvaluationService(CompileAndMeasure(), cache), task=task
+        )
         decision = agent.select_factors(
             np.zeros(4), kernel=two_nest_kernel(), loop_index=0
         )
@@ -604,7 +608,12 @@ class TestCustomTask:
         pipeline = CompileAndMeasure()
         embedding = build_embedding_model(kernels)
         samples = build_samples(kernels, embedding, pipeline, task=task)
-        env = MultiTaskEnv([task], {task.name: samples}, pipeline=pipeline, shuffle=False)
+        env = MultiTaskEnv(
+            [task],
+            {task.name: samples},
+            evaluation_service=EvaluationService(pipeline),
+            shuffle=False,
+        )
         env.reset()
         result = env.step((0,))
         assert result.info["scalar"] == 0.0
