@@ -660,7 +660,6 @@ class NeuroVectorizer:
         from collections import OrderedDict as _OrderedDict
 
         from repro.agents.policy_agent import PolicyAgent
-        from repro.analysis.loopinfo import analyze_loop
         from repro.embedding.pretrain import Code2VecPretrainer, loop_property_labels
         from repro.rl.env import MultiTaskEnv, build_samples
         from repro.rl.policy import make_policy
@@ -762,8 +761,7 @@ class NeuroVectorizer:
                     loops = extract_loops(
                         kernel.source, function_name=kernel.function_name
                     )
-                    ir_function = pipeline.lower_kernel(kernel)
-                    ir_loops = ir_function.innermost_loops()
+                    ir_loops = pipeline.lower_kernel(kernel).innermost_loops()
                 except Exception:
                     continue
                 for loop in loops:
@@ -773,11 +771,10 @@ class NeuroVectorizer:
                     bags.append(
                         extract_path_contexts(loop.nest_root, rename_map=rename_map)
                     )
-                    labels.append(
-                        loop_property_labels(
-                            analyze_loop(ir_function, ir_loops[loop.loop_index])
-                        )
-                    )
+                    analysis = pipeline.loop_analyses(kernel)[
+                        ir_loops[loop.loop_index].loop_id
+                    ]
+                    labels.append(loop_property_labels(analysis))
             pretrainer = Code2VecPretrainer(embedding_model, seed=config.seed)
             pretrain_result = None
             if bags and config.pretrain_epochs > 0:

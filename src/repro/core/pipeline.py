@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from repro.analysis.loopinfo import analyze_loop
+from repro.analysis.loopinfo import LoopAnalysis, analyze_loop
 from repro.datasets.kernels import LoopKernel
 from repro.frontend.cache import frontend_cache
 from repro.ir.lowering import LoweringContext, lower_function
@@ -57,11 +57,14 @@ class CompileAndMeasure:
       plain ``clang -O3``.
 
     All of them (and :meth:`measure_function`, :meth:`measure_scalar`) run
-    one body, :meth:`_measure`, which analyses each innermost loop once and
-    hands that analysis to the baseline decision and to the plan.  What the
-    pipeline keeps between calls is the lowered IR (``_ir_cache``) and one
-    :class:`Simulator` per (kernel, bindings); analyses and cost-model
-    answers are not kept.
+    one body, :meth:`_measure`, which hands one analysis per innermost loop
+    to the baseline decision and to the plan.  What the pipeline keeps
+    between calls is one ``_ir_cache`` entry per lowered text — the IR and,
+    for ``kernel.source`` only, each innermost loop's :class:`LoopAnalysis`
+    (:meth:`loop_analyses`) — and one :class:`Simulator` per (kernel,
+    bindings).  Annotated sources and the already-lowered (Polly-rewritten)
+    IR that :meth:`measure_function` takes are analysed afresh on every
+    call; cost-model answers are never kept.
     """
 
     def __init__(
@@ -72,7 +75,9 @@ class CompileAndMeasure:
         self.machine = machine or MachineDescription()
         self.default_symbol_value = default_symbol_value
         self.baseline_model = BaselineCostModel(machine=self.machine)
-        self._ir_cache: Dict[tuple, IRFunction] = {}
+        # (name, text, bindings) -> (IR, {loop_id: analysis}); the analyses
+        # are filled by loop_analyses(), so only kernel.source entries have any.
+        self._ir_cache: Dict[tuple, Tuple[IRFunction, Dict[int, LoopAnalysis]]] = {}
         # One simulator per (kernel, bindings) so its per-function memos
         # (statement costs, region playbooks, whole simulations) survive across
         # the thousands of measure calls a training run makes per kernel.
@@ -82,6 +87,28 @@ class CompileAndMeasure:
 
     def lower_kernel(self, kernel: LoopKernel, source: Optional[str] = None) -> IRFunction:
         """Lower a kernel (or an alternative source text for it) to IR."""
+        return self._ir_entry(kernel, source)[0]
+
+    def loop_analyses(self, kernel: LoopKernel) -> Dict[int, LoopAnalysis]:
+        """Each innermost loop's analysis of ``kernel.source``'s IR, by loop id.
+
+        Computed on first use and kept in the IR's ``_ir_cache`` entry, so it
+        lives and dies with the IR it describes.  Callers must not mutate it.
+        """
+        return self._analysed(kernel)[1]
+
+    def _analysed(self, kernel: LoopKernel) -> Tuple[IRFunction, Dict[int, LoopAnalysis]]:
+        entry = ir_function, analyses = self._ir_entry(kernel)
+        if not analyses:
+            analyses.update(
+                (loop.loop_id, analyze_loop(ir_function, loop))
+                for loop in ir_function.innermost_loops()
+            )
+        return entry
+
+    def _ir_entry(
+        self, kernel: LoopKernel, source: Optional[str] = None
+    ) -> Tuple[IRFunction, Dict[int, LoopAnalysis]]:
         text = source if source is not None else kernel.source
         # lower_function bakes the bindings into trip counts.
         key = (kernel.name, text, tuple(sorted(kernel.bindings.items())))
@@ -101,8 +128,8 @@ class CompileAndMeasure:
         )
         if len(self._ir_cache) > 512:
             self._ir_cache.clear()
-        self._ir_cache[key] = ir_function
-        return ir_function
+        entry = self._ir_cache[key] = (ir_function, {})
+        return entry
 
     def _simulator(self, kernel: LoopKernel) -> Simulator:
         key = (kernel.name, tuple(sorted(kernel.bindings.items())))
@@ -123,7 +150,8 @@ class CompileAndMeasure:
 
         Sums the whole-function LRU's hit/miss/eviction counts and the
         entry counts of the per-function stores (statement prices, region
-        playbooks) so cache-pressure regressions show up in
+        playbooks), plus the loop analyses kept in ``_ir_cache``
+        (``analysis_entries``), so cache-pressure regressions show up in
         :meth:`repro.core.framework.NeuroVectorizer.cache_stats_report`.
         """
         totals: Dict[str, float] = {
@@ -149,32 +177,40 @@ class CompileAndMeasure:
                 totals[name] += stats[name]
         lookups = totals["hits"] + totals["misses"]
         totals["hit_rate"] = totals["hits"] / lookups if lookups else 0.0
+        totals["analysis_entries"] = sum(
+            len(analyses) for _, analyses in self._ir_cache.values()
+        )
         return totals
 
     def _measure(
         self,
         kernel: LoopKernel,
         ir_function: IRFunction,
+        analyses: Optional[Dict[int, LoopAnalysis]] = None,
         factors_by_index: Optional[Dict[int, Tuple[int, int]]] = None,
         honour_pragmas: bool = False,
     ) -> CompilationResult:
         """The one body behind every ``measure_*`` entry point.
 
-        Each innermost loop is analysed once.  A loop listed in
-        ``factors_by_index`` (keyed by innermost-loop index) gets those
-        factors; any other loop gets the baseline cost model's choice,
-        overridden clause by clause by its pragma when ``honour_pragmas``.
+        ``analyses`` are :meth:`loop_analyses` when ``ir_function`` is
+        ``kernel.source``'s IR; otherwise each innermost loop is analysed
+        here, once.  A loop listed in ``factors_by_index`` (keyed by
+        innermost-loop index) gets those factors; any other loop gets the
+        baseline cost model's choice, overridden clause by clause by its
+        pragma when ``honour_pragmas``.
         """
         loops = ir_function.innermost_loops()
+        if analyses is None:
+            analyses = {loop.loop_id: analyze_loop(ir_function, loop) for loop in loops}
         explicit = factors_by_index or {}
-        analyses = {}
         decisions: Dict[int, Tuple[int, int]] = {}
         for index, loop in enumerate(loops):
-            analysis = analyses[loop.loop_id] = analyze_loop(ir_function, loop)
             if index in explicit:
                 decisions[loop.loop_id] = explicit[index]
                 continue
-            decision = self.baseline_model.decide_loop(ir_function, loop, analysis)
+            decision = self.baseline_model.decide_loop(
+                ir_function, loop, analyses[loop.loop_id]
+            )
             requested = (decision.vf, decision.interleave)
             if honour_pragmas:
                 requested = factors_from_pragma(loop.pragma, *requested)
@@ -210,6 +246,8 @@ class CompileAndMeasure:
         when the loop is scalar or ``vectorize(disable)``d — while the width
         stays with the cost model unless ``vectorize_width`` says otherwise).
         """
+        if source is None:
+            return self._measure(kernel, *self._analysed(kernel), honour_pragmas=True)
         return self._measure(
             kernel, self.lower_kernel(kernel, source), honour_pragmas=True
         )
@@ -218,7 +256,7 @@ class CompileAndMeasure:
         self, kernel: LoopKernel, factors_by_index: Dict[int, Tuple[int, int]]
     ) -> CompilationResult:
         """Compile with explicit (VF, IF) requests keyed by innermost-loop index."""
-        return self._measure(kernel, self.lower_kernel(kernel), factors_by_index)
+        return self._measure(kernel, *self._analysed(kernel), factors_by_index)
 
     def measure_function(
         self,
@@ -231,16 +269,17 @@ class CompileAndMeasure:
         This is the path the Polly experiments use: the polyhedral pass
         rewrites the loop structure, then either the baseline cost model
         (``factors_by_index is None``) or explicit per-loop factors decide
-        the vectorization of the transformed code.
+        the vectorization of the transformed code.  Its loops are analysed
+        afresh on every call: the IR is not a ``_ir_cache`` entry.
         """
-        return self._measure(kernel, ir_function, factors_by_index)
+        return self._measure(kernel, ir_function, factors_by_index=factors_by_index)
 
     def measure_baseline(self, kernel: LoopKernel) -> CompilationResult:
         """Compile with the built-in cost model only (the paper's baseline)."""
-        return self._measure(kernel, self.lower_kernel(kernel))
+        return self._measure(kernel, *self._analysed(kernel))
 
     def measure_scalar(self, kernel: LoopKernel) -> CompilationResult:
         """Compile with vectorization disabled everywhere (VF = IF = 1)."""
-        ir_function = self.lower_kernel(kernel)
+        ir_function, analyses = self._analysed(kernel)
         scalar = dict.fromkeys(range(len(ir_function.innermost_loops())), (1, 1))
-        return self._measure(kernel, ir_function, scalar)
+        return self._measure(kernel, ir_function, analyses, scalar)

@@ -74,10 +74,11 @@ def format_cache_stats_table(
     number of pipeline evaluations the cache avoided.
 
     ``simulator_memo`` (a :meth:`CompileAndMeasure.simulator_memo_stats`
-    dict: whole-function simulation memo hits/misses/evictions/entries and
-    the playbook count) and ``frontend`` (a :class:`FrontendCacheStats`
-    dict) append the hot-path memo counters to the same table so
-    cache-pressure regressions in any layer are visible from one report.
+    dict: whole-function simulation memo hits/misses/evictions/entries, the
+    playbook count and the memoised loop analyses) and ``frontend`` (a
+    :class:`FrontendCacheStats` dict) append the hot-path memo counters to
+    the same table so cache-pressure regressions in any layer are visible
+    from one report.
     ``fleet`` (a fleet-backed service's
     :class:`repro.distributed.ServiceStats`) splits the hits into
     speculative vs demand-earned ones, so warm-start analysis can tell
@@ -107,6 +108,7 @@ def format_cache_stats_table(
         table.add_row(["simulator memo hit rate", simulator_memo["hit_rate"]])
         table.add_row(["simulator memo entries", simulator_memo["entries"]])
         table.add_row(["simulator playbooks", simulator_memo["playbook_entries"]])
+        table.add_row(["loop analyses memoised", simulator_memo["analysis_entries"]])
     if frontend is not None:
         table.add_row(["frontend cache hits", frontend["hits"]])
         table.add_row(["frontend cache misses", frontend["misses"]])

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import inspect
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from repro.rl.env import MultiTaskEnv
 from repro.rl.policy import Policy, make_policy
@@ -31,12 +32,13 @@ def grid_search(parameter_grid: Dict[str, Sequence]) -> List[Dict[str, object]]:
 
     Every value must be a *sequence of candidates* (list/tuple), not a bare
     scalar — ``{"learning_rate": 5e-4}`` would otherwise be silently
-    ignored or, worse, iterated character-wise for strings.
+    ignored or, worse, iterated character-wise for strings.  A set or a
+    generator is rejected too: neither has a fixed candidate order.
     """
     if not parameter_grid:
         return [{}]
     for key, values in parameter_grid.items():
-        if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        if isinstance(values, (str, bytes)) or not isinstance(values, Sequence):
             raise ValueError(
                 f"grid values for {key!r} must be a sequence of candidates "
                 f"(e.g. [{values!r}]), got {type(values).__name__}: {values!r}"
@@ -77,7 +79,7 @@ def _make_environment(make_env: Callable, parameters: Dict[str, object]):
     # tasks: each candidate is one task name (or task object), not an
     # iterable of them — wrap it so tuple() below cannot explode a string
     # into per-character "tasks".
-    if isinstance(tasks, (str, bytes)) or not hasattr(tasks, "__iter__"):
+    if isinstance(tasks, (str, bytes)) or not isinstance(tasks, Sequence):
         tasks = (tasks,)
     signature = inspect.signature(make_env)
     accepts_tasks = "tasks" in signature.parameters or any(

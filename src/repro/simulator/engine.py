@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.loopinfo import OperationMix, analyze_loop, _count_statement
@@ -34,6 +35,9 @@ _MIX_OP_CLASSES: Tuple[Tuple[str, OpClass], ...] = (
     ("loads", OpClass.LOAD),
     ("stores", OpClass.STORE),
 )
+
+#: An :class:`OperationMix`'s counts as a tuple in ``_MIX_OP_CLASSES`` order.
+_mix_counts = attrgetter(*(name for name, _ in _MIX_OP_CLASSES))
 
 
 @dataclass
@@ -271,8 +275,8 @@ class Simulator:
         mix = OperationMix()
         _count_statement(statement, mix)
         cycles = 0.0
-        for (field_name, _), cost in zip(_MIX_OP_CLASSES, self._op_costs):
-            cycles += getattr(mix, field_name) * cost
+        for count, cost in zip(_mix_counts(mix), self._op_costs):
+            cycles += count * cost
         return max(cycles, 0.25)
 
     def _statement_run_cycles(self, statements: List[Statement]) -> float:

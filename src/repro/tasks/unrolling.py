@@ -66,7 +66,10 @@ class UnrollingTask(OptimizationTask):
         loops = ir_function.innermost_loops()
         if site_index >= len(loops):
             return self.default_action()
-        decision = pipeline.baseline_model.decide_loop(ir_function, loops[site_index])
+        loop = loops[site_index]
+        decision = pipeline.baseline_model.decide_loop(
+            ir_function, loop, pipeline.loop_analyses(kernel)[loop.loop_id]
+        )
         return snap_to_menus(self.menus, (decision.interleave,))
 
     # -- decision sites -----------------------------------------------------
@@ -91,12 +94,14 @@ class UnrollingTask(OptimizationTask):
         """Effective (VF, IF) per decided loop: baseline width x unroll."""
         ir_function = pipeline.lower_kernel(kernel)
         loops = ir_function.innermost_loops()
+        analyses = pipeline.loop_analyses(kernel)
         factors: Dict[int, Tuple[int, int]] = {}
         for site_index, action in decisions.items():
             if not 0 <= site_index < len(loops):
                 continue
+            loop = loops[site_index]
             decision = pipeline.baseline_model.decide_loop(
-                ir_function, loops[site_index]
+                ir_function, loop, analyses[loop.loop_id]
             )
             factors[site_index] = (decision.vf, int(action[0]))
         return factors

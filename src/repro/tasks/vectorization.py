@@ -52,7 +52,10 @@ class VectorizationTask(OptimizationTask):
         loops = ir_function.innermost_loops()
         if site_index >= len(loops):
             return self.default_action()
-        decision = pipeline.baseline_model.decide_loop(ir_function, loops[site_index])
+        loop = loops[site_index]
+        decision = pipeline.baseline_model.decide_loop(
+            ir_function, loop, pipeline.loop_analyses(kernel)[loop.loop_id]
+        )
         return snap_to_menus(self.menus, (decision.vf, decision.interleave))
 
     # -- decision sites -----------------------------------------------------

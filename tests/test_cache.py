@@ -14,7 +14,7 @@ from repro.cache import (
     machine_fingerprint,
     normalize_requests,
 )
-from repro.core.framework import build_embedding_model
+from repro.core.framework import NeuroVectorizer, TrainingConfig, build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
@@ -298,6 +298,17 @@ class TestStatsReport:
         assert "unit" in text
         assert "hit rate" in text
         assert "compiles avoided" in text
+
+    def test_report_counts_memoised_loop_analyses_after_training(self):
+        kernels = list(generate_synthetic_dataset(SyntheticDatasetConfig(count=4, seed=3)))
+        framework, _ = NeuroVectorizer.train(
+            kernels, TrainingConfig(rl_total_steps=60, rl_batch_size=30)
+        )
+        try:
+            rows = dict(framework.cache_stats_report().rows)
+        finally:
+            framework.close()
+        assert float(rows["loop analyses memoised"]) > 0
 
     def test_as_dict_roundtrip(self):
         cache = RewardCache()

@@ -4,9 +4,11 @@ Two kinds of test live here.  The *digest* tests freeze, as literal SHA-1
 values, what the cost model, the five ``measure_*`` entry points and the
 brute-force search return — any change to the measure path must leave
 them alone.  The *shape* tests pin how the path gets there: one
-``analyze_loop`` call per innermost loop per measure call, none inside a
-fully planned ``simulate``, and one pipeline answering any order of calls
-exactly like a fresh pipeline per call.
+``analyze_loop`` call per innermost loop of a kernel's source, kept beside
+its IR for every later call; one per loop per call for annotated sources
+and Polly-rewritten clones; none inside a fully planned ``simulate``; and
+one pipeline answering any order of calls exactly like a fresh pipeline
+per call.
 """
 
 import dataclasses
@@ -227,6 +229,11 @@ ENTRY_POINTS = {
 }
 
 
+#: Entry points that lower ``kernel.source`` and so read the pipeline's
+#: memoised analyses; the others analyse their (annotated or cloned) IR.
+MEMOISED = ("baseline", "scalar", "factors")
+
+
 class TestAnalyseOncePerLoop:
     @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
     @pytest.mark.parametrize(
@@ -241,6 +248,63 @@ class TestAnalyseOncePerLoop:
         ENTRY_POINTS[entry_point](pipeline, kernel, (4, 2))
         # Ids differ on a rewritten or cloned function; each is seen once.
         assert len(analyze_calls) == len(set(analyze_calls)) == loops
+
+    @pytest.mark.parametrize("entry_point", ENTRY_POINTS)
+    def test_a_repeated_call_analyses_only_what_is_not_memoised(
+        self, analyze_calls, entry_point
+    ):
+        kernel = polybench_suite()[1]
+        pipeline = CompileAndMeasure()
+        loops = len(pipeline.lower_kernel(kernel).innermost_loops())
+        first = ENTRY_POINTS[entry_point](pipeline, kernel, (4, 2))
+        del analyze_calls[:]
+        second = ENTRY_POINTS[entry_point](pipeline, kernel, (4, 2))
+        assert _measurement(second) == _measurement(first)
+        assert len(analyze_calls) == (0 if entry_point in MEMOISED else loops)
+
+    def test_entry_points_and_task_baselines_share_one_analysis_per_loop(
+        self, analyze_calls
+    ):
+        kernel = polybench_suite()[1]
+        pipeline = CompileAndMeasure()
+        analyses = pipeline.loop_analyses(kernel)
+        function = pipeline.lower_kernel(kernel)
+        assert sorted(analyze_calls) == sorted(analyses)
+        assert all(analysis.function is function for analysis in analyses.values())
+        del analyze_calls[:]
+        for entry_point in MEMOISED:
+            ENTRY_POINTS[entry_point](pipeline, kernel, (8, 1))
+        pipeline.measure_with_pragmas(kernel)
+        unrolling = get_task("unrolling")
+        for site in range(len(analyses)):
+            get_task("vectorization").baseline_action(pipeline, kernel, site)
+            unrolling.baseline_action(pipeline, kernel, site)
+            unrolling.evaluate(pipeline, kernel, site, (4,))
+        assert analyze_calls == []
+        assert pipeline.simulator_memo_stats()["analysis_entries"] == len(analyses)
+
+    def test_polly_rewriting_a_clone_leaves_the_memo_intact(self, analyze_calls):
+        kernel = dot_product_kernel()
+        pipeline = CompileAndMeasure()
+
+        def measure_kernel(measuring):
+            return [
+                _measurement(measuring.measure_with_factors(kernel, {0: (8, 2)})),
+                _measurement(measuring.measure_baseline(kernel)),
+            ]
+
+        before = measure_kernel(pipeline)
+        original = pipeline.lower_kernel(kernel)
+        del analyze_calls[:]
+        result = POLLY.evaluate(pipeline, kernel, 0, (16, 0))
+        clone = result.plan.function
+        # tile_loop_nest analysed the clone, then strip-mined it.
+        assert clone is not original
+        assert len(clone.all_loops()) > len(original.all_loops())
+        assert analyze_calls
+        for loop_plan in result.plan.plans.values():
+            assert loop_plan.analysis.function is clone
+        assert measure_kernel(pipeline) == measure_kernel(CompileAndMeasure()) == before
 
     def test_fully_planned_simulate_analyses_nothing(self, analyze_calls):
         function = polybench_suite()[1].lower()
@@ -294,6 +358,8 @@ def _synthetic_kernels():
 
 SYNTHETIC = _synthetic_kernels()
 POLLY = get_task("polly-tiling")
+#: Tasks whose ``baseline_action`` the any-order calls draw from.
+BASELINE_ACTIONS = ("vectorization", "unrolling")
 
 
 def _run_call(pipeline, call):
@@ -301,6 +367,8 @@ def _run_call(pipeline, call):
     kernel = SYNTHETIC[kernel_index]
     if entry_point == "polly":  # measure_function on a clone polly mutated
         result = POLLY.evaluate(pipeline, kernel, 0, (16, interleave % 2))
+    elif entry_point in BASELINE_ACTIONS:
+        return get_task(entry_point).baseline_action(pipeline, kernel, 0)
     else:
         result = ENTRY_POINTS[entry_point](pipeline, kernel, (vf, interleave))
     return _measurement(result)
@@ -315,7 +383,7 @@ class TestAnyOrderEqualsFreshPipeline:
         calls=st.lists(
             st.tuples(
                 st.integers(0, len(SYNTHETIC) - 1),
-                st.sampled_from([*ENTRY_POINTS, "polly"]),
+                st.sampled_from([*ENTRY_POINTS, "polly", *BASELINE_ACTIONS]),
                 st.sampled_from([1, 2, 4, 8, 16, 32, 64]),
                 st.sampled_from([1, 2, 4, 8, 16]),
             ),

@@ -659,6 +659,14 @@ class TestTune:
             grid_search({"policy": "discrete"})
         assert grid_search({"policy": ["discrete"]}) == [{"policy": "discrete"}]
 
+    def test_grid_search_rejects_unordered_candidates(self):
+        # A set or a generator has no fixed candidate order.
+        with pytest.raises(ValueError, match="learning_rate"):
+            grid_search({"learning_rate": {5e-4, 1e-3}})
+        with pytest.raises(ValueError, match="policy"):
+            grid_search({"policy": (name for name in ["discrete"])})
+        assert grid_search({"seed": range(2)}) == [{"seed": 0}, {"seed": 1}]
+
 
 # ---------------------------------------------------------------------------
 # Convergence figure driver
