@@ -17,9 +17,9 @@ from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompilationResult, CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
 from repro.distributed.service import EvaluationService
-from repro.embedding.ast_paths import PathContext, extract_path_contexts
+from repro.embedding.ast_paths import PathContext
 from repro.embedding.code2vec import Code2VecConfig, Code2VecModel
-from repro.embedding.vocab import build_vocabularies, normalize_identifiers
+from repro.embedding.vocab import build_vocabularies
 from repro.machine.description import MachineDescription
 from repro.tasks import OptimizationTask, resolve_task
 
@@ -143,15 +143,13 @@ def build_embedding_model(
     config: Optional[Code2VecConfig] = None,
 ) -> Code2VecModel:
     """Build token/path vocabularies from a corpus and create the model."""
-    bags: List[List[PathContext]] = []
+    bags: List[Tuple[PathContext, ...]] = []
     for kernel in kernels:
         try:
             loops = extract_loops(kernel.source, function_name=kernel.function_name)
         except Exception:
             continue
-        for loop in loops:
-            rename_map = normalize_identifiers(loop.nest_root)
-            bags.append(extract_path_contexts(loop.nest_root, rename_map=rename_map))
+        bags.extend(loop.path_contexts for loop in loops)
     token_vocab, path_vocab = build_vocabularies(bags)
     return Code2VecModel(token_vocab, path_vocab, config or Code2VecConfig())
 
@@ -754,7 +752,7 @@ class NeuroVectorizer:
             # --- stage 1: self-supervised pretraining of the embedding -----------
             # Task-agnostic: the embedding predicts loop properties, which
             # is useful context whatever is decided per site.
-            bags: List[List[PathContext]] = []
+            bags: List[Tuple[PathContext, ...]] = []
             labels = []
             for kernel in training_kernels[: config.pretrain_samples]:
                 try:
@@ -767,10 +765,7 @@ class NeuroVectorizer:
                 for loop in loops:
                     if loop.loop_index >= len(ir_loops):
                         continue
-                    rename_map = normalize_identifiers(loop.nest_root)
-                    bags.append(
-                        extract_path_contexts(loop.nest_root, rename_map=rename_map)
-                    )
+                    bags.append(loop.path_contexts)
                     analysis = pipeline.loop_analyses(kernel)[
                         ir_loops[loop.loop_index].loop_id
                     ]

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, List, Optional, Tuple
 
+from repro.embedding.ast_paths import PathContext, extract_path_contexts
+from repro.embedding.vocab import normalize_identifiers
 from repro.frontend import ast, parse_source
 from repro.frontend.cache import frontend_cache
 from repro.frontend.printer import print_stmt
@@ -35,6 +38,19 @@ class ExtractedLoop:
     @property
     def is_nested(self) -> bool:
         return self.nest_depth > 1
+
+    @cached_property
+    def path_contexts(self) -> Tuple[PathContext, ...]:
+        """The code2vec bag of ``nest_root``, identifiers normalised, at
+        the default limits.
+
+        Built on first use and kept on this object, which the frontend
+        cache holds beside the AST; every consumer of the loop (vocabulary,
+        pretraining, each task's observation) reads the same tuple, and it
+        is freed when the source's record is evicted.
+        """
+        rename_map = normalize_identifiers(self.nest_root)
+        return tuple(extract_path_contexts(self.nest_root, rename_map=rename_map))
 
 
 class LoopExtractor:

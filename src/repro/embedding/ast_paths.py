@@ -8,14 +8,14 @@ three components and lets attention decide which contexts matter.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from sys import intern
+from typing import Dict, List, Optional, Tuple
 
 from repro.frontend import ast
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathContext:
     """One leaf-to-leaf path through the AST."""
 
@@ -30,9 +30,10 @@ class PathContext:
 @dataclass
 class _Leaf:
     token: str
-    #: Node labels from the root of the extracted subtree down to the leaf.
-    ancestry: Tuple[str, ...]
-    #: Positions (child indices) along the ancestry, to find common prefixes.
+    #: Stripped node labels from the root of the extracted subtree down to
+    #: the leaf.
+    labels: Tuple[str, ...]
+    #: Positions (child indices) along the path, to find common prefixes.
     positions: Tuple[int, ...]
 
 
@@ -59,22 +60,29 @@ def _leaf_token(node: ast.Node) -> Optional[str]:
 
 def _collect_leaves(
     node: ast.Node,
-    ancestry: Tuple[str, ...],
+    labels: Tuple[str, ...],
     positions: Tuple[int, ...],
     leaves: List[_Leaf],
 ) -> None:
+    """Append the leaves under ``node`` in pre-order, which lists their
+    position tuples in increasing lexicographic order."""
+    labels = labels + (_strip_label(node.label()),)
     token = _leaf_token(node)
-    label = node.label()
-    new_ancestry = ancestry + (label,)
-    children = [child for child in node.children() if child is not None]
-    if token is not None and not children:
-        leaves.append(_Leaf(token=token, ancestry=new_ancestry, positions=positions))
-        return
     if token is not None:
         # Nodes like VarDecl both carry a token and have children (the init).
-        leaves.append(_Leaf(token=token, ancestry=new_ancestry, positions=positions))
+        leaves.append(_Leaf(token=token, labels=labels, positions=positions))
+    children = [child for child in node.children() if child is not None]
     for index, child in enumerate(children):
-        _collect_leaves(child, new_ancestry, positions + (index,), leaves)
+        _collect_leaves(child, labels, positions + (index,), leaves)
+
+
+def _common_prefix(first: Tuple[int, ...], second: Tuple[int, ...]) -> int:
+    length = 0
+    for a, b in zip(first, second):
+        if a != b:
+            break
+        length += 1
+    return length
 
 
 def extract_path_contexts(
@@ -90,58 +98,65 @@ def extract_path_contexts(
     ``max_path_width`` bounds the distance between the two leaves' branches at
     the common ancestor — the same hyperparameters code2vec uses to keep the
     context set small.  ``rename_map`` normalises identifiers so that variable
-    naming does not bias the embedding.
+    naming does not bias the embedding.  Leaf pairs are visited in pre-order
+    pair order and the bag is cut at ``max_contexts``.
+
+    A path is the up half (the labels from the first leaf up to the common
+    ancestor, inclusive), the label of the ancestor's parent (the root's
+    own label when the ancestor is the root) and the down half (from the
+    ancestor, inclusive, down to the second leaf).  Each half depends only
+    on one leaf and the common depth, so it is built once per leaf and
+    depth; a pair that fails the width or length limit builds no string.
     """
     leaves: List[_Leaf] = []
     _collect_leaves(node, (), (), leaves)
     rename_map = rename_map or {}
+    tokens = [intern(rename_map.get(leaf.token, leaf.token)) for leaf in leaves]
+    # Pre-order sorts the position tuples, so the prefix leaves a < b share
+    # is the minimum of the adjacent prefixes between them.
+    adjacent = [0] + [
+        _common_prefix(before.positions, after.positions)
+        for before, after in zip(leaves, leaves[1:])
+    ]
+    heads: List[Dict[int, str]] = [{} for _ in leaves]
+    tails: List[Dict[int, str]] = [{} for _ in leaves]
 
     contexts: List[PathContext] = []
-    for (index_a, leaf_a), (index_b, leaf_b) in itertools.combinations(
-        enumerate(leaves), 2
-    ):
-        if index_b - index_a > 32 and len(contexts) >= max_contexts:
-            break
-        path = _path_between(leaf_a, leaf_b, max_path_length, max_path_width)
-        if path is None:
-            continue
-        start = rename_map.get(leaf_a.token, leaf_a.token)
-        end = rename_map.get(leaf_b.token, leaf_b.token)
-        contexts.append(PathContext(start_token=start, path=path, end_token=end))
-        if len(contexts) >= max_contexts:
-            break
+    longest_up = max_path_length - 2
+    for index_a, leaf_a in enumerate(leaves):
+        labels_a, positions_a = leaf_a.labels, leaf_a.positions
+        depth_a = len(positions_a)
+        common = depth_a
+        for index_b in range(index_a + 1, len(leaves)):
+            if adjacent[index_b] < common:
+                common = adjacent[index_b]
+            # The down half has at least one node and ``common`` only
+            # shrinks, so no later partner fits either.
+            if depth_a - common >= longest_up:
+                break
+            leaf_b = leaves[index_b]
+            # A leaf never precedes a leaf on its own ancestry, so only
+            # ``leaf_a`` can end at the common ancestor.
+            if common < depth_a and (
+                abs(positions_a[common] - leaf_b.positions[common]) > max_path_width
+            ):
+                continue
+            if depth_a + len(leaf_b.positions) - 2 * common + 3 > max_path_length:
+                continue
+            head = heads[index_a].get(common)
+            if head is None:
+                ancestor = labels_a[common - 1] if common > 0 else labels_a[0]
+                up = "^".join(reversed(labels_a[common:]))
+                head = heads[index_a][common] = f"{up}^{ancestor}_"
+            tail = tails[index_b].get(common)
+            if tail is None:
+                tail = tails[index_b][common] = "_".join(leaf_b.labels[common:])
+            contexts.append(
+                PathContext(tokens[index_a], intern(head + tail), tokens[index_b])
+            )
+            if len(contexts) >= max_contexts:
+                return contexts
     return contexts
-
-
-def _path_between(
-    leaf_a: _Leaf, leaf_b: _Leaf, max_path_length: int, max_path_width: int
-) -> Optional[str]:
-    ancestry_a, ancestry_b = leaf_a.ancestry, leaf_b.ancestry
-    positions_a, positions_b = leaf_a.positions, leaf_b.positions
-
-    common = 0
-    limit = min(len(positions_a), len(positions_b), len(ancestry_a) - 1, len(ancestry_b) - 1)
-    while common < limit and positions_a[common] == positions_b[common] and (
-        ancestry_a[common] == ancestry_b[common]
-    ):
-        common += 1
-    # Width: how far apart the two branches are under the common ancestor.
-    if common < len(positions_a) and common < len(positions_b):
-        width = abs(positions_a[common] - positions_b[common])
-        if width > max_path_width:
-            return None
-
-    up = list(reversed(ancestry_a[common:-1] + (ancestry_a[-1],)))
-    down = list(ancestry_b[common:-1] + (ancestry_b[-1],))
-    # The common ancestor label sits at ancestry[common - 1] (or the root).
-    ancestor = ancestry_a[common - 1] if common > 0 else ancestry_a[0]
-    nodes = up[:-0] if False else up
-    path_labels = nodes + [ancestor] + down
-    if len(path_labels) > max_path_length:
-        return None
-    up_part = "^".join(_strip_label(label) for label in up)
-    down_part = "_".join(_strip_label(label) for label in down)
-    return f"{up_part}^{_strip_label(ancestor)}_{down_part}"
 
 
 def _strip_label(label: str) -> str:

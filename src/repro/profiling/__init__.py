@@ -5,25 +5,14 @@ Scopes nest: entering ``evaluate`` inside ``update`` records under the
 path ``update/evaluate``, and the report table indents children under
 their parents so a training step reads as a tree of where the time went.
 
-Two ways to use it:
+Code that should stay import-light takes the timer as an explicit,
+optional argument (the PPO trainer holds an optional ``profiler``)::
 
-* Explicitly, threading a timer through code that should stay
-  import-light (the PPO trainer holds an optional ``profiler``)::
-
-      timer = PhaseTimer()
-      with timer.scope("update"):
-          with timer.scope("backward"):
-              ...
-      print(timer.report())
-
-* Through the module-level :func:`phase_timer` context manager, which
-  reuses the innermost active timer (so library code can annotate scopes
-  without ever seeing the timer object)::
-
-      with phase_timer("update") as timer:   # creates + activates a timer
-          with phase_timer("backward"):       # nests under "update"
-              ...
-      print(timer.report())
+    timer = PhaseTimer()
+    with timer.scope("update"):
+        with timer.scope("backward"):
+            ...
+    print(timer.report())
 
 Timing overhead is two ``perf_counter`` calls and a dict update per
 scope; code on byte-identity-guarded paths only enters scopes when a
@@ -33,19 +22,10 @@ profiler is attached, so the unprofiled paths pay nothing.
 from __future__ import annotations
 
 import contextlib
-import threading
 import time
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-__all__ = ["PhaseTimer", "phase_timer", "active_timer"]
-
-_state = threading.local()
-
-
-def active_timer() -> Optional["PhaseTimer"]:
-    """The innermost timer activated by :func:`phase_timer`, if any."""
-    stack = getattr(_state, "timers", None)
-    return stack[-1] if stack else None
+__all__ = ["PhaseTimer"]
 
 
 class PhaseTimer:
@@ -130,26 +110,3 @@ class PhaseTimer:
         for row in rendered:
             lines.append("  ".join(row[i].ljust(widths[i]) for i in range(4)))
         return "\n".join(lines)
-
-
-@contextlib.contextmanager
-def phase_timer(name: str) -> Iterator[PhaseTimer]:
-    """Time a scope on the active timer, creating one when none is active.
-
-    The yielded value is the :class:`PhaseTimer` holding the recordings,
-    so the outermost ``with phase_timer(...) as timer`` owns the report.
-    """
-    timer = active_timer()
-    created = timer is None
-    if created:
-        timer = PhaseTimer()
-        stack = getattr(_state, "timers", None)
-        if stack is None:
-            stack = _state.timers = []
-        stack.append(timer)
-    try:
-        with timer.scope(name):
-            yield timer
-    finally:
-        if created:
-            _state.timers.pop()

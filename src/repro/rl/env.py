@@ -51,7 +51,6 @@ def build_samples(
     kernels: Sequence[LoopKernel],
     embedding_model: Code2VecModel,
     pipeline: Optional[CompileAndMeasure] = None,
-    max_contexts: int = 200,
     task: Optional[OptimizationTask] = None,
 ) -> List[EnvSample]:
     """Embed every decision site of every kernel and record its baseline.
@@ -69,9 +68,7 @@ def build_samples(
         except Exception:
             continue
         for site in sites:
-            observation = task.observation_features(
-                site, embedding_model, max_contexts=max_contexts
-            )
+            observation = task.observation_features(site, embedding_model)
             extracted = site.payload if isinstance(site.payload, ExtractedLoop) else None
             samples.append(
                 EnvSample(

@@ -212,17 +212,24 @@ class OptimizationTask:
         """The units of ``kernel`` this task decides for, in index order."""
         raise NotImplementedError
 
-    def observation_features(
-        self, site: DecisionSite, embedding_model, max_contexts: int = 200
-    ) -> np.ndarray:
-        """The embedding the agent observes for one decision site."""
+    def observation_features(self, site: DecisionSite, embedding_model) -> np.ndarray:
+        """The embedding the agent observes for one decision site.
+
+        A site that embeds its extracted loop's nest root (every built-in
+        task's sites do) reads the bag that loop keeps; any other subtree
+        is extracted afresh.
+        """
+        from repro.core.loop_extractor import ExtractedLoop
+
+        loop = site.payload
+        if isinstance(loop, ExtractedLoop) and site.ast_node is loop.nest_root:
+            return embedding_model.embed(loop.path_contexts)
+
         from repro.embedding.ast_paths import extract_path_contexts
         from repro.embedding.vocab import normalize_identifiers
 
         rename_map = normalize_identifiers(site.ast_node)
-        contexts = extract_path_contexts(
-            site.ast_node, max_contexts=max_contexts, rename_map=rename_map
-        )
+        contexts = extract_path_contexts(site.ast_node, rename_map=rename_map)
         return embedding_model.embed(contexts)
 
     # -- measurement --------------------------------------------------------
