@@ -8,14 +8,14 @@ implements:
 * :class:`~repro.nn.tensor.Tensor` — a numpy array with a gradient and a
   recorded backward function (define-by-run reverse mode),
 * :mod:`repro.nn.layers` — Dense layers, activations, an MLP container,
-* :mod:`repro.nn.optim` — SGD and Adam,
+* :mod:`repro.nn.optim` — Adam over one flat parameter buffer,
 * :mod:`repro.nn.losses` — MSE, cross-entropy, and the categorical/Gaussian
   log-probability helpers PPO needs.
 """
 
 from repro.nn.tensor import Tensor, no_grad
 from repro.nn import ops
-from repro.nn.initializers import he_init, normal_init, xavier_init, zeros_init
+from repro.nn.initializers import normal_init, xavier_init, zeros_init
 from repro.nn.layers import MLP, Dense, Module, Parameter, Sequential
 from repro.nn.losses import (
     categorical_entropy,
@@ -25,13 +25,12 @@ from repro.nn.losses import (
     gaussian_log_prob,
     mse_loss,
 )
-from repro.nn.optim import SGD, Adam, Optimizer
+from repro.nn.optim import Adam, Optimizer
 
 __all__ = [
     "Tensor",
     "no_grad",
     "ops",
-    "he_init",
     "xavier_init",
     "normal_init",
     "zeros_init",
@@ -47,6 +46,5 @@ __all__ = [
     "gaussian_log_prob",
     "gaussian_entropy",
     "Optimizer",
-    "SGD",
     "Adam",
 ]

@@ -15,12 +15,6 @@ def xavier_init(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def he_init(rng: np.random.Generator, shape: Tuple[int, ...]) -> np.ndarray:
-    """He initialisation (good default for relu nets)."""
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
 def normal_init(
     rng: np.random.Generator, shape: Tuple[int, ...], scale: float = 0.01
 ) -> np.ndarray:

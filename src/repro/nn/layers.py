@@ -69,7 +69,7 @@ class Module:
                     f"shape mismatch for parameter {index}: "
                     f"{value.shape} vs {parameter.data.shape}"
                 )
-            parameter.data = value.copy()
+            parameter.data[...] = value
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

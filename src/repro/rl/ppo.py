@@ -285,10 +285,9 @@ class PPOTrainer:
         for future in futures:
             for step in future.result():
                 reward = step.reward
-                if self.config.reward_clip is not None:
-                    reward = float(
-                        np.clip(reward, -self.config.reward_clip, self.config.reward_clip)
-                    )
+                clip = self.config.reward_clip
+                if clip is not None:
+                    reward = float(min(max(reward, -clip), clip))
                 rewards.append(reward)
         # Tasks may differ in action arity; pad each row to the widest so
         # one matrix holds the joint batch (each task's evaluate only reads

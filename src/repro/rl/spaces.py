@@ -118,7 +118,7 @@ class ActionSpace:
 
     def unflatten_action(self, flat_index: int) -> Tuple[int, ...]:
         """The concrete action tuple at one :meth:`all_actions` index."""
-        flat_index = int(np.clip(int(flat_index), 0, self.num_actions - 1))
+        flat_index = min(max(int(flat_index), 0), self.num_actions - 1)
         indices = []
         for menu in reversed(self.menus):
             flat_index, index = divmod(flat_index, len(menu))
@@ -149,7 +149,7 @@ class DiscreteFactorSpace(ActionSpace):
         factors = []
         for dimension, menu in enumerate(self.menus):
             index = int(raw[min(dimension, raw.size - 1)])
-            index = int(np.clip(index, 0, len(menu) - 1))
+            index = min(max(index, 0), len(menu) - 1)
             factors.append(menu[index])
         return tuple(factors)
 
@@ -162,7 +162,7 @@ class ContinuousJointSpace(ActionSpace):
 
     def decode(self, action) -> Tuple[int, ...]:
         value = float(np.asarray(action).reshape(-1)[0])
-        value = float(np.clip(value, 0.0, 1.0))
+        value = min(max(value, 0.0), 1.0)
         return self.unflatten_action(
             _round_half_down(value * max(self.num_actions - 1, 1))
         )
@@ -177,10 +177,10 @@ class ContinuousPairSpace(ActionSpace):
     """One real number in [0, 1] per dimension, rounded to the menus."""
 
     def decode(self, action) -> Tuple[int, ...]:
-        values = np.clip(np.asarray(action, dtype=np.float64).reshape(-1), 0.0, 1.0)
+        values = np.asarray(action, dtype=np.float64).reshape(-1)
         factors = []
         for dimension, menu in enumerate(self.menus):
-            raw = float(values[min(dimension, values.size - 1)])
+            raw = min(max(float(values[min(dimension, values.size - 1)]), 0.0), 1.0)
             index = _round_half_down(raw * (len(menu) - 1))
             factors.append(menu[index])
         return tuple(factors)

@@ -94,8 +94,7 @@ def _fingerprint(trainer):
     ]
     moments = []
     for p in trainer.policy.parameters():
-        first = trainer.optimizer._first_moment.get(id(p))
-        second = trainer.optimizer._second_moment.get(id(p))
+        first, second = trainer.optimizer.moments(p)
         moments.append(
             (
                 None if first is None else first.tobytes(),
