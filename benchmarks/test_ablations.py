@@ -15,16 +15,15 @@ import numpy as np
 from repro.core.framework import build_embedding_model
 from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompileAndMeasure
-from repro.datasets.kernels import LoopKernel
+from repro.datasets.kernels import KernelSuite, LoopKernel
 from repro.datasets.llvm_suite import llvm_vectorizer_suite
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
 from repro.distributed import EvaluationService
 from repro.embedding.ast_paths import extract_path_contexts
 from repro.embedding.vocab import normalize_identifiers
+from repro.evaluation.figures import figure2_bruteforce_suite
 from repro.machine.description import avx2_machine, avx512_machine
 from repro.rl.env import COMPILE_TIME_PENALTY, MultiTaskEnv, build_samples
-from repro.vectorizer.bruteforce import brute_force_search
-from repro.simulator.engine import Simulator
 
 
 MATMUL = """
@@ -112,20 +111,20 @@ def test_ablation_compile_time_penalty(benchmark):
 
 
 def test_ablation_vector_width(benchmark):
-    suite = [k for k in llvm_vectorizer_suite() if k.name in
-             ("sum_reduction_float", "saxpy", "double_precision_scale")]
+    suite = KernelSuite(
+        name="ablation",
+        kernels=[k for k in llvm_vectorizer_suite() if k.name in
+                 ("sum_reduction_float", "saxpy", "double_precision_scale")],
+    )
 
     def run():
-        headroom = {}
-        for name, machine in (("avx2", avx2_machine()), ("avx512", avx512_machine())):
-            total = []
-            for kernel in suite:
-                ir = kernel.lower()
-                simulator = Simulator(machine=machine, bindings=kernel.bindings)
-                result = brute_force_search(ir, machine=machine, simulator=simulator)
-                total.append(result.speedup_over_baseline())
-            headroom[name] = float(np.mean(total))
-        return headroom
+        return {
+            name: figure2_bruteforce_suite(
+                suite=suite,
+                evaluation_service=EvaluationService(CompileAndMeasure(machine=machine)),
+            ).average
+            for name, machine in (("avx2", avx2_machine()), ("avx512", avx512_machine()))
+        }
 
     headroom = benchmark.pedantic(run, iterations=1, rounds=1)
     print()

@@ -21,10 +21,11 @@ from repro.simulator.engine import Simulator
 
 def _grid_requests(kernels):
     """The full brute-force (kernel, loop, VF, IF) sweep for the suite."""
+    pipeline = CompileAndMeasure()
     requests = []
     for kernel in kernels:
         try:
-            loop_count = kernel.innermost_loop_count()
+            loop_count = len(pipeline.lower_kernel(kernel).innermost_loops())
         except Exception:
             continue
         for loop_index in range(loop_count):

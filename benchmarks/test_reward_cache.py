@@ -23,10 +23,11 @@ MIN_SPEEDUP = 5.0
 
 
 def _grid_requests(kernels):
+    pipeline = CompileAndMeasure()
     requests = []
     for kernel in kernels:
         try:
-            loop_count = kernel.innermost_loop_count()
+            loop_count = len(pipeline.lower_kernel(kernel).innermost_loops())
         except Exception:
             continue
         for loop_index in range(loop_count):

@@ -9,14 +9,14 @@ reward is built from.
 Run with:  python examples/inspect_compiler_pipeline.py
 """
 
+from repro.agents.brute_force import BruteForceAgent
 from repro.analysis.loopinfo import analyze_loop
 from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
+from repro.distributed import EvaluationService
 from repro.ir.printer import print_function
 from repro.machine.description import MachineDescription
-from repro.simulator.engine import Simulator
-from repro.vectorizer.bruteforce import brute_force_search
 from repro.vectorizer.legality import check_legality
 
 SOURCE = """
@@ -71,9 +71,13 @@ def main() -> None:
           f"{ {vf: round(c, 2) for vf, c in decision.cost_per_lane.items()} }")
 
     print("\n=== 5. brute-force landscape ===")
-    simulator = Simulator(machine=machine, bindings=kernel.bindings)
-    search = brute_force_search(ir_function, machine=machine, simulator=simulator)
-    grid = search.grid_speedups(loop)
+    service = EvaluationService(pipeline)
+    oracle = BruteForceAgent(evaluation_service=service)
+    baseline, _ = service.cache.measure_baseline(pipeline, kernel)
+    grid = {
+        factors: baseline.cycles / measurement.cycles
+        for factors, measurement in oracle.grid(kernel).items()
+    }
     vfs = sorted({vf for vf, _ in grid})
     ifs = sorted({interleave for _, interleave in grid})
     header = "VF\\IF " + " ".join(f"{interleave:>6}" for interleave in ifs)
@@ -81,9 +85,9 @@ def main() -> None:
     for vf in vfs:
         row = " ".join(f"{grid[(vf, interleave)]:6.2f}" for interleave in ifs)
         print(f"{vf:>5} {row}")
-    best = search.best_factors[loop.loop_id]
+    best = oracle.select_factors(None, kernel).action
     print(f"best factors: VF={best[0]}, IF={best[1]} "
-          f"({search.speedup_over_baseline():.2f}x over the baseline)")
+          f"({grid[best]:.2f}x over the baseline)")
 
     print("\n=== 6. simulated cycle breakdown for the best factors ===")
     result = pipeline.measure_with_factors(kernel, {0: best})

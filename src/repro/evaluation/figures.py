@@ -7,6 +7,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.agents.brute_force import BruteForceAgent
 from repro.core.framework import (
     NeuroVectorizer,
     TrainingConfig,
@@ -30,8 +31,7 @@ from repro.evaluation.comparison import (
 from repro.evaluation.report import Table
 from repro.machine.description import MachineDescription
 from repro.rl.tune import ExperimentResult, run_experiments
-from repro.simulator.engine import Simulator
-from repro.vectorizer.bruteforce import brute_force_search
+from repro.tasks import resolve_task
 
 
 # ---------------------------------------------------------------------------
@@ -64,28 +64,23 @@ class Figure1Result:
 
 
 def figure1_dot_product_grid(
-    machine: Optional[MachineDescription] = None,
+    *, evaluation_service: Optional[EvaluationService] = None
 ) -> Figure1Result:
-    """Regenerate Figure 1: brute-force sweep of the motivating kernel."""
-    machine = machine or MachineDescription()
+    """Regenerate Figure 1: the oracle's grid of the motivating kernel.
+
+    The grid is :func:`action_sweep` of the dot product on
+    ``evaluation_service`` (a private serial one by default), measured
+    under its pipeline's machine.
+    """
+    service = evaluation_service or EvaluationService(CompileAndMeasure())
     kernel = dot_product_kernel()
-    pipeline = CompileAndMeasure(machine=machine)
-    ir_function = pipeline.lower_kernel(kernel)
-    baseline_decision = pipeline.baseline_model.decide_loop(
-        ir_function, ir_function.innermost_loops()[0]
-    )
-    simulator = Simulator(machine=machine, bindings=kernel.bindings)
-    result = brute_force_search(ir_function, machine=machine, simulator=simulator)
-    loop = ir_function.innermost_loops()[0]
-    grid = result.grid_speedups(loop)
-    best_factors = result.best_factors[loop.loop_id]
-    better = sum(1 for value in grid.values() if value >= 1.0)
+    sweep = action_sweep(kernel, evaluation_service=service)
     return Figure1Result(
-        grid=grid,
-        baseline_factors=(baseline_decision.vf, baseline_decision.interleave),
-        best_factors=best_factors,
-        best_speedup=max(grid.values()),
-        fraction_better_than_baseline=better / len(grid),
+        grid=sweep.grid,
+        baseline_factors=resolve_task(None).baseline_action(service.pipeline, kernel, 0),
+        best_factors=sweep.best_action,
+        best_speedup=sweep.best_speedup,
+        fraction_better_than_baseline=sweep.fraction_better_than_baseline,
     )
 
 
@@ -120,18 +115,29 @@ class Figure2Result:
 
 
 def figure2_bruteforce_suite(
-    machine: Optional[MachineDescription] = None,
     suite: Optional[KernelSuite] = None,
+    *,
+    evaluation_service: Optional[EvaluationService] = None,
 ) -> Figure2Result:
-    """Regenerate Figure 2 over the LLVM-vectorizer-style kernel bank."""
-    machine = machine or MachineDescription()
-    suite = suite or llvm_vectorizer_suite()
+    """Regenerate Figure 2 over the LLVM-vectorizer-style kernel bank.
+
+    Each kernel's value is its baseline cycles over the minimum of the
+    oracle's grid at its one innermost loop, measured on
+    ``evaluation_service`` (a private serial one by default).
+    """
+    service = evaluation_service or EvaluationService(CompileAndMeasure())
     speedups: Dict[str, float] = {}
-    for kernel in suite:
-        ir_function = kernel.lower()
-        simulator = Simulator(machine=machine, bindings=kernel.bindings)
-        result = brute_force_search(ir_function, machine=machine, simulator=simulator)
-        speedups[kernel.name] = result.speedup_over_baseline()
+    for kernel in suite or llvm_vectorizer_suite():
+        loops = len(service.pipeline.lower_kernel(kernel).innermost_loops())
+        if loops != 1:
+            raise ValueError(
+                f"Figure 2 searches one loop per kernel; {kernel.name!r} has "
+                f"{loops} innermost loops"
+            )
+        # The best speed-up is baseline / grid minimum: division is monotone.
+        speedups[kernel.name] = action_sweep(
+            kernel, evaluation_service=service
+        ).best_speedup
     return Figure2Result(speedups=speedups)
 
 
@@ -145,12 +151,6 @@ class FigureCurvesResult:
     """Reward-mean and loss curves per swept configuration."""
 
     experiments: List[ExperimentResult]
-
-    def reward_curves(self) -> Dict[str, List[float]]:
-        return {e.name: e.history.reward_curve() for e in self.experiments}
-
-    def loss_curves(self) -> Dict[str, List[float]]:
-        return {e.name: e.history.loss_curve() for e in self.experiments}
 
     def final_rewards(self) -> Dict[str, float]:
         return {e.name: e.history.final_reward_mean for e in self.experiments}
@@ -184,7 +184,6 @@ def _make_training_environment(
     memoised across experiments.
     """
     from repro.rl.env import MultiTaskEnv, build_samples
-    from repro.tasks import resolve_task
 
     machine = machine or MachineDescription()
     kernels = list(
@@ -586,26 +585,22 @@ def action_sweep(
 ) -> ActionSweepResult:
     """Sweep a task's whole action menu on one decision site (Figure 1 style).
 
-    The menu is one batch on ``evaluation_service`` (a private serial one
-    by default), so a shared service's cache serves repeats and its
-    workers parallelise the grid exactly as in training.
+    The menu is the brute-force oracle's grid, one batch on
+    ``evaluation_service`` (a private serial one by default), so a shared
+    service's cache serves repeats and its workers parallelise the grid
+    exactly as in training.
     """
-    from repro.tasks import resolve_task
-
-    task = resolve_task(task)
     service = evaluation_service or EvaluationService(CompileAndMeasure())
+    oracle = BruteForceAgent(evaluation_service=service, task=task)
+    task = oracle.task
     baseline, _ = service.cache.measure_baseline(service.pipeline, kernel)
-    actions = task.action_space("discrete").all_actions()
-    outcomes = service.evaluate(
-        [(kernel, site_index, action) for action in actions], task=task
-    )
     grid = {
         action: (
-            baseline.cycles / outcome.measurement.cycles
-            if outcome.measurement.cycles > 0
+            baseline.cycles / measurement.cycles
+            if measurement.cycles > 0
             else float("inf")
         )
-        for action, outcome in zip(actions, outcomes)
+        for action, measurement in oracle.grid(kernel, site_index).items()
     }
     return ActionSweepResult(
         task=task.name,

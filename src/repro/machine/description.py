@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.machine.cache import CacheHierarchy
 
@@ -114,23 +114,6 @@ class MachineDescription:
 
     def cycles_to_seconds(self, cycles: float) -> float:
         return cycles / (self.frequency_ghz * 1e9)
-
-    def vf_candidates(self) -> Tuple[int, ...]:
-        """Powers of two up to the maximum supported vectorization width."""
-        values = []
-        vf = 1
-        while vf <= self.max_vectorize_width:
-            values.append(vf)
-            vf *= 2
-        return tuple(values)
-
-    def if_candidates(self) -> Tuple[int, ...]:
-        values = []
-        interleave = 1
-        while interleave <= self.max_interleave:
-            values.append(interleave)
-            interleave *= 2
-        return tuple(values)
 
 
 def avx2_machine() -> MachineDescription:

@@ -52,8 +52,11 @@ class ActionSpace:
 
     ``menus`` is one tuple of legal values per decision dimension, in
     decision order; the default two menus are the paper's VF and IF lists.
-    An action is always one tuple with one value per menu.
+    An action is always one tuple with one value per menu.  ``kind`` is the
+    Figure-6 name :func:`make_action_space` builds the space under.
     """
+
+    kind: str = ""
 
     def __init__(self, menus: Optional[Sequence[Sequence[int]]] = None):
         if menus is None:
@@ -126,6 +129,14 @@ class ActionSpace:
         indices.reverse()
         return tuple(menu[index] for menu, index in zip(self.menus, indices))
 
+    def _nan_error(self, action) -> ValueError:
+        """What every ``decode`` raises for a raw action with a NaN component
+        (a policy whose weights diverged), in place of a bare int() error."""
+        return ValueError(
+            f"{self.kind} action space cannot decode {action!r}: "
+            "a component is NaN"
+        )
+
     def _nearest_index(self, values: Sequence[int], target: int) -> int:
         """Index of the menu entry closest to ``target``.
 
@@ -144,12 +155,16 @@ class ActionSpace:
 class DiscreteFactorSpace(ActionSpace):
     """One categorical choice per decision dimension (an index per menu)."""
 
+    kind = "discrete"
+
     def decode(self, action) -> Tuple[int, ...]:
-        raw = np.asarray(action).reshape(-1)
+        raw = np.asarray(action).reshape(-1).tolist()
         factors = []
         for dimension, menu in enumerate(self.menus):
-            index = int(raw[min(dimension, raw.size - 1)])
-            index = min(max(index, 0), len(menu) - 1)
+            value = raw[min(dimension, len(raw) - 1)]
+            if value != value:
+                raise self._nan_error(action)
+            index = min(max(int(value), 0), len(menu) - 1)
             factors.append(menu[index])
         return tuple(factors)
 
@@ -160,8 +175,12 @@ class DiscreteFactorSpace(ActionSpace):
 class ContinuousJointSpace(ActionSpace):
     """A single real number in [0, 1] encoding the flattened action grid."""
 
+    kind = "continuous1"
+
     def decode(self, action) -> Tuple[int, ...]:
         value = float(np.asarray(action).reshape(-1)[0])
+        if value != value:
+            raise self._nan_error(action)
         value = min(max(value, 0.0), 1.0)
         return self.unflatten_action(
             _round_half_down(value * max(self.num_actions - 1, 1))
@@ -176,11 +195,16 @@ class ContinuousJointSpace(ActionSpace):
 class ContinuousPairSpace(ActionSpace):
     """One real number in [0, 1] per dimension, rounded to the menus."""
 
+    kind = "continuous2"
+
     def decode(self, action) -> Tuple[int, ...]:
         values = np.asarray(action, dtype=np.float64).reshape(-1)
         factors = []
         for dimension, menu in enumerate(self.menus):
-            raw = min(max(float(values[min(dimension, values.size - 1)]), 0.0), 1.0)
+            raw = float(values[min(dimension, values.size - 1)])
+            if raw != raw:
+                raise self._nan_error(action)
+            raw = min(max(raw, 0.0), 1.0)
             index = _round_half_down(raw * (len(menu) - 1))
             factors.append(menu[index])
         return tuple(factors)
@@ -195,9 +219,8 @@ class ContinuousPairSpace(ActionSpace):
 
 
 _SPACE_KINDS = {
-    "discrete": DiscreteFactorSpace,
-    "continuous1": ContinuousJointSpace,
-    "continuous2": ContinuousPairSpace,
+    space.kind: space
+    for space in (DiscreteFactorSpace, ContinuousJointSpace, ContinuousPairSpace)
 }
 
 

@@ -1,5 +1,4 @@
-"""Loop vectorizer: legality, planning, the LLVM-like baseline cost model and
-the brute-force oracle.
+"""Loop vectorizer: legality, planning and the LLVM-like baseline cost model.
 
 The flow mirrors LLVM's LoopVectorize pass:
 
@@ -11,9 +10,10 @@ The flow mirrors LLVM's LoopVectorize pass:
 3. :mod:`repro.vectorizer.cost_model` is the baseline: it picks VF/IF with a
    linear per-instruction cost table, exactly the kind of model the paper
    criticises for ignoring the computation graph.
-4. :mod:`repro.vectorizer.bruteforce` sweeps every (VF, IF) pair through the
-   cycle simulator and returns the oracle optimum used for Figures 1, 2 and
-   the supervised labels.
+4. The oracle the paper compares against is not here:
+   :class:`repro.agents.brute_force.BruteForceAgent` measures every (VF, IF)
+   pair of a loop through the run's evaluation service (reward cache, store
+   and pipeline), and Figures 1, 2 and 7-9 all read its grid.
 """
 
 from repro.vectorizer.legality import VectorizationLegality, check_legality
@@ -24,7 +24,6 @@ from repro.vectorizer.planner import (
     plan_from_pragmas,
 )
 from repro.vectorizer.cost_model import BaselineCostModel, BaselineDecision
-from repro.vectorizer.bruteforce import BruteForceResult, brute_force_search
 
 __all__ = [
     "VectorizationLegality",
@@ -35,6 +34,4 @@ __all__ = [
     "plan_from_pragmas",
     "BaselineCostModel",
     "BaselineDecision",
-    "BruteForceResult",
-    "brute_force_search",
 ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.pipeline import CompileAndMeasure
 from repro.datasets import (
     KernelSuite,
     LoopKernel,
@@ -14,14 +15,19 @@ from repro.datasets import (
 )
 from repro.datasets import test_benchmarks as held_out_benchmarks
 from repro.datasets.synthetic import TEMPLATES, parameter_space_size
+from repro.frontend.cache import frontend_cache
 from repro.ir.verifier import verify_function
+
+
+def lower_kernel(kernel: LoopKernel):
+    return CompileAndMeasure().lower_kernel(kernel)
 
 
 class TestKernelContainer:
     def test_lazy_parse_and_lower(self, dot_kernel):
-        unit = dot_kernel.parse()
+        unit = frontend_cache().parse(dot_kernel.source)
         assert unit.find_function("example1") is not None
-        ir = dot_kernel.lower()
+        ir = lower_kernel(dot_kernel)
         assert len(ir.innermost_loops()) == 1
 
     def test_with_source_creates_independent_copy(self, dot_kernel):
@@ -31,8 +37,8 @@ class TestKernelContainer:
 
     def test_unknown_function_raises(self):
         kernel = LoopKernel(name="bad", source="void f() {}", function_name="missing")
-        with pytest.raises(ValueError):
-            kernel.function_ast()
+        with pytest.raises(ValueError, match="no function 'missing'"):
+            lower_kernel(kernel)
 
     def test_suite_lookup(self):
         suite = llvm_vectorizer_suite()
@@ -54,7 +60,7 @@ class TestKernelBanks:
     )
     def test_every_kernel_lowers_and_verifies(self, suite_factory):
         for kernel in suite_factory():
-            ir = kernel.lower()
+            ir = lower_kernel(kernel)
             assert verify_function(ir, raise_on_error=False) == []
             assert len(ir.innermost_loops()) >= 1
 
@@ -70,7 +76,7 @@ class TestKernelBanks:
     def test_dot_product_kernel_matches_paper(self, dot_kernel):
         assert "vec[512]" in dot_kernel.source
         assert "aligned(16)" in dot_kernel.source
-        ir = dot_kernel.lower()
+        ir = lower_kernel(dot_kernel)
         assert ir.innermost_loops()[0].trip_count == 512
 
     def test_mibench_contains_non_vectorizable_programs(self):
@@ -79,7 +85,7 @@ class TestKernelBanks:
         suite = mibench_suite()
         non_vectorizable = 0
         for kernel in suite:
-            ir = kernel.lower()
+            ir = lower_kernel(kernel)
             for loop in ir.innermost_loops():
                 if not analyze_loop(ir, loop).is_vectorizable:
                     non_vectorizable += 1
@@ -88,7 +94,7 @@ class TestKernelBanks:
 
     def test_polybench_kernels_have_nested_loops(self):
         for kernel in polybench_suite():
-            ir = kernel.lower()
+            ir = lower_kernel(kernel)
             assert any(loop.depth_below >= 2 for loop in ir.top_level_loops())
 
 
@@ -115,7 +121,7 @@ class TestSyntheticGenerator:
     def test_all_generated_kernels_compile(self):
         suite = generate_synthetic_dataset(SyntheticDatasetConfig(count=60, seed=5))
         for kernel in suite:
-            ir = kernel.lower()
+            ir = lower_kernel(kernel)
             assert verify_function(ir, raise_on_error=False) == []
 
     def test_parameter_space_exceeds_paper_dataset_size(self):
@@ -133,7 +139,7 @@ class TestSyntheticGenerator:
                                         max_trip_count=1024)
         suite = generate_synthetic_dataset(config)
         for kernel in suite:
-            ir = kernel.lower()
+            ir = lower_kernel(kernel)
             for loop in ir.innermost_loops():
                 if loop.trip_count is not None and loop.trip_count > 4:
                     assert loop.trip_count <= 1100
@@ -145,4 +151,4 @@ class TestSyntheticGenerator:
             )
             assert len(suite) >= 1
             for kernel in suite:
-                kernel.lower()
+                lower_kernel(kernel)

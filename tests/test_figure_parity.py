@@ -12,6 +12,12 @@ suite; they are never regenerated.  ``ComparisonRunner`` +
 ``fit_supervised_agents`` + ``add_polly_columns`` must land on the same
 bits, which also settles that ``polly`` and ``polly+rl`` may share one
 Polly-transformed function (the old driver transformed twice).
+
+``FIGURE_DIGESTS`` freeze Figures 1 and 2 the same way: computed at the
+commit before the standalone brute-force search (a private simulator per
+call, outside the reward cache) was deleted, never regenerated.  The one
+oracle, :class:`repro.agents.brute_force.BruteForceAgent` on an
+:class:`EvaluationService`, must reproduce them bit for bit.
 """
 
 import hashlib
@@ -21,12 +27,21 @@ import pytest
 from repro.agents.policy_agent import PolicyAgent
 from repro.core.framework import build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
+from repro.datasets.kernels import KernelSuite
+from repro.datasets.llvm_suite import llvm_vectorizer_suite
 from repro.datasets.llvm_suite import test_benchmarks as held_out_benchmarks
 from repro.datasets.mibench import mibench_suite
 from repro.datasets.polybench import polybench_suite
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
 from repro.distributed import EvaluationService
-from repro.evaluation import ComparisonRunner, add_polly_columns, fit_supervised_agents
+from repro.evaluation import (
+    ComparisonRunner,
+    add_polly_columns,
+    figure1_dot_product_grid,
+    figure2_bruteforce_suite,
+    fit_supervised_agents,
+)
+from repro.machine.description import avx512_machine
 from repro.rl.policy import make_policy
 
 #: suite -> (rows, SHA-1) of the legacy driver's speedups at the parent commit.
@@ -87,3 +102,62 @@ def test_runner_reproduces_legacy_driver_bit_for_bit(line_up, suite):
     count, digest = LEGACY_DIGESTS[suite]
     assert len(rows) == count
     assert hashlib.sha1(repr(rows).encode()).hexdigest() == digest
+
+
+#: figure -> (rows, SHA-1) of the standalone brute-force search's figures.
+FIGURE_DIGESTS = {
+    "figure1": (35, "b811d4115c93575dc8419aae38001d585bc2cec0"),
+    "figure2": (25, "4333a89e013a15c2f3eec39af9096197cb16eec0"),
+    "figure2_avx512_ablation": (3, "abf83e2de57edf8c9a4e524153ff6d3e604a4d30"),
+}
+ABLATION_KERNELS = ("sum_reduction_float", "saxpy", "double_precision_scale")
+
+
+def _sha1(rows) -> str:
+    return hashlib.sha1(repr(rows).encode()).hexdigest()
+
+
+def test_figure1_reproduces_the_standalone_search():
+    result = figure1_dot_product_grid()
+    rows = (
+        sorted(result.grid.items()),
+        result.baseline_factors,
+        result.best_factors,
+        result.best_speedup,
+        result.fraction_better_than_baseline,
+    )
+    assert result.baseline_factors == (4, 2) and result.best_factors == (8, 8)
+    assert result.best_speedup == 2.180425981341313
+    count, digest = FIGURE_DIGESTS["figure1"]
+    assert len(result.grid) == count
+    assert _sha1(rows) == digest
+
+
+def test_figure2_reproduces_the_standalone_search():
+    items = list(figure2_bruteforce_suite().speedups.items())
+    assert items[:2] == [
+        ("sum_reduction_int", 2.9408814990762733),
+        ("sum_reduction_float", 3.6654322746047576),
+    ]
+    count, digest = FIGURE_DIGESTS["figure2"]
+    assert len(items) == count
+    assert _sha1(items) == digest
+
+
+def test_figure2_on_the_ablation_kernels_under_avx512():
+    suite = KernelSuite(
+        name="ablation",
+        kernels=[k for k in llvm_vectorizer_suite() if k.name in ABLATION_KERNELS],
+    )
+    service = EvaluationService(CompileAndMeasure(machine=avx512_machine()))
+    items = list(
+        figure2_bruteforce_suite(suite, evaluation_service=service).speedups.items()
+    )
+    assert items == [
+        ("sum_reduction_float", 4.6161434977578475),
+        ("saxpy", 1.3253712072304713),
+        ("double_precision_scale", 2.859500959692898),
+    ]
+    count, digest = FIGURE_DIGESTS["figure2_avx512_ablation"]
+    assert len(items) == count
+    assert _sha1(items) == digest

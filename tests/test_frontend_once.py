@@ -72,7 +72,7 @@ def test_every_consumer_of_a_text_shares_one_parse(parsed, cache):
     kernel = scale_kernel()
     extract_loops(kernel.source)
     extract_loops(kernel.source, function_name="scale", filename="elsewhere.c")
-    unit = kernel.parse()
+    unit = cache.parse(kernel.source, filename=f"{kernel.name}.c")
     CompileAndMeasure().lower_kernel(kernel)
     inject_pragmas(kernel.source, {0: (4, 2)}, function_name="scale")
     assert parsed == ["<source>"]
@@ -100,10 +100,9 @@ def test_a_kernel_is_one_entry_and_eviction_takes_its_loop_lists(cache):
     first, second = scale_kernel(), scale_kernel(source=SCALE_SOURCE.replace("4096", "512"))
     extract_loops(first.source)
     extract_loops(first.source, function_name="scale")
-    first.parse()
+    CompileAndMeasure().lower_kernel(first)
     assert len(cache) == 1
     loop = weakref.ref(extract_loops(first.source)[0])
-    first.invalidate()
     cache.set_capacity(1)
     assert loop() is not None and cache.stats.evictions == 0
     extract_loops(second.source)

@@ -37,12 +37,6 @@ class TestMachineDescription:
         assert machine.physical_parts(16, 32) == 2
         assert machine.physical_parts(64, 64) == 16
 
-    def test_vf_and_if_candidates(self):
-        machine = MachineDescription()
-        assert machine.vf_candidates() == (1, 2, 4, 8, 16, 32, 64)
-        assert machine.if_candidates() == (1, 2, 4, 8, 16)
-        assert len(machine.vf_candidates()) * len(machine.if_candidates()) == 35
-
     def test_presets(self):
         assert avx512_machine().vector_bits == 512
         assert scalar_machine().max_vectorize_width == 1

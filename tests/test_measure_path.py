@@ -2,7 +2,7 @@
 
 Two kinds of test live here.  The *digest* tests freeze, as literal SHA-1
 values, what the cost model, the five ``measure_*`` entry points and the
-brute-force search return — any change to the measure path must leave
+brute-force oracle's grid return — any change to the measure path must leave
 them alone.  The *shape* tests pin how the path gets there: one
 ``analyze_loop`` call per innermost loop of a kernel's source, kept beside
 its IR for every later call; one per loop per call for annotated sources
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.agents.brute_force import BruteForceAgent
 from repro.analysis import loopinfo
 from repro.analysis.loopinfo import analyze_loop
 from repro.core.framework import compare_agents
@@ -29,10 +30,12 @@ from repro.datasets.mibench import mibench_suite
 from repro.datasets.motivating import dot_product_kernel
 from repro.datasets.polybench import polybench_suite
 from repro.datasets.synthetic import SyntheticDatasetConfig, generate_synthetic_dataset
+from repro.distributed import EvaluationService
 from repro.frontend import parse_source
 from repro.ir.lowering import lower_unit
 from repro.machine.description import avx2_machine, avx512_machine
 from repro.polly.transforms import clone_function
+from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
 from repro.simulator.cost import (
     estimate_iteration_cycles,
     estimate_loop_cost,
@@ -40,7 +43,6 @@ from repro.simulator.cost import (
 )
 from repro.simulator.engine import Simulator
 from repro.tasks import available_tasks, get_task
-from repro.vectorizer.bruteforce import brute_force_search
 from repro.vectorizer.legality import check_legality
 from repro.vectorizer.planner import build_plan
 
@@ -118,8 +120,8 @@ class TestFrozenOutputs:
         working_set = estimate_working_set(analysis, 4096)
         configs = [
             (vf, interleave)
-            for vf in machine.vf_candidates()
-            for interleave in machine.if_candidates()
+            for vf in DEFAULT_VF_VALUES
+            for interleave in DEFAULT_IF_VALUES
         ] + [(3, 5)]
         rows = [working_set]
         for vf, interleave in configs:
@@ -137,15 +139,14 @@ class TestFrozenOutputs:
     @pytest.mark.parametrize("suite_name", SUITES)
     def test_measure_digest(self, suite_name):
         pipeline = CompileAndMeasure()
-        machine = pipeline.machine
         polly = get_task("polly-tiling")
         rows = []
         for kernel in SUITES[suite_name]():
             loops = len(pipeline.lower_kernel(kernel).innermost_loops())
             rows.append(_measurement(pipeline.measure_baseline(kernel)))
             rows.append(_measurement(pipeline.measure_scalar(kernel)))
-            for vf in machine.vf_candidates():
-                for interleave in machine.if_candidates():
+            for vf in DEFAULT_VF_VALUES:
+                for interleave in DEFAULT_IF_VALUES:
                     rows.append(_measurement(
                         pipeline.measure_with_factors(kernel, {0: (vf, interleave)})
                     ))
@@ -171,16 +172,19 @@ class TestFrozenOutputs:
         assert _sha1(rows) == MEASURE_DIGESTS[suite_name]
 
     def test_brute_force_digest(self):
-        function = dot_product_kernel().lower()
-        result = brute_force_search(function)
-        # By innermost-loop position: loop ids come from a process-wide counter.
-        loop_ids = [loop.loop_id for loop in function.innermost_loops()]
+        kernel = dot_product_kernel()
+        service = EvaluationService(CompileAndMeasure())
+        agent = BruteForceAgent(evaluation_service=service)
+        grid = agent.grid(kernel)
+        best = agent.select_factors(None, kernel).action
+        baseline, _ = service.cache.measure_baseline(service.pipeline, kernel)
+        # The dot product has one loop: one best pair, one grid.
         rows = (
-            [result.best_factors[loop_id] for loop_id in loop_ids],
-            [sorted(result.grids[loop_id].items()) for loop_id in loop_ids],
-            result.best_cycles,
-            result.baseline_cycles,
-            result.evaluations,
+            [best],
+            [sorted((action, measurement.cycles) for action, measurement in grid.items())],
+            grid[best].cycles,
+            baseline.cycles,
+            len(grid),
         )
         assert _sha1(rows) == BRUTE_FORCE_DIGEST
 
@@ -307,14 +311,14 @@ class TestAnalyseOncePerLoop:
         assert measure_kernel(pipeline) == measure_kernel(CompileAndMeasure()) == before
 
     def test_fully_planned_simulate_analyses_nothing(self, analyze_calls):
-        function = polybench_suite()[1].lower()
+        function = CompileAndMeasure().lower_kernel(polybench_suite()[1])
         plan = build_plan(function, {})
         del analyze_calls[:]
         Simulator().simulate(function, plan)
         assert analyze_calls == []
 
     def test_unplanned_simulate_equals_the_scalar_plan(self, analyze_calls):
-        function = polybench_suite()[1].lower()
+        function = CompileAndMeasure().lower_kernel(polybench_suite()[1])
         unplanned = Simulator().simulate(function)
         assert len(analyze_calls) == len(function.innermost_loops())
         planned = Simulator().simulate(function, build_plan(function, {}))
@@ -322,7 +326,7 @@ class TestAnalyseOncePerLoop:
         assert unplanned.loop_costs == planned.loop_costs
 
     def test_build_plan_keeps_the_analyses_it_is_given(self, analyze_calls):
-        function = polybench_suite()[1].lower()
+        function = CompileAndMeasure().lower_kernel(polybench_suite()[1])
         first, second = function.innermost_loops()[:2]
         given_analysis = analyze_loop(function, first)
         plan = build_plan(function, {}, analyses={first.loop_id: given_analysis})
@@ -334,11 +338,14 @@ class TestAnalyseOncePerLoop:
     def test_brute_force_analyses_each_loop_a_constant_number_of_times(
         self, analyze_calls
     ):
-        function = polybench_suite()[1].lower()
-        result = brute_force_search(function)
-        assert result.evaluations == 35 * len(function.innermost_loops())
-        # Its own pass plus the baseline cost model's, however many trials.
-        assert len(analyze_calls) == 2 * len(function.innermost_loops())
+        kernel = polybench_suite()[1]
+        agent = BruteForceAgent(evaluation_service=EvaluationService(CompileAndMeasure()))
+        loops = agent.evaluation_service.pipeline.lower_kernel(kernel).innermost_loops()
+        grids = [agent.grid(kernel, index) for index in range(len(loops))]
+        assert [len(grid) for grid in grids] == [35] * len(loops)
+        assert agent.evaluation_service.cache.stats.misses == 35 * len(loops)
+        # One analysis per loop, kept beside the IR, however many trials.
+        assert sorted(analyze_calls) == sorted(loop.loop_id for loop in loops)
 
 
 def _synthetic_kernels():

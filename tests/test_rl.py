@@ -15,6 +15,7 @@ from repro.rl.spaces import (
     ContinuousPairSpace,
     DiscreteFactorSpace,
     default_action_space,
+    make_action_space,
 )
 from repro.rl.tune import best_experiment, grid_search, run_experiments
 
@@ -97,6 +98,12 @@ class TestActionSpaces:
     def test_continuous_values_are_clipped(self):
         space = ContinuousPairSpace()
         assert space.decode([5.0, -2.0]) == (64, 1)
+
+    @pytest.mark.parametrize("kind", ["discrete", "continuous1", "continuous2"])
+    def test_nan_action_is_a_named_value_error(self, kind):
+        space = make_action_space(kind)
+        with pytest.raises(ValueError, match=rf"^{kind} action space .*\[nan, 0\.5\].*NaN"):
+            space.decode(np.array([np.nan, 0.5]))
 
 
 class TestRoundingTieBreaks:

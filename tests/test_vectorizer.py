@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.agents.brute_force import BruteForceAgent
 from repro.analysis.loopinfo import analyze_loop
+from repro.core.pipeline import CompileAndMeasure
+from repro.datasets.kernels import KernelSuite, LoopKernel
+from repro.distributed import EvaluationService
+from repro.evaluation import figure2_bruteforce_suite
 from repro.frontend import parse_source
 from repro.ir.lowering import lower_unit
 from repro.machine.description import MachineDescription
-from repro.simulator.engine import Simulator
-from repro.vectorizer.bruteforce import brute_force_search
+from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
 from repro.vectorizer.cost_model import BaselineCostModel
 from repro.vectorizer.legality import check_legality
 from repro.vectorizer.planner import build_plan, make_loop_plan, plan_from_pragmas
@@ -225,49 +229,55 @@ class TestBaselineCostModel:
         assert decision.cost_per_lane[1] > 0
 
 
+def _oracle(source, machine):
+    """A brute-force agent on a fresh service, and ``source`` as kernel ``f``."""
+    service = EvaluationService(CompileAndMeasure(machine=machine))
+    kernel = LoopKernel(name="f", source=source, function_name="f")
+    return BruteForceAgent(evaluation_service=service), kernel
+
+
 class TestBruteForce:
     def test_brute_force_beats_or_matches_baseline(self, machine):
-        function = _ir(
+        agent, kernel = _oracle(
             "float a[4096], b[4096];\nfloat f() { float s = 0;"
-            " for (int i = 0; i < 4096; i++) s += a[i] * b[i]; return s; }"
+            " for (int i = 0; i < 4096; i++) s += a[i] * b[i]; return s; }",
+            machine,
         )
-        result = brute_force_search(function, machine=machine)
-        assert result.best_cycles <= result.baseline_cycles
-        assert result.speedup_over_baseline() >= 1.0
+        service = agent.evaluation_service
+        best = agent.grid(kernel)[agent.select_factors(None, kernel).action]
+        baseline, _ = service.cache.measure_baseline(service.pipeline, kernel)
+        assert best.cycles <= baseline.cycles
+        assert best.cycles == min(m.cycles for m in agent.grid(kernel).values())
 
     def test_grid_covers_all_35_pairs(self, machine):
-        function = _ir(
-            "float a[512];\nvoid f() { for (int i = 0; i < 512; i++) a[i] = 1; }"
+        agent, kernel = _oracle(
+            "float a[512];\nvoid f() { for (int i = 0; i < 512; i++) a[i] = 1; }",
+            machine,
         )
-        result = brute_force_search(function, machine=machine)
-        loop = function.innermost_loops()[0]
-        assert len(result.grids[loop.loop_id]) == 35
+        assert len(agent.grid(kernel)) == 35
 
     def test_best_factors_are_in_the_menu(self, machine):
-        function = _ir(
-            "float a[512];\nvoid f() { for (int i = 0; i < 512; i++) a[i] = a[i] * 2; }"
+        agent, kernel = _oracle(
+            "float a[512];\nvoid f() { for (int i = 0; i < 512; i++) a[i] = a[i] * 2; }",
+            machine,
         )
-        result = brute_force_search(function, machine=machine)
-        vf, interleave = list(result.best_factors.values())[0]
-        assert vf in machine.vf_candidates()
-        assert interleave in machine.if_candidates()
+        vf, interleave = agent.select_factors(None, kernel).action
+        assert vf in DEFAULT_VF_VALUES
+        assert interleave in DEFAULT_IF_VALUES
 
     def test_multi_loop_search_is_per_loop(self, machine):
-        function = _ir(
+        agent, kernel = _oracle(
             "float a[512], b[512];\nvoid f() {"
             " for (int i = 0; i < 512; i++) a[i] = 1;"
-            " for (int j = 0; j < 512; j++) b[j] = 2; }"
+            " for (int j = 0; j < 512; j++) b[j] = 2; }",
+            machine,
         )
-        result = brute_force_search(function, machine=machine)
-        assert len(result.best_factors) == 2
-        assert result.evaluations == 2 * 35
-
-    def test_restricted_candidate_lists(self, machine):
-        function = _ir(
-            "float a[512];\nvoid f() { for (int i = 0; i < 512; i++) a[i] = 1; }"
-        )
-        result = brute_force_search(
-            function, machine=machine, vf_candidates=(1, 8), if_candidates=(1, 2)
-        )
-        loop = function.innermost_loops()[0]
-        assert len(result.grids[loop.loop_id]) == 4
+        grids = [agent.grid(kernel, loop_index) for loop_index in (0, 1)]
+        assert [len(grid) for grid in grids] == [35, 35]
+        assert agent.evaluation_service.cache.stats.misses == 2 * 35
+        # Figure 2 searches one loop per kernel and names any other kernel.
+        with pytest.raises(ValueError, match="'f' has 2 innermost loops"):
+            figure2_bruteforce_suite(
+                KernelSuite(name="two", kernels=[kernel]),
+                evaluation_service=agent.evaluation_service,
+            )
