@@ -2,8 +2,9 @@
 
 Runs the same seeded synthetic PPO workload through the trainer twice —
 once as it trains (the fused kernel) and once with the trainer's updater
-instance bound to :func:`repro.rl.fused_update.graph_update_minibatch`,
-the per-minibatch autodiff graph the kernel is checked against — with a
+instance bound to ``graph_update_minibatch`` from the tests' autodiff
+oracle (``tests/oracle``), the per-minibatch graph the kernel is checked
+against — with a
 :class:`repro.profiling.PhaseTimer` attached, so every entry splits the
 update wall-clock into its gather / evaluate / backward / optimizer
 phases.  The two variants must finish with **byte-identical weights and
@@ -29,9 +30,13 @@ import functools
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
+
+#: Holds the ``oracle`` package, the autodiff graph of the PPO step.
+TESTS_DIR = Path(__file__).resolve().parent.parent / "tests"
 
 
 def _workload(tiny: bool) -> Dict[str, object]:
@@ -115,9 +120,14 @@ def _run_variant(graph: bool, workload: Dict[str, object]) -> Dict[str, object]:
     phase split and the final weights come from the last repeat.
     """
     from repro.profiling import PhaseTimer
-    from repro.rl.fused_update import graph_update_minibatch
     from repro.rl.policy import make_policy
     from repro.rl.ppo import PPOConfig, PPOTrainer
+
+    sys.path.insert(0, str(TESTS_DIR))
+    try:
+        from oracle import graph_update_minibatch
+    finally:
+        sys.path.pop(0)
 
     spaces = _spaces(int(workload["tasks"]))
     batches = _make_batches(spaces, workload)

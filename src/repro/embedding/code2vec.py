@@ -12,17 +12,15 @@ Architecture (Alon et al. 2019, as used by the paper):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.embedding.ast_paths import PathContext
 from repro.embedding.vocab import Vocabulary
-from repro.nn import ops
-from repro.nn.layers import Dense, Module, Parameter
 from repro.nn.initializers import normal_init
-from repro.nn.tensor import Tensor
+from repro.nn.layers import Dense, Module, Parameter
 
 
 @dataclass
@@ -35,6 +33,22 @@ class Code2VecConfig:
     max_contexts: int = 200
     dropout_keep: float = 1.0
     seed: int = 0
+
+
+class Code2VecForward(NamedTuple):
+    """One loop's forward pass: its context indices and activations."""
+
+    starts: np.ndarray
+    paths: np.ndarray
+    ends: np.ndarray
+    #: ``(contexts, 2 * token_dim + path_dim)`` concatenated embeddings.
+    inputs: np.ndarray
+    #: ``(contexts, code_dim)`` combined context vectors.
+    combined: np.ndarray
+    #: ``(1, contexts)`` attention weights.
+    weights: np.ndarray
+    #: ``(1, code_dim)`` attention-pooled code vector.
+    code_vector: np.ndarray
 
 
 class Code2VecModel(Module):
@@ -89,44 +103,70 @@ class Code2VecModel(Module):
         )
         return starts, paths, ends
 
-    def forward(self, contexts: Sequence[PathContext]) -> Tensor:
-        """The code vector for one loop (shape ``(code_vector_dim,)``)."""
+    def forward(self, contexts: Sequence[PathContext]) -> Code2VecForward:
+        """The forward pass for one loop, keeping what the backward needs.
+
+        The products stay ``@`` (BLAS) and the softmax max-shifted: the
+        tests hold this pass bit-identical to the autodiff oracle, and the
+        pretraining digests hash what it computes.
+        """
         starts, paths, ends = self.encode_indices(contexts)
-        start_vectors = ops.gather_rows(self.token_embeddings, starts)
-        path_vectors = ops.gather_rows(self.path_embeddings, paths)
-        end_vectors = ops.gather_rows(self.token_embeddings, ends)
-        combined_inputs = ops.concatenate(
-            [start_vectors, path_vectors, end_vectors], axis=-1
+        tokens = self.token_embeddings.data
+        inputs = np.concatenate(
+            [tokens[starts], self.path_embeddings.data[paths], tokens[ends]], axis=-1
         )
-        combined = self.combine(combined_inputs)  # (contexts, code_dim)
-        scores = ops.matmul(combined, self.attention)  # (contexts, 1)
-        weights = ops.softmax(ops.reshape(scores, (1, -1)), axis=-1)  # (1, contexts)
-        code_vector = ops.matmul(weights, combined)  # (1, code_dim)
-        return ops.reshape(code_vector, (self.config.code_vector_dim,))
+        combine = self.combine
+        combined = np.tanh(inputs @ combine.weight.data + combine.bias.data)
+        scores = (combined @ self.attention.data).reshape(1, -1)
+        exps = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights = exps / exps.sum(axis=-1, keepdims=True)
+        return Code2VecForward(
+            starts, paths, ends, inputs, combined, weights, weights @ combined
+        )
+
+    def accumulate_gradients(
+        self, forward: Code2VecForward, code_gradient: np.ndarray
+    ) -> None:
+        """Accumulate ``d loss / d parameter`` given ``d loss / d code vector``.
+
+        Contributions land in the autodiff graph's reverse topological
+        order: into the combined contexts the value path (``weights @
+        combined``) before the score path, and into the token table the
+        end tokens before the start tokens, each scattered through its own
+        zeroed table.
+        """
+        combined, weights = forward.combined, forward.weights
+        # code_vector = weights @ combined
+        g_weights = code_gradient @ combined.T
+        g_combined = weights.T @ code_gradient
+        # weights = softmax(scores)
+        dot = (g_weights * weights).sum(axis=-1, keepdims=True)
+        g_scores = (weights * (g_weights - dot)).reshape(-1, 1)
+        # scores = combined @ attention
+        g_combined += g_scores @ self.attention.data.T
+        self.attention._accumulate(combined.T @ g_scores)
+        # combined = tanh(inputs @ W + b)
+        g_linear = g_combined * (1.0 - combined ** 2)
+        combine = self.combine
+        combine.bias._accumulate(g_linear.sum(axis=0))
+        g_inputs = g_linear @ combine.weight.data.T
+        combine.weight._accumulate(forward.inputs.T @ g_linear)
+        # inputs = [tokens[starts], paths[paths], tokens[ends]]
+        token_dim = self.config.token_embedding_dim
+        path_end = token_dim + self.config.path_embedding_dim
+        for table, indices, gradient in (
+            (self.token_embeddings, forward.ends, g_inputs[:, path_end:]),
+            (self.path_embeddings, forward.paths, g_inputs[:, token_dim:path_end]),
+            (self.token_embeddings, forward.starts, g_inputs[:, :token_dim]),
+        ):
+            scattered = np.zeros_like(table.data)
+            np.add.at(scattered, indices, gradient)
+            table._accumulate(scattered)
 
     def embed(self, contexts: Sequence[PathContext]) -> np.ndarray:
-        """Inference-mode embedding as a plain numpy vector."""
-        from repro.nn.tensor import no_grad
-
-        with no_grad():
-            return self.forward(contexts).numpy().copy()
-
-    def embed_batch(self, bags: Sequence[Sequence[PathContext]]) -> np.ndarray:
-        """Embeddings for many loops, stacked row-wise."""
-        return np.stack([self.embed(bag) for bag in bags], axis=0)
+        """The code vector for one loop (shape ``(code_vector_dim,)``)."""
+        return self.forward(contexts).code_vector.reshape(-1)
 
     def attention_weights(self, contexts: Sequence[PathContext]) -> np.ndarray:
         """The attention distribution over contexts (for interpretability)."""
-        from repro.nn.tensor import no_grad
-
-        with no_grad():
-            starts, paths, ends = self.encode_indices(contexts)
-            start_vectors = ops.gather_rows(self.token_embeddings, starts)
-            path_vectors = ops.gather_rows(self.path_embeddings, paths)
-            end_vectors = ops.gather_rows(self.token_embeddings, ends)
-            combined = self.combine(
-                ops.concatenate([start_vectors, path_vectors, end_vectors], axis=-1)
-            )
-            scores = ops.matmul(combined, self.attention)
-            weights = ops.softmax(ops.reshape(scores, (1, -1)), axis=-1)
-            return weights.numpy().reshape(-1).copy()
+        return self.forward(contexts).weights.reshape(-1)

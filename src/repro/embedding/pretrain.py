@@ -12,18 +12,15 @@ which is the property the RL agent relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 import numpy as np
 
 from repro.analysis.loopinfo import LoopAnalysis
 from repro.embedding.ast_paths import PathContext
 from repro.embedding.code2vec import Code2VecModel
-from repro.nn import ops
 from repro.nn.layers import Dense, Module
-from repro.nn.losses import cross_entropy_loss
 from repro.nn.optim import Adam
-from repro.nn.tensor import Tensor
 
 
 #: The pretraining heads: name -> number of classes.
@@ -87,9 +84,12 @@ class _PropertyHeads(Module):
             for name, classes in PROPERTY_HEADS.items()
         }
 
-    def forward(self, code_vector: Tensor) -> Dict[str, Tensor]:
-        batched = ops.reshape(code_vector, (1, -1))
-        return {name: head(batched) for name, head in self.heads.items()}
+    def logits(self, code_vector: np.ndarray) -> Dict[str, np.ndarray]:
+        """Each head's ``(1, classes)`` logits for a ``(1, code_dim)`` vector."""
+        return {
+            name: code_vector @ head.weight.data + head.bias.data
+            for name, head in self.heads.items()
+        }
 
 
 @dataclass
@@ -142,18 +142,42 @@ class Code2VecPretrainer:
     def _train_one(
         self, contexts: Sequence[PathContext], label: LoopPropertyLabels
     ) -> float:
-        code_vector = self.model(contexts)
-        logits = self.heads(code_vector)
-        label_dict = label.as_dict()
-        total: Optional[Tensor] = None
-        for name, head_logits in logits.items():
-            loss = cross_entropy_loss(head_logits, np.array([label_dict[name]]))
-            total = loss if total is None else ops.add(total, loss)
+        """One Adam step on one loop: the sum of the heads' cross-entropies.
+
+        The backward is written out by hand and matches the autodiff graph
+        of the same loss bit for bit (the graph is the tests' oracle): the
+        heads feed the code vector's gradient from the last head to the
+        first, and each bias gradient is a ``sum(axis=0)``.
+        """
+        forward = self.model.forward(contexts)
+        code_vector = forward.code_vector
+        targets = label.as_dict()
+        total = None
+        head_gradients = []
+        for name, logits in self.heads.logits(code_vector).items():
+            shifted = logits - logits.max(axis=-1, keepdims=True)
+            log_softmax = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+            target = targets[name]
+            loss = log_softmax[0, target] * -1.0
+            total = loss if total is None else total + loss
+            # d loss / d logits = softmax - one_hot(target)
+            gradient = np.exp(log_softmax)
+            gradient[0, target] -= 1.0
+            head_gradients.append((self.heads.heads[name], gradient))
         self.optimizer.zero_grad()
-        total.backward()
+        code_gradient = None
+        for head, gradient in reversed(head_gradients):
+            head.bias._accumulate(gradient.sum(axis=0))
+            contribution = gradient @ head.weight.data.T
+            head.weight._accumulate(code_vector.T @ gradient)
+            if code_gradient is None:
+                code_gradient = contribution
+            else:
+                code_gradient += contribution
+        self.model.accumulate_gradients(forward, code_gradient)
         self.optimizer.clip_gradients(5.0)
         self.optimizer.step()
-        return float(total.item())
+        return float(total)
 
     def evaluate(
         self,
@@ -163,11 +187,10 @@ class Code2VecPretrainer:
         """Per-head accuracy over a labelled corpus."""
         correct: Dict[str, int] = {name: 0 for name in PROPERTY_HEADS}
         for contexts, label in zip(context_bags, labels):
-            code_vector = Tensor(self.model.embed(contexts))
-            logits = self.heads(code_vector)
+            logits = self.heads.logits(self.model.embed(contexts).reshape(1, -1))
             label_dict = label.as_dict()
             for name, head_logits in logits.items():
-                predicted = int(np.argmax(head_logits.numpy()))
+                predicted = int(np.argmax(head_logits))
                 correct[name] += int(predicted == label_dict[name])
         count = max(1, len(context_bags))
         return {name: correct[name] / count for name in PROPERTY_HEADS}

@@ -1,50 +1,34 @@
-"""A small reverse-mode autodiff and neural-network library on numpy.
+"""Trainable parameters, the modules that hold them, and their optimisers.
 
 The paper trains its policy and embedding networks with RLlib on top of
-TensorFlow; offline we need the same functionality (dense layers, tanh/relu,
-softmax policies, Adam) without external frameworks, so this package
-implements:
+TensorFlow.  Here every forward and backward pass is written out in numpy
+where it runs (``repro.rl.fused_update`` for the PPO update,
+``repro.embedding`` for code2vec and its pretraining), so this package
+only holds the weights and updates them:
 
-* :class:`~repro.nn.tensor.Tensor` — a numpy array with a gradient and a
-  recorded backward function (define-by-run reverse mode),
-* :mod:`repro.nn.layers` — Dense layers, activations, an MLP container,
-* :mod:`repro.nn.optim` — Adam over one flat parameter buffer,
-* :mod:`repro.nn.losses` — MSE, cross-entropy, and the categorical/Gaussian
-  log-probability helpers PPO needs.
+* :class:`~repro.nn.layers.Parameter` — an array and its gradient,
+* :mod:`repro.nn.layers` — the ``Module`` base, ``Dense`` and ``MLP``
+  weight holders and the numpy activations,
+* :mod:`repro.nn.initializers` — weight initialisers,
+* :mod:`repro.nn.optim` — Adam over one flat parameter buffer.
+
+The autodiff graph that checks those hand-written passes lives with the
+tests, in ``tests/oracle``.
 """
 
-from repro.nn.tensor import Tensor, no_grad
-from repro.nn import ops
 from repro.nn.initializers import normal_init, xavier_init, zeros_init
-from repro.nn.layers import MLP, Dense, Module, Parameter, Sequential
-from repro.nn.losses import (
-    categorical_entropy,
-    categorical_log_prob,
-    cross_entropy_loss,
-    gaussian_entropy,
-    gaussian_log_prob,
-    mse_loss,
-)
+from repro.nn.layers import ACTIVATIONS, MLP, Dense, Module, Parameter
 from repro.nn.optim import Adam, Optimizer
 
 __all__ = [
-    "Tensor",
-    "no_grad",
-    "ops",
     "xavier_init",
     "normal_init",
     "zeros_init",
+    "ACTIVATIONS",
     "Parameter",
     "Module",
     "Dense",
-    "Sequential",
     "MLP",
-    "mse_loss",
-    "cross_entropy_loss",
-    "categorical_log_prob",
-    "categorical_entropy",
-    "gaussian_log_prob",
-    "gaussian_entropy",
     "Optimizer",
     "Adam",
 ]

@@ -1,21 +1,54 @@
-"""Layers and module containers."""
+"""Parameters and the modules that hold them."""
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.nn import ops
 from repro.nn.initializers import xavier_init, zeros_init
-from repro.nn.tensor import Tensor
 
 
-class Parameter(Tensor):
-    """A tensor that an optimiser should update."""
+class Parameter:
+    """A trainable array and its gradient.
+
+    ``grad`` is ``None`` until a backward pass accumulates into it.  Once
+    an optimiser holds the parameter, ``data`` and ``_grad_buffer`` are
+    views into that optimiser's flat buffers, and the first gradient of a
+    step is copied into ``_grad_buffer`` instead of allocating.
+    """
+
+    __slots__ = ("data", "grad", "name", "_grad_buffer")
 
     def __init__(self, data, name: str = ""):
-        super().__init__(data, requires_grad=True, name=name)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad: Optional[np.ndarray] = None
+        self.name = name
+        self._grad_buffer: Optional[np.ndarray] = None
+
+    def zero_grad(self) -> None:
+        self.grad = None
+
+    def _accumulate(self, gradient: np.ndarray) -> None:
+        """``grad += gradient`` (``gradient`` has this parameter's shape)."""
+        grad = self.grad
+        if grad is None:
+            buffer = self._grad_buffer
+            if (
+                buffer is not None
+                and buffer.shape == gradient.shape
+                and buffer.dtype == gradient.dtype
+            ):
+                np.copyto(buffer, gradient)
+            else:
+                buffer = gradient.copy()
+                self._grad_buffer = buffer
+            self.grad = buffer
+        else:
+            # ``grad`` is always privately owned (the copy above), so the
+            # in-place add computes the same bits as ``grad + gradient``
+            # without allocating.
+            np.add(grad, gradient, out=grad)
 
 
 class Module:
@@ -48,7 +81,7 @@ class Module:
             parameter.zero_grad()
 
     def num_parameters(self) -> int:
-        return sum(parameter.size for parameter in self.parameters())
+        return sum(parameter.data.size for parameter in self.parameters())
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {
@@ -71,23 +104,17 @@ class Module:
                 )
             parameter.data[...] = value
 
-    def __call__(self, *args, **kwargs):
-        return self.forward(*args, **kwargs)
 
-    def forward(self, *args, **kwargs):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-_ACTIVATIONS: Dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": ops.relu,
-    "tanh": ops.tanh,
-    "sigmoid": ops.sigmoid,
+#: Elementwise activations by name, on plain numpy arrays.
+ACTIVATIONS: Dict[str, Callable[[np.ndarray], np.ndarray]] = {
+    "tanh": np.tanh,
+    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
     "linear": lambda x: x,
 }
 
 
 class Dense(Module):
-    """A fully connected layer ``y = activation(x @ W + b)``."""
+    """The weights of a fully connected layer ``y = activation(x @ W + b)``."""
 
     def __init__(
         self,
@@ -97,7 +124,7 @@ class Dense(Module):
         rng: Optional[np.random.Generator] = None,
         weight_scale: float = 1.0,
     ):
-        if activation not in _ACTIVATIONS:
+        if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         rng = rng or np.random.default_rng(0)
         self.in_features = in_features
@@ -109,26 +136,9 @@ class Dense(Module):
         )
         self.bias = Parameter(zeros_init(rng, (out_features,)), name="dense_b")
 
-    def forward(self, inputs: Tensor) -> Tensor:
-        output = ops.add(ops.matmul(inputs, self.weight), self.bias)
-        return _ACTIVATIONS[self.activation](output)
-
-
-class Sequential(Module):
-    """Applies a list of modules in order."""
-
-    def __init__(self, layers: Sequence[Module]):
-        self.layers = list(layers)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        output = inputs
-        for layer in self.layers:
-            output = layer(output)
-        return output
-
 
 class MLP(Module):
-    """A fully connected network described by a list of hidden sizes.
+    """The layers of a fully connected network, by hidden sizes.
 
     The paper's policy network is a 64x64 tanh FCNN; ``MLP(obs, [64, 64],
     out)`` builds exactly that.
@@ -146,10 +156,11 @@ class MLP(Module):
     ):
         rng = rng or np.random.default_rng(0)
         sizes = [in_features] + list(hidden_sizes)
-        layers: List[Module] = []
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-            layers.append(Dense(fan_in, fan_out, activation=activation, rng=rng))
-        layers.append(
+        self.layers: List[Dense] = [
+            Dense(fan_in, fan_out, activation=activation, rng=rng)
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])
+        ]
+        self.layers.append(
             Dense(
                 sizes[-1],
                 out_features,
@@ -158,10 +169,6 @@ class MLP(Module):
                 weight_scale=output_scale,
             )
         )
-        self.network = Sequential(layers)
         self.in_features = in_features
         self.out_features = out_features
         self.hidden_sizes = tuple(hidden_sizes)
-
-    def forward(self, inputs: Tensor) -> Tensor:
-        return self.network(inputs)

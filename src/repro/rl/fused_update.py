@@ -1,4 +1,4 @@
-"""The PPO minibatch update: one hand-fused kernel and its graph oracle.
+"""The PPO minibatch update: one hand-fused forward and backward.
 
 The per-minibatch update used to build ~50 autodiff graph nodes (trunk
 matmuls, fused-head slices, per-head log-softmax/entropy chains, the
@@ -19,18 +19,17 @@ value-branch-before-policy-branch accumulation into the trunk features,
 and the ``-0.0 → +0.0`` normalization when two or more head slices pad
 into the fused logits gradient).
 
-:func:`graph_update_minibatch` is that graph: the same step built from
-``policy.evaluate`` and walked by autodiff.  It is the oracle, not a
-mode — ``tests/test_fused_update.py`` and ``benchmarks/profile_update.py``
-swap it in to check that losses, gradients, optimizer state and trained
+That graph is kept with the tests as their oracle
+(``tests/oracle/policy.py::graph_update_minibatch``):
+``tests/test_fused_update.py`` and ``benchmarks/profile_update.py`` swap
+it in to check that losses, gradients, optimizer state and trained
 weights are bit-identical.
 
 The kernel serves :class:`MultiTaskPolicy` (and its single-bank
 specializations) and :class:`ConditionedPolicy`: a tanh-MLP trunk, linear
 discrete or Gaussian heads, and — for the conditioned policy — task
 embedding rows concatenated onto the trunk features.  Any other policy,
-including a subclass that overrides ``evaluate``, is rejected at
-construction.
+a subclass of those two included, is rejected at construction.
 """
 
 from __future__ import annotations
@@ -40,97 +39,89 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.nn import ops
-from repro.nn.losses import mse_loss
-from repro.nn.ops import (
-    _entropy_backward,
-    _ppo_surrogate_backward,
-    _ppo_surrogate_forward,
-)
-from repro.nn.tensor import Tensor
 from repro.rl.policy import ConditionedPolicy, MultiTaskPolicy
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 _ENTROPY_CONSTANT = 0.5 * float(np.log(2.0 * np.pi * np.e))
 
 
-def graph_update_minibatch(
-    policy,
-    optimizer,
-    config,
-    observations,
-    actions,
-    old_log_probs,
-    advantages,
-    returns,
-    task=None,
-    timer=None,
-) -> Dict[str, float]:
-    """One PPO minibatch step through the autodiff graph (the oracle)."""
-    started = time.perf_counter() if timer is not None else 0.0
-    log_probs, entropy, values = policy.evaluate(observations, actions, task=task)
-    # The clipped surrogate as ONE graph node (ops.ppo_surrogate is
-    # bit-identical, forward and backward, to the historical
-    # exp/sub/mul/clip/minimum/mean/mul chain).
-    policy_loss = ops.ppo_surrogate(
-        log_probs,
-        old_log_probs,
-        advantages,
-        1.0 - config.clip_ratio,
-        1.0 + config.clip_ratio,
+def _ppo_surrogate_forward(log_probs, old_log_probs, advantages, low, high):
+    """Forward pass of exp/clip/minimum/mean PPO surrogate; returns the
+    scalar loss plus the saved arrays its backward needs."""
+    delta = log_probs - old_log_probs
+    ratio = np.exp(delta)
+    unclipped = ratio * advantages
+    clipped = np.clip(ratio, low, high) * advantages
+    objective = np.minimum(unclipped, clipped)
+    loss = objective.mean() * -1.0
+    return loss, ratio, unclipped, clipped
+
+
+def _ppo_surrogate_backward(
+    gradient, ratio, unclipped, clipped, advantages, low, high
+):
+    """Gradient of the fused surrogate w.r.t. the log-probs.
+
+    Replicates the primitive chain's accumulation order exactly: the
+    minimum node routes into the clipped branch first (mask from
+    ``unclipped <= clipped``), the clip mask gates the clipped branch, and
+    the unclipped branch adds on top — then the whole thing flows back
+    through exp as a multiply by the ratio.
+    """
+    g_mean = np.broadcast_to((gradient * -1.0) / ratio.size, ratio.shape)
+    mask_min = unclipped <= clipped
+    g_unclipped = g_mean * mask_min
+    g_clipped = g_mean * (~mask_min)
+    clip_mask = (ratio >= low) & (ratio <= high)
+    g_ratio = (g_clipped * advantages) * clip_mask
+    g_ratio = g_ratio + g_unclipped * advantages
+    return g_ratio * ratio
+
+
+def _entropy_backward(gradient, log_softmax_values, probs):
+    """Gradient of per-row categorical entropy w.r.t. the logits.
+
+    Replicates the primitive chain (softmax + log_softmax + mul + sum +
+    mul(-1)) exactly, including its accumulation order into the logits:
+    the log-softmax branch lands first, then the softmax branch — and the
+    log-softmax backward recomputes its softmax as ``exp(out)``, which is
+    NOT bit-identical to the softmax node's ``exps / sum`` output, so both
+    variants appear below on purpose.
+    """
+    g_sum = gradient * -1.0
+    g_product = np.broadcast_to(
+        np.expand_dims(g_sum, axis=-1), log_softmax_values.shape
     )
-    value_loss = mse_loss(values, Tensor(returns))
-    entropy_bonus = ops.mean(entropy)
-    total_loss = ops.add(
-        ops.add(policy_loss, ops.mul(value_loss, config.value_coefficient)),
-        ops.mul(entropy_bonus, -config.entropy_coefficient),
-    )
-    if timer is not None:
-        now = time.perf_counter()
-        timer.add("evaluate", now - started)
-        started = now
-    optimizer.zero_grad()
-    total_loss.backward()
-    if timer is not None:
-        now = time.perf_counter()
-        timer.add("backward", now - started)
-        started = now
-    optimizer.clip_gradients(config.max_gradient_norm)
-    optimizer.step()
-    if timer is not None:
-        timer.add("optimizer", time.perf_counter() - started)
-    return {
-        "total_loss": float(total_loss.item()),
-        "policy_loss": float(policy_loss.item()),
-        "value_loss": float(value_loss.item()),
-        "entropy": float(entropy_bonus.item()),
-    }
+    g_probs = g_product * log_softmax_values
+    g_log_softmax = g_product * probs
+    softmax_of_log = np.exp(log_softmax_values)
+    total = g_log_softmax.sum(axis=-1, keepdims=True)
+    g_logits = g_log_softmax - softmax_of_log * total
+    dot = (g_probs * probs).sum(axis=-1, keepdims=True)
+    g_logits = g_logits + probs * (g_probs - dot)
+    return g_logits
 
 
 class FusedUpdater:
     """Bit-exact fused forward/backward PPO updates for one trainer.
 
     Holds the policy, optimizer and config; :meth:`update_minibatch` is
-    bit-identical to :func:`graph_update_minibatch` for every task the
-    policy serves.
+    bit-identical to the autodiff graph of the same step for every task
+    the policy serves.
     """
 
     def __init__(self, policy, optimizer, config):
-        if not any(
-            isinstance(policy, cls) and type(policy).evaluate is cls.evaluate
-            for cls in (MultiTaskPolicy, ConditionedPolicy)
-        ):
+        if type(policy) not in (MultiTaskPolicy, ConditionedPolicy):
             raise ValueError(
-                "the PPO update kernel replicates MultiTaskPolicy.evaluate and "
-                f"ConditionedPolicy.evaluate; {type(policy).__name__} is "
-                "neither or overrides evaluate"
+                "the PPO update kernel replicates MultiTaskPolicy and "
+                f"ConditionedPolicy; {type(policy).__name__} is neither"
             )
         self.policy = policy
         self.optimizer = optimizer
         self.config = config
         self.conditioned = isinstance(policy, ConditionedPolicy)
         self._trunk = [
-            (layer.weight, layer.bias) for layer in policy.trunk.network.layers
+            (layer.weight, layer.bias) for layer in policy.trunk.layers
         ]
 
     # -- the fused step ------------------------------------------------------
@@ -145,7 +136,7 @@ class FusedUpdater:
         task=None,
         timer=None,
     ) -> Dict[str, float]:
-        """One PPO minibatch step — bit-identical to the graph oracle."""
+        """One PPO minibatch step — bit-identical to the autodiff graph."""
         config = self.config
         bank = self.policy.heads_for(task)
         started = time.perf_counter() if timer is not None else 0.0

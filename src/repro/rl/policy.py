@@ -13,8 +13,8 @@ API:
   apart only by their embedding — which is what lets the policy transfer
   to tasks it never trained on (see ``add_task``/``transfer_parameters``).
 
-``act``/``evaluate`` take a task id and route through that task's bank or
-embedding, so one network jointly learns several tasks while each task
+``act``/``act_batch`` take a task id and route through that task's bank
+or embedding, so one network jointly learns several tasks while each task
 keeps its own action menus.  :func:`make_policy` picks the architecture
 via ``conditioning=`` ("embedding" is the default for joint spaces,
 "banks" for one task).
@@ -33,15 +33,7 @@ from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.nn import ops
-from repro.nn.layers import Dense, MLP, Module, Parameter
-from repro.nn.losses import (
-    categorical_entropy,
-    categorical_log_prob,
-    gaussian_entropy,
-    gaussian_log_prob,
-)
-from repro.nn.tensor import Tensor
+from repro.nn.layers import ACTIVATIONS, MLP, Dense, Module, Parameter
 from repro.rl.spaces import (
     _SPACE_KINDS,
     ActionSpace,
@@ -68,13 +60,6 @@ class PolicyOutput:
 # ``np.einsum`` contracts each output element independently of the batch
 # size, so the whole inference forward is built on it.
 
-_NUMPY_ACTIVATIONS = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "tanh": np.tanh,
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-    "linear": lambda x: x,
-}
-
 
 def _stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Matmul whose row ``i`` is bitwise independent of the batch size."""
@@ -83,13 +68,13 @@ def _stable_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _dense_forward(layer: Dense, x: np.ndarray) -> np.ndarray:
     output = _stable_matmul(x, layer.weight.data) + layer.bias.data
-    return _NUMPY_ACTIVATIONS[layer.activation](output)
+    return ACTIVATIONS[layer.activation](output)
 
 
 def _trunk_forward(trunk: MLP, x: np.ndarray) -> np.ndarray:
-    """Raw-NumPy forward through the trunk (no autodiff graph)."""
+    """Raw-NumPy forward through the trunk."""
     out = x
-    for layer in trunk.network.layers:
+    for layer in trunk.layers:
         out = _dense_forward(layer, out)
     return out
 
@@ -215,7 +200,7 @@ class _TaskHeads(Module):
         draws: Optional[np.ndarray],
         deterministic: bool,
     ):
-        """Vectorized sampling over ``hidden`` rows (raw NumPy, no graph).
+        """Vectorized sampling over ``hidden`` rows.
 
         ``draws`` carries each row's RNG values — uniforms for categorical
         heads (sampling replicates ``Generator.choice``'s inverse-CDF walk
@@ -248,10 +233,10 @@ class _TaskHeads(Module):
                 log_probs += np.log(probs[np.arange(rows), chosen] + 1e-12)
             return indices, log_probs, values
         mean_head = self.mean_head
-        mean = _NUMPY_ACTIVATIONS["sigmoid"](
+        mean = ACTIVATIONS["sigmoid"](
             _stable_matmul(hidden, mean_head.weight.data) + mean_head.bias.data
         )
-        std = np.exp(self.log_std.numpy())
+        std = np.exp(self.log_std.data)
         sample = mean if deterministic else mean + std * draws
         log_probs = np.sum(
             -0.5 * ((sample - mean) / std) ** 2
@@ -261,50 +246,9 @@ class _TaskHeads(Module):
         )
         return np.clip(sample, 0.0, 1.0), log_probs, values
 
-    def evaluate_from_hidden(self, hidden: Tensor, actions: np.ndarray):
-        values = self.value_head(hidden)
-        if self.kind == "discrete":
-            actions = np.asarray(actions)
-            # One fused matmul over every head's classes; per-head log-probs
-            # and entropies read their own column slice of the result.
-            weight = ops.concatenate([head.weight for head in self.heads], axis=1)
-            bias = ops.concatenate([head.bias for head in self.heads], axis=0)
-            logits = ops.add(ops.matmul(hidden, weight), bias)
-            log_probs = None
-            entropy = None
-            offset = 0
-            for dimension, head in enumerate(self.heads):
-                head_logits = ops.slice_last_axis(
-                    logits, offset, offset + head.out_features
-                )
-                offset += head.out_features
-                dim_actions = actions[:, dimension].astype(np.int64)
-                dim_log_probs = categorical_log_prob(head_logits, dim_actions)
-                dim_entropy = categorical_entropy(head_logits)
-                log_probs = (
-                    dim_log_probs
-                    if log_probs is None
-                    else ops.add(log_probs, dim_log_probs)
-                )
-                entropy = (
-                    dim_entropy if entropy is None else ops.add(entropy, dim_entropy)
-                )
-            return log_probs, entropy, ops.reshape(values, (-1,))
-        mean = ops.sigmoid(self.mean_head(hidden))
-        # Joint minibatches are padded to the widest task's arity; only this
-        # bank's own dimensions carry meaning.
-        actions = np.asarray(actions)[:, : self.action_dims]
-        log_probs = gaussian_log_prob(mean, self.log_std, actions)
-        # The state-independent Gaussian's entropy is one scalar; broadcast
-        # it across the batch without the ones-vector multiply.
-        entropy = ops.broadcast_to(
-            gaussian_entropy(self.log_std), (actions.shape[0],)
-        )
-        return log_probs, entropy, ops.reshape(values, (-1,))
-
 
 class Policy(Module):
-    """Common interface: act on observations, evaluate log-probs for PPO.
+    """Common interface: act on observations.
 
     ``task`` names the task whose head bank (or embedding) decides; a
     policy holding one task also serves ``task=None``.
@@ -342,12 +286,6 @@ class Policy(Module):
             for row, name in zip(rows, names)
         ]
 
-    def evaluate(
-        self, observations: np.ndarray, actions: np.ndarray, task: Optional[str] = None
-    ):
-        """Return (log_probs, entropy, values) tensors for a batch."""
-        raise NotImplementedError
-
 
 class MultiTaskPolicy(Policy):
     """Shared trunk + per-task head banks (the joint-training network).
@@ -357,7 +295,7 @@ class MultiTaskPolicy(Policy):
     representation learning is amortized across tasks while every task
     keeps its own action menus, log-probs and value estimate.
 
-    ``act``/``evaluate`` take the task id to route through.  A policy with
+    ``act``/``act_batch`` take the task id to route through.  A policy with
     exactly one bank (the single-task special case) also serves requests
     that name no task; a task it holds no bank for is refused.
     """
@@ -469,15 +407,6 @@ class MultiTaskPolicy(Policy):
         (``tasks``, one entry per row, selects the bank, not the input)."""
         return _trunk_forward(self.trunk, rows)
 
-    def evaluate(
-        self, observations: np.ndarray, actions: np.ndarray, task: Optional[str] = None
-    ):
-        bank = self.heads_for(task)
-        batch = Tensor(observations)
-        hidden = self.trunk(batch)
-        return bank.evaluate_from_hidden(hidden, actions)
-
-
 class ConditionedPolicy(Policy):
     """Shared trunk + one embedding-conditioned head stack per arity.
 
@@ -494,7 +423,7 @@ class ConditionedPolicy(Policy):
     frozen-trunk fine-tune may touch.
 
     The routing API (``task_names`` / ``spaces`` / ``space_for`` /
-    ``heads_for`` / ``act`` / ``act_batch`` / ``evaluate``) matches
+    ``heads_for`` / ``act`` / ``act_batch``) matches
     :class:`MultiTaskPolicy`, so agents, trainers, the serving tier and
     the comparison protocol work unchanged.  ``act_batch`` keeps the
     byte-identity guarantee: one flat RNG draw in row order, einsum
@@ -692,21 +621,6 @@ class ConditionedPolicy(Policy):
         hidden = _trunk_forward(self.trunk, rows)
         embeds = np.stack([self.task_embeddings[name].data for name in tasks])
         return np.concatenate([hidden, embeds], axis=1)
-
-    def evaluate(
-        self, observations: np.ndarray, actions: np.ndarray, task: Optional[str] = None
-    ):
-        name = self._resolve_name(task)
-        stack = self.head_stacks[self._stack_keys[name]]
-        batch = Tensor(observations)
-        hidden = self.trunk(batch)
-        row = ops.reshape(self.task_embeddings[name], (1, self.task_embed_dim))
-        embed = ops.broadcast_to(
-            row, (int(batch.data.shape[0]), self.task_embed_dim)
-        )
-        features = ops.concatenate([hidden, embed], axis=1)
-        return stack.evaluate_from_hidden(features, actions)
-
 
 def _kind_for_space(space: ActionSpace) -> str:
     """The ``make_policy`` kind string a space class corresponds to."""

@@ -1,11 +1,11 @@
-"""Losses and distribution helpers (categorical and diagonal Gaussian)."""
+"""Losses and distribution helpers on the oracle graph (categorical, Gaussian)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import ops
-from repro.nn.tensor import Tensor
+from oracle import ops
+from oracle.tensor import Tensor
 
 
 def mse_loss(prediction: Tensor, target: Tensor) -> Tensor:
@@ -30,7 +30,7 @@ def categorical_log_prob(logits: Tensor, actions: np.ndarray) -> Tensor:
 def categorical_entropy(logits: Tensor) -> Tensor:
     """Entropy of a categorical distribution, per batch row.
 
-    Delegates to the fused :func:`repro.nn.ops.entropy_from_logits` node —
+    Delegates to the fused :func:`oracle.ops.entropy_from_logits` node —
     bit-identical (forward and backward, including the gradient
     accumulation order into ``logits``) to the historical five-node chain
     ``mul(sum(mul(softmax, log_softmax), -1), -1.0)``, but one graph node.

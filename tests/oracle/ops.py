@@ -1,18 +1,24 @@
-"""Differentiable operations on :class:`repro.nn.tensor.Tensor`."""
+"""Differentiable operations on :class:`oracle.tensor.Tensor` (test oracle)."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.nn.tensor import ArrayLike, Tensor, grad_enabled
+from oracle.tensor import ArrayLike, Tensor
+from repro.nn.layers import Parameter
+from repro.rl.fused_update import (
+    _entropy_backward,
+    _ppo_surrogate_backward,
+    _ppo_surrogate_forward,
+)
 
-TensorLike = Union[Tensor, ArrayLike]
+TensorLike = Union[Tensor, Parameter, ArrayLike]
 
 
 def _make(data: np.ndarray, parents: Tuple[Tensor, ...], backward) -> Tensor:
-    requires = grad_enabled() and any(p.requires_grad for p in parents)
+    requires = any(p.requires_grad for p in parents)
     result = Tensor(data, requires_grad=requires)
     if requires:
         result._parents = tuple(p for p in parents if p.requires_grad)
@@ -75,17 +81,6 @@ def div(a: TensorLike, b: TensorLike) -> Tensor:
     return _make(out_data, (a, b), backward)
 
 
-def power(a: TensorLike, exponent: float) -> Tensor:
-    a = Tensor.ensure(a)
-    out_data = a.data ** exponent
-
-    def backward(gradient: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(gradient * exponent * a.data ** (exponent - 1))
-
-    return _make(out_data, (a,), backward)
-
-
 def exp(a: TensorLike) -> Tensor:
     a = Tensor.ensure(a)
     out_data = np.exp(a.data)
@@ -106,10 +101,6 @@ def log(a: TensorLike) -> Tensor:
             a._accumulate(gradient / np.maximum(a.data, 1e-12))
 
     return _make(out_data, (a,), backward)
-
-
-def sqrt(a: TensorLike) -> Tensor:
-    return power(a, 0.5)
 
 
 def clip(a: TensorLike, low: float, high: float) -> Tensor:
@@ -153,17 +144,6 @@ def maximum(a: TensorLike, b: TensorLike) -> Tensor:
 
 
 # -- activations ---------------------------------------------------------------------
-
-
-def relu(a: TensorLike) -> Tensor:
-    a = Tensor.ensure(a)
-    out_data = np.maximum(a.data, 0.0)
-
-    def backward(gradient: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(gradient * (a.data > 0))
-
-    return _make(out_data, (a,), backward)
 
 
 def tanh(a: TensorLike) -> Tensor:
@@ -363,41 +343,9 @@ def take_along_last_axis(a: TensorLike, indices: np.ndarray) -> Tensor:
 # forward/backward helpers replicate the exact numpy call sequence (and
 # gradient accumulation order) of the equivalent chain of primitive ops, so
 # swapping a chain for its fused op changes no bits — only the number of
-# Python-level nodes the backward pass walks.  The helpers are shared with
-# the hand-written update kernel in ``repro.rl.fused_update``.
-
-
-def _ppo_surrogate_forward(log_probs, old_log_probs, advantages, low, high):
-    """Forward pass of exp/clip/minimum/mean PPO surrogate; returns the
-    scalar loss plus the saved arrays its backward needs."""
-    delta = log_probs - old_log_probs
-    ratio = np.exp(delta)
-    unclipped = ratio * advantages
-    clipped = np.clip(ratio, low, high) * advantages
-    objective = np.minimum(unclipped, clipped)
-    loss = objective.mean() * -1.0
-    return loss, ratio, unclipped, clipped
-
-
-def _ppo_surrogate_backward(
-    gradient, ratio, unclipped, clipped, advantages, low, high
-):
-    """Gradient of the fused surrogate w.r.t. the log-probs.
-
-    Replicates the primitive chain's accumulation order exactly: the
-    minimum node routes into the clipped branch first (mask from
-    ``unclipped <= clipped``), the clip mask gates the clipped branch, and
-    the unclipped branch adds on top — then the whole thing flows back
-    through exp as a multiply by the ratio.
-    """
-    g_mean = np.broadcast_to((gradient * -1.0) / ratio.size, ratio.shape)
-    mask_min = unclipped <= clipped
-    g_unclipped = g_mean * mask_min
-    g_clipped = g_mean * (~mask_min)
-    clip_mask = (ratio >= low) & (ratio <= high)
-    g_ratio = (g_clipped * advantages) * clip_mask
-    g_ratio = g_ratio + g_unclipped * advantages
-    return g_ratio * ratio
+# Python-level nodes the backward pass walks.  The surrogate and entropy
+# backward helpers are the ones the hand-written update kernel in
+# ``repro.rl.fused_update`` runs.
 
 
 def ppo_surrogate(
@@ -415,9 +363,7 @@ def ppo_surrogate(
         mul(mean(minimum(mul(ratio, adv),
                          mul(clip(ratio, lo, hi), adv))), -1.0)
 
-    but builds a single node instead of seven, so the backward pass stops
-    allocating per-node closures and intermediate gradients on the update
-    hot path.
+    but builds a single node instead of seven.
     """
     log_probs = Tensor.ensure(log_probs)
     old = np.asarray(old_log_probs, dtype=np.float64)
@@ -449,36 +395,12 @@ def _entropy_forward(logits):
     return entropy, log_softmax_values, probs
 
 
-def _entropy_backward(gradient, log_softmax_values, probs):
-    """Gradient of fused entropy w.r.t. the logits.
-
-    Replicates the primitive chain (softmax + log_softmax + mul + sum +
-    mul(-1)) exactly, including its accumulation order into the logits:
-    the log-softmax branch lands first, then the softmax branch — and the
-    log-softmax backward recomputes its softmax as ``exp(out)``, which is
-    NOT bit-identical to the softmax node's ``exps / sum`` output, so both
-    variants appear below on purpose.
-    """
-    g_sum = gradient * -1.0
-    g_product = np.broadcast_to(
-        np.expand_dims(g_sum, axis=-1), log_softmax_values.shape
-    )
-    g_probs = g_product * log_softmax_values
-    g_log_softmax = g_product * probs
-    softmax_of_log = np.exp(log_softmax_values)
-    total = g_log_softmax.sum(axis=-1, keepdims=True)
-    g_logits = g_log_softmax - softmax_of_log * total
-    dot = (g_probs * probs).sum(axis=-1, keepdims=True)
-    g_logits = g_logits + probs * (g_probs - dot)
-    return g_logits
-
-
 def entropy_from_logits(logits: TensorLike) -> Tensor:
     """Per-row categorical entropy as ONE graph node.
 
     Bit-identical (values and gradients) to the five-node chain
     ``mul(sum(mul(softmax(x), log_softmax(x)), -1), -1.0)`` that
-    :func:`repro.nn.losses.categorical_entropy` historically built.
+    :func:`oracle.losses.categorical_entropy` historically built.
     """
     logits = Tensor.ensure(logits)
     entropy, log_softmax_values, probs = _entropy_forward(logits.data)
@@ -490,21 +412,3 @@ def entropy_from_logits(logits: TensorLike) -> Tensor:
             )
 
     return _make(entropy, (logits,), backward)
-
-
-def weighted_sum(values: TensorLike, weights: TensorLike, axis: int = 1) -> Tensor:
-    """``sum(values * weights, axis)`` — the attention aggregation primitive."""
-    return sum(mul(values, weights), axis=axis)
-
-
-def stack(tensors: Sequence[TensorLike], axis: int = 0) -> Tensor:
-    items = [Tensor.ensure(t) for t in tensors]
-    out_data = np.stack([t.data for t in items], axis=axis)
-
-    def backward(gradient: np.ndarray) -> None:
-        pieces = np.split(gradient, len(items), axis=axis)
-        for tensor, piece in zip(items, pieces):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(piece, axis=axis))
-
-    return _make(out_data, tuple(items), backward)

@@ -133,11 +133,6 @@ class TestCode2VecModel:
         other = extract_path_contexts(other_root)
         assert not np.allclose(model.embed(contexts), model.embed(other))
 
-    def test_embed_batch_shape(self):
-        model, contexts = self._model()
-        batch = model.embed_batch([contexts, contexts[:5]])
-        assert batch.shape == (2, model.config.code_vector_dim)
-
 
 class TestPretraining:
     def test_labels_derived_from_analysis(self):

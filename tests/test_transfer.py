@@ -32,11 +32,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle import evaluate, ops
 from repro.core.framework import NeuroVectorizer, TrainingConfig
 from repro.datasets.kernels import LoopKernel
 from repro.evaluation.comparison import GeneralizationMatrix, SplitComparison
 from repro.evaluation.splits import KernelSplit, split_kernels
-from repro.nn import ops
 from repro.nn.optim import Adam
 from repro.rl.policy import ConditionedPolicy, MultiTaskPolicy, make_policy
 from repro.rl.spaces import DiscreteFactorSpace
@@ -156,8 +156,8 @@ class TestBanksByteIdentity:
             optimizer = Adam(policy.parameters(), 1e-2)
             for _ in range(3):
                 optimizer.zero_grad()
-                log_probs, entropy, values = policy.evaluate(
-                    observations, actions, task="vectorization"
+                log_probs, entropy, values = evaluate(
+                    policy, observations, actions, task="vectorization"
                 )
                 loss = ops.mean(ops.add(log_probs, ops.add(entropy, values)))
                 loss.backward()
@@ -253,8 +253,8 @@ class TestConditionedProperties:
         for name in policy.task_names:
             outputs = policy.act_batch(observations, task=name)
             actions = np.stack([output.action for output in outputs])
-            log_probs, _entropy, values = policy.evaluate(
-                observations, actions, task=name
+            log_probs, _entropy, values = evaluate(
+                policy, observations, actions, task=name
             )
             assert np.allclose(
                 log_probs.data, [output.log_prob for output in outputs]
@@ -301,8 +301,8 @@ class TestConditionedProperties:
         optimizer = Adam(policy.transfer_parameters("fresh"), 1e-2)
         for _ in range(10):
             policy.zero_grad()
-            log_probs, entropy, values = policy.evaluate(
-                observations, actions, task="fresh"
+            log_probs, entropy, values = evaluate(
+                policy, observations, actions, task="fresh"
             )
             loss = ops.mean(ops.add(log_probs, ops.add(entropy, values)))
             loss.backward()
