@@ -50,10 +50,10 @@ if TYPE_CHECKING:  # imported lazily to avoid package import cycles
 # ---------------------------------------------------------------------------
 
 #: Sentinel ``loop_index`` values for whole-function measurements, so the
-#: end-to-end paths (``measure_baseline`` / ``measure_with_pragmas``) share
-#: the same content-keyed store as per-loop factor queries.  The source text
-#: is part of the kernel fingerprint, so a pragma-annotated variant never
-#: collides with the plain kernel.
+#: baseline and every task's whole-kernel application share the same
+#: content-keyed store as per-loop factor queries.  ``WHOLE_FUNCTION_PRAGMAS``
+#: keys a pragma task's application by its annotated source text; the text is
+#: part of the kernel fingerprint, so it never collides with the plain kernel.
 WHOLE_FUNCTION_BASELINE = -1
 WHOLE_FUNCTION_PRAGMAS = -2
 #: Sentinel for a task's full-application measurement (every site decided at
@@ -274,6 +274,22 @@ class RewardCache:
             pipeline, task, kernel, WHOLE_FUNCTION_APPLICATION, tuple(flattened)
         )
 
+    def annotated_source_key(
+        self, pipeline: "CompileAndMeasure", kernel: "LoopKernel", source: str
+    ) -> RewardKey:
+        """The key of a whole-kernel measurement of ``kernel`` rewritten to
+        the pragma-annotated ``source``: the annotated text is keyed as its
+        own kernel content, so every distinct pragma assignment gets its own
+        entry, whichever task wrote it."""
+        return self.key_for(
+            kernel.with_source(source),
+            pipeline.machine,
+            WHOLE_FUNCTION_PRAGMAS,
+            default_symbol_value=pipeline.default_symbol_value,
+            action=(0, 0),
+            task=WHOLE_FUNCTION_TASK,
+        )
+
     # -- lookups ------------------------------------------------------------
 
     def get(self, key: RewardKey) -> Optional[CachedMeasurement]:
@@ -346,22 +362,14 @@ class RewardCache:
         self.put(key, entry)
         return entry, False
 
-    def measure_application(
-        self,
-        pipeline: "CompileAndMeasure",
-        task: "OptimizationTask",
-        kernel: "LoopKernel",
-        decisions,
-        compute,
-    ) -> Tuple[CachedMeasurement, bool]:
-        """Cached full-application measurement of one task decision map.
+    def measure_application(self, key: RewardKey, compute) -> Tuple[CachedMeasurement, bool]:
+        """Cached measurement of one whole-kernel task application.
 
-        ``compute`` runs the task's own transform-and-measure; the key
-        flattens the whole ``{site: action}`` map (sorted by site) into the
-        action tuple, so a repeat run applying identical decisions to an
-        unchanged kernel is a lookup, not a simulation.
+        ``key`` is the task's own :meth:`OptimizationTask.application_key`
+        and ``compute`` its transform-and-measure, run only on a miss, so a
+        repeat run applying identical decisions to an unchanged kernel is a
+        lookup, not a simulation.
         """
-        key = self.application_key(pipeline, task, kernel, decisions)
         return self._measure_cached(key, compute)
 
     def measure_baseline(
@@ -377,31 +385,6 @@ class RewardCache:
             task=WHOLE_FUNCTION_TASK,
         )
         return self._measure_cached(key, lambda: pipeline.measure_baseline(kernel))
-
-    def measure_pragmas(
-        self,
-        pipeline: "CompileAndMeasure",
-        kernel: "LoopKernel",
-        source: Optional[str] = None,
-    ) -> Tuple[CachedMeasurement, bool]:
-        """Cached whole-function measurement honouring in-source loop pragmas.
-
-        ``source`` (the pragma-annotated rewrite of the kernel) is keyed as
-        its own kernel content, so every distinct pragma assignment gets its
-        own entry.
-        """
-        tagged = kernel if source is None else kernel.with_source(source)
-        key = self.key_for(
-            tagged,
-            pipeline.machine,
-            WHOLE_FUNCTION_PRAGMAS,
-            default_symbol_value=pipeline.default_symbol_value,
-            action=(0, 0),
-            task=WHOLE_FUNCTION_TASK,
-        )
-        return self._measure_cached(
-            key, lambda: pipeline.measure_with_pragmas(kernel, source=source)
-        )
 
 
 @dataclass

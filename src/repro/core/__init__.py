@@ -7,13 +7,13 @@ injection → compile-and-measure → reward.  The pieces are:
 * :mod:`repro.core.pragma_injector` — writes ``#pragma clang loop`` hints
   into the source text (Figure 4),
 * :mod:`repro.core.pipeline` — the stand-in for "compile with clang and time
-  it": parse, lower, plan from pragmas, simulate,
+  it": parse, lower, plan the requested factors, simulate,
 * :mod:`repro.core.framework` — the :class:`NeuroVectorizer` facade tying an
   embedding model and an agent together, plus its training entry point.
 """
 
 from repro.core.loop_extractor import ExtractedLoop, LoopExtractor, extract_loops
-from repro.core.pragma_injector import inject_pragma_line, inject_pragmas, strip_loop_pragmas
+from repro.core.pragma_injector import inject_pragmas, strip_loop_pragmas
 from repro.core.pipeline import CompilationResult, CompileAndMeasure
 from repro.core.framework import NeuroVectorizer
 
@@ -21,7 +21,6 @@ __all__ = [
     "ExtractedLoop",
     "LoopExtractor",
     "extract_loops",
-    "inject_pragma_line",
     "inject_pragmas",
     "strip_loop_pragmas",
     "CompilationResult",

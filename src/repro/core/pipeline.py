@@ -14,11 +14,7 @@ from repro.machine.description import MachineDescription
 from repro.simulator.compile_time import estimate_compile_time
 from repro.simulator.engine import FunctionCost, Simulator
 from repro.vectorizer.cost_model import BaselineCostModel
-from repro.vectorizer.planner import (
-    FunctionVectorPlan,
-    build_plan,
-    factors_from_pragma,
-)
+from repro.vectorizer.planner import FunctionVectorPlan, build_plan
 
 
 @dataclass
@@ -46,25 +42,26 @@ class CompilationResult:
 class CompileAndMeasure:
     """Parses, lowers, plans and simulates kernels under one machine model.
 
-    Three entry points mirror the ways the paper exercises clang:
+    Two entry points mirror the ways the paper exercises clang:
 
-    * :meth:`measure_with_pragmas` — honour whatever ``#pragma clang loop``
-      hints are present in the kernel source (the RL/agent path),
-    * :meth:`measure_with_factors` — explicit per-loop (VF, IF) requests,
-      bypassing the source-rewriting step (used by brute force and the
-      supervised agents),
+    * :meth:`measure_with_factors` — explicit per-loop (VF, IF) requests.
+      This is what a ``#pragma clang loop vectorize_width(VF)
+      interleave_count(IF)`` line asks clang for, so every agent, every
+      brute-force trial and every whole-kernel application of a pragma task
+      prices its decision map here; the annotated source text is only the
+      task's output,
     * :meth:`measure_baseline` — let the built-in cost model decide, i.e.
       plain ``clang -O3``.
 
-    All of them (and :meth:`measure_function`, :meth:`measure_scalar`) run
-    one body, :meth:`_measure`, which hands one analysis per innermost loop
-    to the baseline decision and to the plan.  What the pipeline keeps
-    between calls is one ``_ir_cache`` entry per lowered text — the IR and,
-    for ``kernel.source`` only, each innermost loop's :class:`LoopAnalysis`
+    Both (and :meth:`measure_function`, :meth:`measure_scalar`) run one
+    body, :meth:`_measure`, which hands one analysis per innermost loop to
+    the baseline decision and to the plan.  What the pipeline keeps between
+    calls is one ``_ir_cache`` entry per kernel — the IR of
+    ``kernel.source`` and each innermost loop's :class:`LoopAnalysis`
     (:meth:`loop_analyses`) — and one :class:`Simulator` per (kernel,
-    bindings).  Annotated sources and the already-lowered (Polly-rewritten)
-    IR that :meth:`measure_function` takes are analysed afresh on every
-    call; cost-model answers are never kept.
+    bindings).  The already-lowered (Polly-rewritten) IR that
+    :meth:`measure_function` takes is analysed afresh on every call;
+    cost-model answers are never kept.
     """
 
     def __init__(
@@ -75,8 +72,8 @@ class CompileAndMeasure:
         self.machine = machine or MachineDescription()
         self.default_symbol_value = default_symbol_value
         self.baseline_model = BaselineCostModel(machine=self.machine)
-        # (name, text, bindings) -> (IR, {loop_id: analysis}); the analyses
-        # are filled by loop_analyses(), so only kernel.source entries have any.
+        # (name, source, bindings) -> (IR, {loop_id: analysis}); the analyses
+        # are filled by loop_analyses().
         self._ir_cache: Dict[tuple, Tuple[IRFunction, Dict[int, LoopAnalysis]]] = {}
         # One simulator per (kernel, bindings) so its per-function memos
         # (statement costs, region playbooks, whole simulations) survive across
@@ -85,9 +82,9 @@ class CompileAndMeasure:
 
     # -- lowering --------------------------------------------------------------------
 
-    def lower_kernel(self, kernel: LoopKernel, source: Optional[str] = None) -> IRFunction:
-        """Lower a kernel (or an alternative source text for it) to IR."""
-        return self._ir_entry(kernel, source)[0]
+    def lower_kernel(self, kernel: LoopKernel) -> IRFunction:
+        """Lower a kernel's source to IR (kept in ``_ir_cache``)."""
+        return self._ir_entry(kernel)[0]
 
     def loop_analyses(self, kernel: LoopKernel) -> Dict[int, LoopAnalysis]:
         """Each innermost loop's analysis of ``kernel.source``'s IR, by loop id.
@@ -106,18 +103,15 @@ class CompileAndMeasure:
             )
         return entry
 
-    def _ir_entry(
-        self, kernel: LoopKernel, source: Optional[str] = None
-    ) -> Tuple[IRFunction, Dict[int, LoopAnalysis]]:
-        text = source if source is not None else kernel.source
+    def _ir_entry(self, kernel: LoopKernel) -> Tuple[IRFunction, Dict[int, LoopAnalysis]]:
         # lower_function bakes the bindings into trip counts.
-        key = (kernel.name, text, tuple(sorted(kernel.bindings.items())))
+        key = (kernel.name, kernel.source, tuple(sorted(kernel.bindings.items())))
         cached = self._ir_cache.get(key)
         if cached is not None:
             return cached
         # Parse through the process-wide content-hash memo: repeated kernels
         # skip preprocess/tokenize/parse across pipelines and agents.
-        unit = frontend_cache().parse(text, filename=f"{kernel.name}.c")
+        unit = frontend_cache().parse(kernel.source, filename=f"{kernel.name}.c")
         function = unit.find_function(kernel.function_name)
         if function is None:
             raise ValueError(
@@ -188,7 +182,6 @@ class CompileAndMeasure:
         ir_function: IRFunction,
         analyses: Optional[Dict[int, LoopAnalysis]] = None,
         factors_by_index: Optional[Dict[int, Tuple[int, int]]] = None,
-        honour_pragmas: bool = False,
     ) -> CompilationResult:
         """The one body behind every ``measure_*`` entry point.
 
@@ -196,8 +189,7 @@ class CompileAndMeasure:
         ``kernel.source``'s IR; otherwise each innermost loop is analysed
         here, once.  A loop listed in ``factors_by_index`` (keyed by
         innermost-loop index) gets those factors; any other loop gets the
-        baseline cost model's choice, overridden clause by clause by its
-        pragma when ``honour_pragmas``.
+        baseline cost model's choice.
         """
         loops = ir_function.innermost_loops()
         if analyses is None:
@@ -211,10 +203,7 @@ class CompileAndMeasure:
             decision = self.baseline_model.decide_loop(
                 ir_function, loop, analyses[loop.loop_id]
             )
-            requested = (decision.vf, decision.interleave)
-            if honour_pragmas:
-                requested = factors_from_pragma(loop.pragma, *requested)
-            decisions[loop.loop_id] = requested
+            decisions[loop.loop_id] = (decision.vf, decision.interleave)
         plan = build_plan(ir_function, decisions, self.machine, analyses=analyses)
         cost = self._simulator(kernel).simulate(ir_function, plan)
         compile_seconds = estimate_compile_time(ir_function, plan, self.machine)
@@ -232,25 +221,6 @@ class CompileAndMeasure:
         )
 
     # -- measurement entry points -------------------------------------------------------
-
-    def measure_with_pragmas(
-        self, kernel: LoopKernel, source: Optional[str] = None
-    ) -> CompilationResult:
-        """Compile honouring the clang loop pragmas present in the source.
-
-        Loops without a pragma fall back to the baseline cost model's choice,
-        matching clang's behaviour when only some loops carry hints; pragma
-        clauses resolve through the shared
-        :func:`repro.vectorizer.planner.factors_from_pragma` rule (an
-        ``unroll_count`` pins the unroll/interleave factor — plain unrolling
-        when the loop is scalar or ``vectorize(disable)``d — while the width
-        stays with the cost model unless ``vectorize_width`` says otherwise).
-        """
-        if source is None:
-            return self._measure(kernel, *self._analysed(kernel), honour_pragmas=True)
-        return self._measure(
-            kernel, self.lower_kernel(kernel, source), honour_pragmas=True
-        )
 
     def measure_with_factors(
         self, kernel: LoopKernel, factors_by_index: Dict[int, Tuple[int, int]]

@@ -36,22 +36,6 @@ def inject_pragma_text(source: str, line_number: int, pragma: LoopPragma) -> str
     return "\n".join(lines)
 
 
-def inject_pragma_line(
-    source: str,
-    line_number: int,
-    vectorize_width: int,
-    interleave_count: int,
-) -> str:
-    """(VF, IF) shorthand for :func:`inject_pragma_text`."""
-    return inject_pragma_text(
-        source,
-        line_number,
-        LoopPragma(
-            vectorize_width=vectorize_width, interleave_count=interleave_count
-        ),
-    )
-
-
 def inject_loop_pragmas(
     source: str,
     pragmas: Dict[int, LoopPragma],

@@ -31,7 +31,6 @@ class Code2VecConfig:
     path_embedding_dim: int = 64
     code_vector_dim: int = 340
     max_contexts: int = 200
-    dropout_keep: float = 1.0
     seed: int = 0
 
 

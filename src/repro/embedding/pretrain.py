@@ -94,10 +94,10 @@ class _PropertyHeads(Module):
 
 @dataclass
 class PretrainResult:
-    """Loss curve and final per-head accuracy of a pretraining run."""
+    """Loss curve of a pretraining run (:meth:`Code2VecPretrainer.evaluate`
+    scores the heads' accuracy on demand)."""
 
     losses: List[float] = field(default_factory=list)
-    accuracy: Dict[str, float] = field(default_factory=dict)
     steps: int = 0
 
 
@@ -136,7 +136,6 @@ class Code2VecPretrainer:
                 loss_value = self._train_one(context_bags[index], labels[index])
                 result.losses.append(loss_value)
                 result.steps += 1
-        result.accuracy = self.evaluate(context_bags, labels)
         return result
 
     def _train_one(

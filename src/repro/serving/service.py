@@ -420,8 +420,8 @@ class CompileService:
             return
         by_task: "OrderedDict[str, List[dict]]" = OrderedDict()
         for job in jobs:
-            key = self._reward_cache.application_key(
-                self._pipeline, job["task"], job["kernel"], job["decisions"]
+            key = job["task"].application_key(
+                self._reward_cache, self._pipeline, job["kernel"], job["decisions"]
             )
             if self._reward_cache.peek(key) is not None:
                 continue

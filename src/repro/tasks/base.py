@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 if TYPE_CHECKING:  # imported lazily to avoid package import cycles
+    from repro.cache.reward_cache import RewardCache, RewardKey
     from repro.core.pipeline import CompilationResult, CompileAndMeasure
     from repro.datasets.kernels import LoopKernel
     from repro.rl.spaces import ActionSpace
@@ -71,25 +72,6 @@ def innermost_loop_sites(kernel: "LoopKernel") -> List[DecisionSite]:
         )
         for loop in loops
     ]
-
-
-def measure_annotated_source(
-    pipeline: "CompileAndMeasure",
-    kernel: "LoopKernel",
-    source: str,
-    reward_cache=None,
-):
-    """Measure a pragma-annotated rewrite of ``kernel``, cache-aware.
-
-    The shared tail of every pragma-injecting task's ``apply``: with a
-    reward cache the measurement is keyed by the annotated source (so any
-    consumer measuring the same pragma assignment shares the entry), and
-    served from it on warm reruns.
-    """
-    if reward_cache is not None:
-        result, _ = reward_cache.measure_pragmas(pipeline, kernel, source=source)
-        return result
-    return pipeline.measure_with_pragmas(kernel, source=source)
 
 
 @dataclass
@@ -261,9 +243,25 @@ class OptimizationTask:
 
         ``reward_cache`` (a :class:`repro.cache.RewardCache`) lets the
         measurement be served from — and recorded into — the run-wide
-        cache, so warm reruns of the end-to-end path simulate nothing.
+        cache under :meth:`application_key`, so warm reruns of the
+        end-to-end path simulate nothing.
         """
         raise NotImplementedError
+
+    def application_key(
+        self,
+        reward_cache: "RewardCache",
+        pipeline: "CompileAndMeasure",
+        kernel: "LoopKernel",
+        decisions: Dict[int, Action],
+    ) -> "RewardKey":
+        """The reward-cache key :meth:`apply` records ``decisions`` under.
+
+        Consumers that ask whether an application is already measured (the
+        serving fan-out) read it here.  The default flattens the decision
+        map; the pragma tasks key by the annotated source they emit.
+        """
+        return reward_cache.application_key(pipeline, self, kernel, decisions)
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

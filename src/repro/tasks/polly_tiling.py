@@ -172,10 +172,7 @@ class PollyTilingTask(OptimizationTask):
         transformed, tiled, fused = self._transform(pipeline, kernel, normalized)
         if reward_cache is not None:
             result, _ = reward_cache.measure_application(
-                pipeline,
-                self,
-                kernel,
-                normalized,
+                self.application_key(reward_cache, pipeline, kernel, normalized),
                 lambda: pipeline.measure_function(kernel, transformed),
             )
         else:

@@ -5,8 +5,8 @@ ROADMAP's "more tasks (unroll factors, ...)" item asked for.  Per innermost
 loop the agent picks an unroll factor from a small power-of-two menu; the
 decision is realised exactly like the paper realises vectorization factors
 (Figure 4): a ``#pragma clang loop unroll_count(U)`` line is injected
-immediately before the loop and the annotated source is compiled and
-measured.
+immediately before the loop, and the kernel is measured with the factors
+that pragma requests.
 
 **Cost semantics.**  Interleaving *is* unroll-and-jam of the (vector) loop,
 so the simulator's interleave model — loop-overhead amortisation, latency
@@ -28,11 +28,11 @@ from repro.tasks.base import (
     OptimizationTask,
     TaskApplication,
     innermost_loop_sites,
-    measure_annotated_source,
     snap_to_menus,
 )
 
 if TYPE_CHECKING:
+    from repro.cache.reward_cache import RewardCache, RewardKey
     from repro.core.pipeline import CompilationResult, CompileAndMeasure
     from repro.datasets.kernels import LoopKernel
 
@@ -117,28 +117,15 @@ class UnrollingTask(OptimizationTask):
         factors = self._factors_for(pipeline, kernel, {int(site_index): action})
         return pipeline.measure_with_factors(kernel, factors)
 
-    def apply(
-        self,
-        pipeline: "CompileAndMeasure",
-        kernel: "LoopKernel",
-        decisions: Dict[int, Action],
-        reward_cache=None,
-    ) -> TaskApplication:
-        """Inject ``unroll_count`` pragmas and measure the annotated source.
-
-        The pragma path keeps evaluate/apply consistent: the frontend
-        attaches each ``unroll_count`` to its loop and the pipeline turns it
-        into the same (baseline VF, U) factors :meth:`evaluate` requests
-        explicitly, so a full application measures what the per-site rewards
-        predicted.
-        """
+    def _annotate(self, kernel: "LoopKernel", decisions: Dict[int, Action]):
+        """The canonical decision map and the source annotated with it."""
         from repro.core.pragma_injector import inject_loop_pragmas
         from repro.frontend.pragmas import LoopPragma
 
         normalized = {
             int(index): self.cache_key(action) for index, action in decisions.items()
         }
-        annotated = inject_loop_pragmas(
+        return normalized, inject_loop_pragmas(
             kernel.source,
             {
                 index: LoopPragma(unroll_count=action[0])
@@ -146,7 +133,45 @@ class UnrollingTask(OptimizationTask):
             },
             function_name=kernel.function_name,
         )
-        result = measure_annotated_source(pipeline, kernel, annotated, reward_cache)
+
+    def application_key(
+        self,
+        reward_cache: "RewardCache",
+        pipeline: "CompileAndMeasure",
+        kernel: "LoopKernel",
+        decisions: Dict[int, Action],
+    ) -> "RewardKey":
+        """Keyed by the pragma-annotated source :meth:`apply` emits."""
+        _, annotated = self._annotate(kernel, decisions)
+        return reward_cache.annotated_source_key(pipeline, kernel, annotated)
+
+    def apply(
+        self,
+        pipeline: "CompileAndMeasure",
+        kernel: "LoopKernel",
+        decisions: Dict[int, Action],
+        reward_cache=None,
+    ) -> TaskApplication:
+        """Inject ``unroll_count`` pragmas; measure the (baseline VF, U) factors.
+
+        ``unroll_count(U)`` asks clang for exactly the factors
+        :meth:`evaluate` requests, so a full application is priced by
+        ``measure_with_factors`` on the kernel's cached IR and measures what
+        the per-site rewards predicted.  The annotated source is the
+        application's output text and its reward-cache key; the factor map
+        is derived only on a cache miss.
+        """
+        normalized, annotated = self._annotate(kernel, decisions)
+
+        def compute():
+            factors = self._factors_for(pipeline, kernel, normalized)
+            return pipeline.measure_with_factors(kernel, factors)
+
+        if reward_cache is None:
+            result = compute()
+        else:
+            key = reward_cache.annotated_source_key(pipeline, kernel, annotated)
+            result, _ = reward_cache.measure_application(key, compute)
         return TaskApplication(
             kernel_name=kernel.name,
             decisions=normalized,

@@ -10,11 +10,11 @@ from repro.tasks.base import (
     OptimizationTask,
     TaskApplication,
     innermost_loop_sites,
-    measure_annotated_source,
     snap_to_menus,
 )
 
 if TYPE_CHECKING:
+    from repro.cache.reward_cache import RewardCache, RewardKey
     from repro.core.pipeline import CompilationResult, CompileAndMeasure
     from repro.datasets.kernels import LoopKernel
 
@@ -25,9 +25,11 @@ class VectorizationTask(OptimizationTask):
     This is the hard-wired behaviour of the original reproduction, extracted
     behind the task API: decision sites are the innermost loops the
     extractor finds, the observation is the code2vec embedding of the
-    enclosing nest, single-site evaluation goes through
-    ``pipeline.measure_with_factors`` and full application injects
-    ``#pragma clang loop`` hints into the source text.
+    enclosing nest, and both single-site evaluation and full application
+    price their factors with ``pipeline.measure_with_factors`` on the
+    kernel's cached IR.  A full application also writes the
+    ``#pragma clang loop`` hints into the source text: that text is the
+    task's output (what the paper's agent emits) and its reward-cache key.
     """
 
     name = "vectorization"
@@ -77,6 +79,28 @@ class VectorizationTask(OptimizationTask):
             kernel, {int(site_index): (vf, interleave)}
         )
 
+    def _annotate(self, kernel: "LoopKernel", decisions: Dict[int, Action]):
+        """The canonical factor map and the source annotated with it."""
+        from repro.core.pragma_injector import inject_pragmas
+
+        factor_map = {
+            int(index): self.cache_key(action) for index, action in decisions.items()
+        }
+        return factor_map, inject_pragmas(
+            kernel.source, factor_map, function_name=kernel.function_name
+        )
+
+    def application_key(
+        self,
+        reward_cache: "RewardCache",
+        pipeline: "CompileAndMeasure",
+        kernel: "LoopKernel",
+        decisions: Dict[int, Action],
+    ) -> "RewardKey":
+        """Keyed by the pragma-annotated source :meth:`apply` emits."""
+        _, annotated = self._annotate(kernel, decisions)
+        return reward_cache.annotated_source_key(pipeline, kernel, annotated)
+
     def apply(
         self,
         pipeline: "CompileAndMeasure",
@@ -84,18 +108,16 @@ class VectorizationTask(OptimizationTask):
         decisions: Dict[int, Action],
         reward_cache=None,
     ) -> TaskApplication:
-        from repro.core.pragma_injector import inject_pragmas
+        factor_map, vectorized_source = self._annotate(kernel, decisions)
 
-        factor_map = {
-            int(index): self.cache_key(action) for index, action in decisions.items()
-        }
-        vectorized_source = inject_pragmas(
-            kernel.source, factor_map, function_name=kernel.function_name
-        )
-        # Keyed by the effective (pragma-annotated) source.
-        result = measure_annotated_source(
-            pipeline, kernel, vectorized_source, reward_cache
-        )
+        def compute():
+            return pipeline.measure_with_factors(kernel, factor_map)
+
+        if reward_cache is None:
+            result = compute()
+        else:
+            key = reward_cache.annotated_source_key(pipeline, kernel, vectorized_source)
+            result, _ = reward_cache.measure_application(key, compute)
         return TaskApplication(
             kernel_name=kernel.name,
             decisions=factor_map,

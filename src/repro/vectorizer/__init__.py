@@ -17,12 +17,7 @@ The flow mirrors LLVM's LoopVectorize pass:
 """
 
 from repro.vectorizer.legality import VectorizationLegality, check_legality
-from repro.vectorizer.planner import (
-    FunctionVectorPlan,
-    LoopVectorPlan,
-    build_plan,
-    plan_from_pragmas,
-)
+from repro.vectorizer.planner import FunctionVectorPlan, LoopVectorPlan, build_plan
 from repro.vectorizer.cost_model import BaselineCostModel, BaselineDecision
 
 __all__ = [
@@ -31,7 +26,6 @@ __all__ = [
     "LoopVectorPlan",
     "FunctionVectorPlan",
     "build_plan",
-    "plan_from_pragmas",
     "BaselineCostModel",
     "BaselineDecision",
 ]

@@ -130,52 +130,3 @@ def build_plan(
             analysis=analyses.get(loop.loop_id),
         )
     return plan
-
-
-def factors_from_pragma(
-    pragma, default_vf: int = 1, default_interleave: int = 1
-) -> Tuple[int, int]:
-    """Resolve one loop's pragma to the requested (VF, IF) pair.
-
-    The single source of truth for the pragma → factors rule (shared by
-    :func:`plan_from_pragmas` and ``CompileAndMeasure.measure_with_pragmas``):
-
-    * ``vectorize(disable)`` pins the width to 1.  An ``interleave_count``
-      or ``unroll_count`` still applies — clang likewise interleaves /
-      unrolls a scalar loop — so ``vectorize(disable) unroll_count(8)`` is
-      plain 8x unrolling, not a silently-dropped hint.
-    * Otherwise ``vectorize_width`` overrides the default width, and
-      ``interleave_count`` (or, failing that, ``unroll_count`` —
-      interleaving is unroll-and-jam) overrides the default interleave.
-    """
-    if pragma is None or pragma.is_empty:
-        return (default_vf, default_interleave)
-    requested_interleave = pragma.interleave_count or pragma.unroll_count
-    if pragma.vectorize_enable is False:
-        return (1, requested_interleave or 1)
-    return (
-        pragma.vectorize_width or default_vf,
-        requested_interleave or default_interleave,
-    )
-
-
-def plan_from_pragmas(
-    function: IRFunction,
-    machine: Optional[MachineDescription] = None,
-    default_vf: int = 1,
-    default_interleave: int = 1,
-) -> FunctionVectorPlan:
-    """Build a plan using the ``#pragma clang loop`` hints carried by the IR.
-
-    This is the path the end-to-end framework uses: the agent injects pragmas
-    into the source, the frontend attaches them to loops, lowering copies
-    them onto IR loops, and :func:`factors_from_pragma` turns them into
-    requested factors.  Loops without a pragma fall back to the given
-    defaults.
-    """
-    machine = machine or MachineDescription()
-    decisions: Dict[int, Tuple[int, int]] = {
-        loop.loop_id: factors_from_pragma(loop.pragma, default_vf, default_interleave)
-        for loop in function.innermost_loops()
-    }
-    return build_plan(function, decisions, machine)

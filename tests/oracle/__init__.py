@@ -1,10 +1,12 @@
-"""The autodiff graph, kept as the test oracle of the hand-written passes.
+"""Reference implementations the runtime was written from, kept as test oracles.
 
 The runtime computes every forward and backward pass in plain numpy: the
 PPO minibatch step in :class:`repro.rl.fused_update.FusedUpdater`, code2vec
-and its pretraining step in :mod:`repro.embedding`.  This package is the
-define-by-run reverse-mode graph they were written from.  Each
-hand-written pass must match it bit for bit:
+and its pretraining step in :mod:`repro.embedding`.  It prices a pragma
+task's decision map on the kernel's cached IR, never through the pragma
+text.  This package holds the paths they were written from — the
+define-by-run reverse-mode graph and the pragma-text pricing path — and
+each runtime pass must match its oracle bit for bit:
 
 * :mod:`oracle.tensor` — :class:`Tensor` and its backward walk; a
   :class:`repro.nn.layers.Parameter` enters a graph as a leaf that shares
@@ -14,7 +16,10 @@ hand-written pass must match it bit for bit:
 * :mod:`oracle.layers` — ``Dense``/``MLP`` forwards,
 * :mod:`oracle.policy` — the policies' ``evaluate`` and the PPO
   minibatch step (``graph_update_minibatch``),
-* :mod:`oracle.code2vec` — the code2vec forward and the pretraining step.
+* :mod:`oracle.code2vec` — the code2vec forward and the pretraining step,
+* :mod:`oracle.measure` — the pragma-text pricing path a pragma task's
+  whole-kernel application must match (parse the annotated source, honour
+  each loop's pragma, plan, simulate).
 
 Tests import it as ``oracle`` (``tests/`` is on ``sys.path`` under
 pytest); scripts outside ``tests/`` put ``tests/`` on ``sys.path`` first.
@@ -33,6 +38,7 @@ from oracle.losses import (
 from oracle.layers import forward
 from oracle.policy import evaluate, graph_update_minibatch
 from oracle.code2vec import code_vector, graph_train_one, pretraining_loss
+from oracle.measure import annotate, factors_from_pragma, lower_source, measure_annotated
 
 __all__ = [
     "ops",
@@ -49,4 +55,8 @@ __all__ = [
     "code_vector",
     "graph_train_one",
     "pretraining_loss",
+    "annotate",
+    "factors_from_pragma",
+    "lower_source",
+    "measure_annotated",
 ]

@@ -8,11 +8,12 @@ from repro.agents.brute_force import BruteForceAgent
 from repro.core.framework import NeuroVectorizer, build_embedding_model
 from repro.core.loop_extractor import extract_loops
 from repro.core.pipeline import CompileAndMeasure
-from repro.core.pragma_injector import inject_pragma_line, inject_pragmas, strip_loop_pragmas
+from repro.core.pragma_injector import inject_pragma_text, inject_pragmas, strip_loop_pragmas
 from repro.datasets.kernels import LoopKernel
 from repro.datasets.motivating import dot_product_kernel
 from repro.distributed import EvaluationService
 from repro.frontend.pragmas import LoopPragma, format_pragma, parse_pragma_text
+from oracle import measure_annotated
 
 
 NESTED_SOURCE = """
@@ -81,7 +82,11 @@ class TestLoopExtractor:
 class TestPragmaInjection:
     def test_inject_single_pragma(self):
         loops = extract_loops(NESTED_SOURCE)
-        injected = inject_pragma_line(NESTED_SOURCE, loops[0].source_line, 8, 4)
+        injected = inject_pragma_text(
+            NESTED_SOURCE,
+            loops[0].source_line,
+            LoopPragma(vectorize_width=8, interleave_count=4),
+        )
         pragmas = [parse_pragma_text(line) for line in injected.splitlines()]
         pragmas = [p for p in pragmas if p is not None]
         assert len(pragmas) == 1
@@ -89,7 +94,11 @@ class TestPragmaInjection:
 
     def test_injected_pragma_lands_before_innermost_loop(self):
         loops = extract_loops(NESTED_SOURCE)
-        injected = inject_pragma_line(NESTED_SOURCE, loops[0].source_line, 16, 2)
+        injected = inject_pragma_text(
+            NESTED_SOURCE,
+            loops[0].source_line,
+            LoopPragma(vectorize_width=16, interleave_count=2),
+        )
         lines = injected.splitlines()
         pragma_line = next(i for i, l in enumerate(lines) if "#pragma" in l)
         assert "for (int k" in lines[pragma_line + 1]
@@ -120,7 +129,11 @@ class TestPragmaInjection:
 
     def test_indentation_matches_target_line(self):
         loops = extract_loops(NESTED_SOURCE)
-        injected = inject_pragma_line(NESTED_SOURCE, loops[0].source_line, 8, 2)
+        injected = inject_pragma_text(
+            NESTED_SOURCE,
+            loops[0].source_line,
+            LoopPragma(vectorize_width=8, interleave_count=2),
+        )
         lines = injected.splitlines()
         pragma_line = next(l for l in lines if "#pragma" in l)
         target_line = lines[lines.index(pragma_line) + 1]
@@ -145,7 +158,7 @@ class TestCompileAndMeasure:
         by_factors = pipeline.measure_with_factors(dot_kernel, {0: (16, 4)})
         injected = inject_pragmas(dot_kernel.source, {0: (16, 4)},
                                   function_name=dot_kernel.function_name)
-        by_pragmas = pipeline.measure_with_pragmas(dot_kernel, source=injected)
+        by_pragmas = measure_annotated(pipeline, dot_kernel, injected)
         assert by_factors.cycles == pytest.approx(by_pragmas.cycles, rel=1e-9)
 
     def test_factors_reported_after_clamping(self, pipeline):

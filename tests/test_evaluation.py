@@ -36,6 +36,7 @@ from repro.evaluation import (
 from repro.cache.reward_cache import RewardCache
 from repro.simulator.engine import Simulator
 from repro.tasks import UnrollingTask, available_tasks, get_task
+from oracle import factors_from_pragma, lower_source, measure_annotated
 
 ALL_TASKS = ("vectorization", "polly-tiling", "unrolling")
 
@@ -487,9 +488,7 @@ class TestUnrollingEdgeCases:
         # Unrolling exactly one site annotates exactly that loop.
         for index, var in enumerate(["i", "j", "k"]):
             application = task.apply(pipeline, kernel, {index: (8,)})
-            lowered = pipeline.lower_kernel(
-                kernel, source=application.transformed_source
-            )
+            lowered = lower_source(kernel, application.transformed_source)
             annotated = [
                 loop.var
                 for loop in lowered.innermost_loops()
@@ -499,9 +498,8 @@ class TestUnrollingEdgeCases:
 
     def test_disable_pragma_keeps_the_unroll_factor(self):
         # vectorize(disable) unroll_count(8) is plain 8x scalar unrolling,
-        # not a silently dropped hint (shared factors_from_pragma rule).
+        # not a silently dropped hint (the factors_from_pragma rule).
         from repro.frontend.pragmas import parse_pragma_text
-        from repro.vectorizer.planner import factors_from_pragma
 
         pragma = parse_pragma_text(
             "#pragma clang loop vectorize(disable) unroll_count(8)"
@@ -515,7 +513,7 @@ class TestUnrollingEdgeCases:
             "for (int i",
             "#pragma clang loop vectorize(disable) unroll_count(8)\n    for (int i",
         )
-        via_pragmas = pipeline.measure_with_pragmas(kernel, source=annotated)
+        via_pragmas = measure_annotated(pipeline, kernel, annotated)
         direct = pipeline.measure_with_factors(kernel, {0: (1, 8)})
         assert via_pragmas.cycles == direct.cycles
 

@@ -1,14 +1,16 @@
 """The compile-and-measure path: frozen outputs and once-per-loop analysis.
 
 Two kinds of test live here.  The *digest* tests freeze, as literal SHA-1
-values, what the cost model, the five ``measure_*`` entry points and the
-brute-force oracle's grid return — any change to the measure path must leave
-them alone.  The *shape* tests pin how the path gets there: one
-``analyze_loop`` call per innermost loop of a kernel's source, kept beside
-its IR for every later call; one per loop per call for annotated sources
-and Polly-rewritten clones; none inside a fully planned ``simulate``; and
-one pipeline answering any order of calls exactly like a fresh pipeline
-per call.
+values, what the cost model, the four ``measure_*`` entry points, the
+pragma-text path (the :mod:`oracle.measure` reference a pragma task's
+application must match) and the brute-force oracle's grid return — any
+change to the measure path must leave them alone.  The *shape* tests pin
+how the path gets there: one ``analyze_loop`` call per innermost loop of a
+kernel's source, kept beside its IR for every later call (a pragma task's
+application included); one per loop per call for annotated sources and
+Polly-rewritten clones; none inside a fully planned ``simulate``; and one
+pipeline answering any order of calls exactly like a fresh pipeline per
+call.
 """
 
 import dataclasses
@@ -45,6 +47,7 @@ from repro.simulator.engine import Simulator
 from repro.tasks import available_tasks, get_task
 from repro.vectorizer.legality import check_legality
 from repro.vectorizer.planner import build_plan
+from oracle import measure_annotated
 
 COST_KERNELS = {
     "saxpy": (
@@ -160,7 +163,7 @@ class TestFrozenOutputs:
                     kernel.source, decisions, function_name=kernel.function_name
                 )
                 rows.append(_measurement(
-                    pipeline.measure_with_pragmas(kernel, source=annotated)
+                    measure_annotated(pipeline, kernel, annotated)
                 ))
             for site in polly.decision_sites(kernel):
                 rows.append(_measurement(
@@ -217,15 +220,16 @@ def _annotated(pipeline, kernel, factors):
     )
 
 
-#: name -> call(pipeline, kernel, (VF, IF)), one per ``measure_*`` entry point.
+#: name -> call(pipeline, kernel, (VF, IF)), one per ``measure_*`` entry point
+#: and the pragma-text oracle.
 ENTRY_POINTS = {
     "baseline": lambda pipeline, kernel, factors: pipeline.measure_baseline(kernel),
     "scalar": lambda pipeline, kernel, factors: pipeline.measure_scalar(kernel),
     "factors": lambda pipeline, kernel, factors: pipeline.measure_with_factors(
         kernel, {0: factors}
     ),
-    "pragmas": lambda pipeline, kernel, factors: pipeline.measure_with_pragmas(
-        kernel, source=_annotated(pipeline, kernel, factors)
+    "pragmas": lambda pipeline, kernel, factors: measure_annotated(
+        pipeline, kernel, _annotated(pipeline, kernel, factors)
     ),
     "function": lambda pipeline, kernel, factors: pipeline.measure_function(
         kernel, clone_function(pipeline.lower_kernel(kernel)), {0: factors}
@@ -278,8 +282,11 @@ class TestAnalyseOncePerLoop:
         del analyze_calls[:]
         for entry_point in MEMOISED:
             ENTRY_POINTS[entry_point](pipeline, kernel, (8, 1))
-        pipeline.measure_with_pragmas(kernel)
         unrolling = get_task("unrolling")
+        # A pragma task's whole-kernel application prices its factor map
+        # on the same IR and analyses nothing.
+        get_task("vectorization").apply(pipeline, kernel, {0: (8, 2), 1: (4, 1)})
+        unrolling.apply(pipeline, kernel, {0: (4,), 1: (2,)})
         for site in range(len(analyses)):
             get_task("vectorization").baseline_action(pipeline, kernel, site)
             unrolling.baseline_action(pipeline, kernel, site)

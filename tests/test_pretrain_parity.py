@@ -95,6 +95,7 @@ def pretraining_digests(kernels, bags, labels, epochs):
     model = build_embedding_model(kernels)
     pretrainer = Code2VecPretrainer(model, seed=0)
     result = pretrainer.train(bags, labels, epochs=epochs)
+    accuracy = pretrainer.evaluate(bags, labels)
     optimizer = pretrainer.optimizer
     moments = [optimizer.moments(parameter) for parameter in optimizer.parameters]
     return {
@@ -104,7 +105,7 @@ def pretraining_digests(kernels, bags, labels, epochs):
         "first_moments": _sha1([first.tobytes() for first, _ in moments]),
         "second_moments": _sha1([second.tobytes() for _, second in moments]),
         "accuracy": _sha1(
-            [np.asarray([result.accuracy[name] for name in PROPERTY_HEADS]).tobytes()]
+            [np.asarray([accuracy[name] for name in PROPERTY_HEADS]).tobytes()]
         ),
         "embed": embed_digest(model, bags),
         "attention": _sha1(

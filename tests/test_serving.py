@@ -157,6 +157,27 @@ class TestTiers:
         assert warm.decisions == cold.decisions
         assert warm.cycles == cold.cycles
 
+    def test_a_cached_application_is_not_fanned_out_to_workers(self, trained):
+        # Regression: the fan-out looked cached applications up under the
+        # flattened-decision key, but the pragma tasks store theirs under
+        # the annotated-text key, so with workers a warm vectorization or
+        # unrolling request was dispatched again and answered as cold.
+        requests = [CompileRequest(source=STREAM_SOURCE, task=task) for task in ALL_TASKS]
+        cache = RewardCache()
+        with fresh_service(
+            trained, evaluation_service=EvaluationService(CompileAndMeasure(), cache)
+        ) as serial:
+            cold = [serial.optimize(request) for request in requests]
+        assert all(answer.ok and answer.tier == TIER_COLD for answer in cold)
+
+        with EvaluationService(CompileAndMeasure(), cache, workers=1) as pool:
+            with fresh_service(trained, evaluation_service=pool) as service:
+                for request, first in zip(requests, cold):
+                    warm = service.optimize(request)
+                    assert warm.ok, request.task
+                    assert (warm.tier, pool.stats.dispatched) == (TIER_STORE, 0), request.task
+                    assert warm.cycles == first.cycles
+
     def test_frontend_tier_when_memo_hits_but_cache_is_cold(self, trained):
         service = fresh_service(trained)
         with service:

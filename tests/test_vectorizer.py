@@ -14,12 +14,22 @@ from repro.machine.description import MachineDescription
 from repro.rl.spaces import DEFAULT_IF_VALUES, DEFAULT_VF_VALUES
 from repro.vectorizer.cost_model import BaselineCostModel
 from repro.vectorizer.legality import check_legality
-from repro.vectorizer.planner import build_plan, make_loop_plan, plan_from_pragmas
+from repro.vectorizer.planner import build_plan, make_loop_plan
+from oracle import factors_from_pragma
 
 
 def _ir(source, name=None):
     functions = lower_unit(parse_source(source))
     return next(iter(functions.values())) if name is None else functions[name]
+
+
+def _plan_from_pragmas(function, machine, default_vf=1):
+    """Plan every loop from the pragma the frontend attached to it."""
+    decisions = {
+        loop.loop_id: factors_from_pragma(loop.pragma, default_vf)
+        for loop in function.innermost_loops()
+    }
+    return build_plan(function, decisions, machine)
 
 
 def _legality(source, machine=None):
@@ -149,7 +159,7 @@ class TestPlanner:
             "#pragma clang loop vectorize_width(16) interleave_count(4)\n"
             "for (int i = 0; i < 4096; i++) a[i] = 1; }"
         )
-        plan = plan_from_pragmas(function, machine)
+        plan = _plan_from_pragmas(function, machine)
         loop_plan = list(plan.plans.values())[0]
         assert (loop_plan.vf, loop_plan.interleave) == (16, 4)
 
@@ -159,7 +169,7 @@ class TestPlanner:
             "#pragma clang loop vectorize(disable)\n"
             "for (int i = 0; i < 4096; i++) a[i] = 1; }"
         )
-        plan = plan_from_pragmas(function, machine, default_vf=8)
+        plan = _plan_from_pragmas(function, machine, default_vf=8)
         loop_plan = list(plan.plans.values())[0]
         assert loop_plan.vf == 1
 
